@@ -21,14 +21,10 @@ from .decoy_bounds import (
     chi_low_orders,
     chi_term,
     chi_total,
-    e1_nontriggered_ub,
-    e1_triggered_ub,
     evaluate_bounds,
     overall_delta,
-    q1_triggered_lb,
     serfling_xi,
     x_range,
-    zeta,
 )
 from .errors import (
     AllVacuous,
@@ -47,10 +43,6 @@ from .keylength import (
     SecurityBudget,
     asymptotic_rate,
     binary_entropy,
-    ell_both,
-    ell_both_at,
-    ell_triggered,
-    ell_triggered_at,
     key_length,
     phase_error_counts,
 )
@@ -60,7 +52,6 @@ from .optimizer import (
     SweepRow,
     max_distance,
     optimize_rate,
-    sweep,
     sweep_point,
 )
 from .oracle import (
@@ -125,13 +116,7 @@ __all__ = [
     "chi_term",
     "chi_total",
     "delta_n",
-    "e1_nontriggered_ub",
-    "e1_triggered_ub",
     "e_hat",
-    "ell_both",
-    "ell_both_at",
-    "ell_triggered",
-    "ell_triggered_at",
     "evaluate_bounds",
     "gaussian_tail",
     "hypergeom_tail",
@@ -143,16 +128,13 @@ __all__ = [
     "phase_error_bound",
     "phase_error_counts",
     "photon_prob",
-    "q1_triggered_lb",
     "serfling_xi",
     "series_sum",
     "simulate_observables",
     "solve_omega",
     "sqrt_delta_p_sum",
-    "sweep",
     "sweep_point",
     "transmittance",
     "trigger_prob",
     "x_range",
-    "zeta",
 ]

@@ -73,10 +73,10 @@ def _parse_distances(text: str) -> list[float]:
         if step <= 0:
             raise ConfigError("distance step must be > 0")
         out = []
-        L = l0
-        while L <= l1 + 1e-9:
-            out.append(round(L, 9))
-            L += step
+        i = 0
+        while l0 + i * step <= l1 + 1e-9:
+            out.append(round(l0 + i * step, 9))
+            i += 1
         return out
     return [float(p) for p in text.split(",") if p.strip()]
 
@@ -94,10 +94,10 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
 
-    def fval(section, key):
+    def fval(section, key, kind=float):
         raw = parser.get(section, key)
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
@@ -114,43 +114,42 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         cfg.security = SecurityBudget(eps_sec=fval("security", "eps_sec"),
                                       eps_cor=fval("security", "eps_cor"),
                                       f_EC=fval("security", "f_EC"))
+        cfg.spec = OptimizationSpec(
+            mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max"))
+            if parser.get("optimizer", "mu_max").strip() else None,
+            p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
+            coarse_points=(fval("optimizer", "coarse_mu", int),
+                           fval("optimizer", "coarse_p_pe", int)),
+            refine_rounds=fval("optimizer", "refine_rounds", int),
+            refine_points=(fval("optimizer", "refine_mu", int),
+                           fval("optimizer", "refine_p_pe", int)),
+            x_grid_points=fval("optimizer", "x_grid_points", int),
+        )
+        cfg.spec.resolved_mu_bounds(cfg.source.eta_A)  # empty mu range fails here
+
+        cfg.distances = _parse_distances(parser.get("sweep", "distances"))
+        cfg.Ns = [float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()]
+        cfg.mode = parser.get("sweep", "mode").strip()
+        ppe_raw = parser.get("sweep", "p_pe").strip()
+        cfg.p_pe_override = float(ppe_raw) if ppe_raw else None
+        cfg.out_path = parser.get("output", "path")
+        cfg.verify_seed = fval("verify", "seed", int)
+        cfg.verify_trials = fval("verify", "trials", int)
+        cfg.verify_path = parser.get("verify", "path")
+
+        if overrides is not None:
+            if getattr(overrides, "mode", None):
+                cfg.mode = overrides.mode
+            if getattr(overrides, "sweep", None):
+                cfg.distances = _parse_distances(overrides.sweep)
+            if getattr(overrides, "N", None):
+                cfg.Ns = [float(v) for v in overrides.N]
+            if getattr(overrides, "out", None):
+                cfg.out_path = overrides.out
+            if getattr(overrides, "p_pe", None) is not None:
+                cfg.p_pe_override = overrides.p_pe
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    mu_max_raw = parser.get("optimizer", "mu_max").strip()
-    cfg.spec = OptimizationSpec(
-        mu_bounds=(fval("optimizer", "mu_min"), float(mu_max_raw))
-        if mu_max_raw else None,
-        p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
-        coarse_points=(parser.getint("optimizer", "coarse_mu"),
-                       parser.getint("optimizer", "coarse_p_pe")),
-        refine_rounds=parser.getint("optimizer", "refine_rounds"),
-        refine_points=(parser.getint("optimizer", "refine_mu"),
-                       parser.getint("optimizer", "refine_p_pe")),
-        x_grid_points=parser.getint("optimizer", "x_grid_points"),
-    )
-
-    cfg.distances = _parse_distances(parser.get("sweep", "distances"))
-    cfg.Ns = [float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()]
-    cfg.mode = parser.get("sweep", "mode").strip()
-    ppe_raw = parser.get("sweep", "p_pe").strip()
-    cfg.p_pe_override = float(ppe_raw) if ppe_raw else None
-    cfg.out_path = parser.get("output", "path")
-    cfg.verify_seed = parser.getint("verify", "seed")
-    cfg.verify_trials = parser.getint("verify", "trials")
-    cfg.verify_path = parser.get("verify", "path")
-
-    if overrides is not None:
-        if getattr(overrides, "mode", None):
-            cfg.mode = overrides.mode
-        if getattr(overrides, "sweep", None):
-            cfg.distances = _parse_distances(overrides.sweep)
-        if getattr(overrides, "N", None):
-            cfg.Ns = [float(v) for v in overrides.N]
-        if getattr(overrides, "out", None):
-            cfg.out_path = overrides.out
-        if getattr(overrides, "p_pe", None) is not None:
-            cfg.p_pe_override = overrides.p_pe
 
     if cfg.mode not in ("finite", "asymptotic", "both"):
         raise ConfigError(f"mode must be finite|asymptotic|both, got {cfg.mode!r}")
@@ -160,6 +159,10 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError("distances must be nonnegative and ascending")
     if not cfg.Ns:
         raise ConfigError("empty N list")
+    if not all(N >= 1 for N in cfg.Ns):
+        raise ConfigError("every N must be >= 1")
+    if cfg.p_pe_override is not None and not 0 < cfg.p_pe_override < 1:
+        raise ConfigError(f"p_pe must be in (0, 1), got {cfg.p_pe_override}")
     return cfg
 
 

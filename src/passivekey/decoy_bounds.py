@@ -8,9 +8,10 @@ on the single-photon error rates, all parametrized by the unknown vacuum
 ratio x = Q0_nt / Q_nt.  The asymptotic (infinite-sample) counterparts are
 provided as the N -> infinity reference.
 
-Scalar entry points raise the documented errors on vacuous preconditions;
-the array-valued helpers used by the key-length minimizer return raw values
-and leave clamping to the caller, which needs the unclamped shape.
+One function computes zeta, W_t and W_nt: ``evaluate_bounds`` for a sample
+budget, and the same core with every chi set to zero for the limit.  It
+accepts a scalar or an array of x, marks a vacuous error bound as +inf and
+leaves clamping to the caller, which needs the unclamped shape.
 """
 
 from __future__ import annotations
@@ -139,69 +140,31 @@ def _deltas(src: SourceModel) -> tuple[float, float, float]:
     return d0, d1, d2
 
 
-def zeta_raw(x, src: SourceModel, obs: Observables, chi: float):
-    """zeta(x) = [(delta2 - delta) - (delta2 - delta0) x - chi] / (delta2 - delta1).
+def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
+            chi1: float) -> SinglePhotonBounds:
+    """Bound values at x for given fluctuation terms (all zero in the N -> inf limit).
 
-    Affine and decreasing in x; may be negative.  Accepts scalar or array x.
+    zeta(x) = [(delta2 - delta) - (delta2 - delta0) x - chi] / (delta2 - delta1)
+    is affine and decreasing in x and may be negative; q1_t_lb, W_t(x) and
+    W_nt(x) = (2 E_nt - x) / (2 zeta(x)) all derive from it.
     """
     d0, d1, d2 = _deltas(src)
     delta = overall_delta(obs)
-    return ((d2 - delta) - (d2 - d0) * np.asarray(x, dtype=float) - chi) / (d2 - d1)
-
-
-def zeta(x: float, src: SourceModel, budget: SampleBudget, obs: Observables) -> float:
-    """Lower bound on Q1_nt / Q_nt at vacuum ratio x (raw, caller clamps)."""
-    chi = chi_total(src, budget, obs)
-    return float(zeta_raw(x, src, obs, chi))
-
-
-def q1_triggered_lb(
-    x: float, src: SourceModel, budget: SampleBudget, obs: Observables
-) -> float:
-    """Lower bound delta1 * Q_nt * zeta(x) - chi1 on the triggered single-photon gain."""
-    chi1 = chi_term(src, budget, 1)
-    return float(delta_n(src, 1) * obs.Q_nt * zeta(x, src, budget, obs) - chi1)
-
-
-def w_t_raw(x, src: SourceModel, obs: Observables, chi: float, chi0: float, chi1: float):
-    """Raw W_t(x); +inf where the certified denominator is not positive."""
-    d0, d1, _ = _deltas(src)
-    delta = overall_delta(obs)
-    z = zeta_raw(x, src, obs, chi)
-    num = 2.0 * delta * obs.E_t - d0 * np.asarray(x, dtype=float) + chi0 / obs.Q_nt
-    den = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-
-
-def w_nt_raw(x, src: SourceModel, obs: Observables, chi: float):
-    """Raw W_nt(x) = (2 E_nt - x) / (2 zeta(x)); +inf where zeta(x) <= 0."""
-    z = zeta_raw(x, src, obs, chi)
-    num = 2.0 * obs.E_nt - np.asarray(x, dtype=float)
-    return np.where(z > 0, num / np.where(z > 0, 2.0 * z, 1.0), np.inf)
-
-
-def e1_triggered_ub(
-    x: float, src: SourceModel, budget: SampleBudget, obs: Observables
-) -> float:
-    """Upper bound W_t(x) on the triggered single-photon error rate."""
-    chi = chi_total(src, budget, obs)
-    chi0 = chi_term(src, budget, 0)
-    chi1 = chi_term(src, budget, 1)
-    w = float(w_t_raw(x, src, obs, chi, chi0, chi1))
-    if not math.isfinite(w):
-        raise VacuousBound(f"W_t denominator <= 0 at x={x}")
-    return w
-
-
-def e1_nontriggered_ub(
-    x: float, src: SourceModel, budget: SampleBudget, obs: Observables
-) -> float:
-    """Upper bound W_nt(x) on the nontriggered single-photon error rate."""
-    chi = chi_total(src, budget, obs)
-    w = float(w_nt_raw(x, src, obs, chi))
-    if not math.isfinite(w):
-        raise VacuousBound(f"zeta(x) <= 0 at x={x}")
-    return w
+    xa = np.asarray(x, dtype=float)
+    z = ((d2 - delta) - (d2 - d0) * xa - chi) / (d2 - d1)
+    num_t = 2.0 * delta * obs.E_t - d0 * xa + chi0 / obs.Q_nt
+    den_t = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
+    num_nt = 2.0 * obs.E_nt - xa
+    return SinglePhotonBounds(
+        x=x,
+        zeta=z,
+        q1_t_lb=d1 * obs.Q_nt * z - chi1,
+        w_t=np.where(den_t > 0, num_t / np.where(den_t > 0, den_t, 1.0), np.inf),
+        w_nt=np.where(z > 0, num_nt / np.where(z > 0, 2.0 * z, 1.0), np.inf),
+        chi=chi,
+        chi0=chi0,
+        chi1=chi1,
+    )
 
 
 def evaluate_bounds(
@@ -211,22 +174,10 @@ def evaluate_bounds(
     obs: Observables,
     chi: float | None = None,
 ) -> SinglePhotonBounds:
-    """All raw bound values at x (scalar or array); chi may be precomputed."""
+    """All raw bound values at x (scalar or array); chi defaults to chi_total."""
     if chi is None:
         chi = chi_total(src, budget, obs)
-    chi0 = chi_term(src, budget, 0)
-    chi1 = chi_term(src, budget, 1)
-    z = zeta_raw(x, src, obs, chi)
-    return SinglePhotonBounds(
-        x=x,
-        zeta=z,
-        q1_t_lb=delta_n(src, 1) * obs.Q_nt * z - chi1,
-        w_t=w_t_raw(x, src, obs, chi, chi0, chi1),
-        w_nt=w_nt_raw(x, src, obs, chi),
-        chi=chi,
-        chi0=chi0,
-        chi1=chi1,
-    )
+    return _bounds(x, src, obs, chi, chi_term(src, budget, 0), chi_term(src, budget, 1))
 
 
 def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:
@@ -239,7 +190,7 @@ def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:
 
 def asymptotic_q1_nt(x: float, src: SourceModel, obs: Observables) -> float:
     """Infinite-sample lower bound on Q1_nt at vacuum gain Q0_nt = x * Q_nt."""
-    return float(zeta_raw(x, src, obs, 0.0)) * obs.Q_nt
+    return float(_bounds(x, src, obs, 0.0, 0.0, 0.0).zeta) * obs.Q_nt
 
 
 def asymptotic_e1(x: float, src: SourceModel, obs: Observables) -> float:

@@ -3,11 +3,12 @@
 Two extraction strategies are assembled from the decoy bounds and the
 phase-error bound:
 
-* ``ell_triggered`` keeps only the triggered events,
-* ``ell_both`` additionally credits the nontriggered events (error
-  correction separate, privacy amplification joint),
+* T (triggered-only) keeps only the triggered events,
+* B (both) additionally credits the nontriggered events (error
+  correction separate, privacy amplification joint).
 
-each minimized over the free vacuum ratio x; the final key is
+``_ell_curve`` evaluates either strategy on an array of the free vacuum
+ratio x and ``_minimize_over_x`` takes its worst case; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
 ``R = ell / (2 N)``.
 
@@ -39,13 +40,10 @@ import numpy as np
 from .channel import ChannelModel, Observables, simulate_observables
 from .decoy_bounds import (
     SampleBudget,
-    chi_term,
+    _bounds,
     chi_low_orders,
     evaluate_bounds,
     x_range,
-    zeta_raw,
-    w_nt_raw,
-    w_t_raw,
 )
 from .errors import VacuousBound
 from .phase_error import PhaseErrorInputs, _phase_error_arrays
@@ -131,7 +129,10 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
 
 
 def _ell_curve(x, which, src, obs, N, p_pe, sec):
-    """ell_T(x) or ell_B(x) on a scalar or array of x values."""
+    """(ell, bounds, e_p_t, e_p_nt) of strategy "T" or "B" at scalar or array x.
+
+    e_p_nt is None for "T".
+    """
     budget = _budget_for(which, N, p_pe, sec)
     chi = chi_low_orders(src, budget, obs)
     b = evaluate_bounds(x, src, budget, obs, chi=chi)
@@ -165,6 +166,7 @@ def _ell_curve(x, which, src, obs, N, p_pe, sec):
 
 def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points, refine_rounds,
                      refine_points):
+    """(min over x of ell(x), minimizing x): an x_range grid refined at its minimum."""
     lo, hi = x_range(src, obs)
     if hi <= lo:
         ell, *_ = _ell_curve(lo, which, src, obs, N, p_pe, sec)
@@ -184,58 +186,6 @@ def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points, refine_rounds,
         lo, hi = float(lo_new), float(hi_new)
         points = refine_points
     return best_val, best_x
-
-
-def ell_triggered_at(
-    x: float,
-    src: SourceModel,
-    obs: Observables,
-    budget: SampleBudget,
-    sec: SecurityBudget,
-) -> float:
-    """Triggered-only key length evaluated at a single x (no minimization)."""
-    ell, *_ = _ell_curve(x, "T", src, obs, budget.N, budget.p_pe, sec)
-    return float(ell)
-
-
-def ell_both_at(
-    x: float,
-    src: SourceModel,
-    obs: Observables,
-    budget: SampleBudget,
-    sec: SecurityBudget,
-) -> float:
-    """Combined-strategy key length evaluated at a single x."""
-    ell, *_ = _ell_curve(x, "B", src, obs, budget.N, budget.p_pe, sec)
-    return float(ell)
-
-
-def ell_triggered(
-    src: SourceModel,
-    obs: Observables,
-    budget: SampleBudget,
-    sec: SecurityBudget,
-    grid_points: int = X_GRID_POINTS,
-) -> tuple[float, float]:
-    """(min over x of the triggered-only key length, minimizing x)."""
-    return _minimize_over_x(
-        "T", src, obs, budget.N, budget.p_pe, sec,
-        grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS,
-    )
-
-
-def ell_both(
-    src: SourceModel,
-    obs: Observables,
-    budget: SampleBudget,
-    sec: SecurityBudget,
-    grid_points: int = X_GRID_POINTS,
-) -> tuple[float, float]:
-    """(min over x of the combined-strategy key length, minimizing x)."""
-    return _minimize_over_x(
-        "B", src, obs, budget.N, budget.p_pe, sec,
-        grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS,
-    )
 
 
 def phase_error_counts(
@@ -292,9 +242,7 @@ def key_length(
     diag = Diagnostics(
         zeta=float(b.zeta),
         w_t=float(b.w_t),
-        w_nt=float(b.w_nt) if which == "B" else float(
-            w_nt_raw(x_win, src, obs, b.chi)
-        ),
+        w_nt=float(b.w_nt),
         e_p_t=float(e_p_t),
         e_p_nt=float(e_p_nt) if e_p_nt is not None else math.nan,
         lambda_ec_t=N * obs.Q_t * sec.f_EC * binary_entropy(obs.E_t),
@@ -326,9 +274,8 @@ def asymptotic_rate(
     obs = simulate_observables(src, ch)
     lo, hi = x_range(src, obs)
     xs = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-    z = zeta_raw(xs, src, obs, 0.0)
-    w_t = w_t_raw(xs, src, obs, 0.0, 0.0, 0.0)
-    w_nt = w_nt_raw(xs, src, obs, 0.0)
+    b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
+    z, w_t, w_nt = b.zeta, b.w_t, b.w_nt
     d0, d1 = delta_n(src, 0), delta_n(src, 1)
 
     one_minus_h_t = np.where(

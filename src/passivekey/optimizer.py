@@ -1,8 +1,10 @@
-"""Outer search over (mu, p_pe) and distance scans.
+"""Outer search over (mu, p_pe), sweep rows and the maximum-distance scan.
 
 The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
-shrinking-rectangle refinement is used instead of gradient methods.  The
+shrinking-rectangle refinement is used instead of gradient methods.  Finite
+rows, rows with a pinned p_pe and asymptotic rows all run that one search;
+the last two collapse its p_pe axis to a single point.  The
 source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +39,17 @@ class OptimizationSpec:
     refine_points: tuple[int, int] = (7, 7)
     x_grid_points: int = 200
 
+    def __post_init__(self):
+        if min(*self.coarse_points, *self.refine_points, self.x_grid_points) < 1:
+            raise ValueError("every grid point count must be >= 1")
+        if self.refine_rounds < 0:
+            raise ValueError("refine_rounds must be >= 0")
+        lo, hi = self.p_pe_bounds
+        if not 0 < lo <= hi < 1:
+            raise ValueError(
+                f"p_pe bounds must satisfy 0 < min <= max < 1, got {lo}, {hi}"
+            )
+
     def resolved_mu_bounds(self, eta_A: float) -> tuple[float, float]:
         if self.mu_bounds is not None:
             lo, hi = self.mu_bounds
@@ -58,12 +70,56 @@ class OptimizeResult:
     result: KeyLengthResult
 
 
-def _rate_at(mu, p_pe, L_km, N, src, ch, sec, spec) -> KeyLengthResult:
-    src_mu = replace(src, mu=float(mu))
-    ch_L = replace(ch, L_km=float(L_km))
-    obs = simulate_observables(src_mu, ch_L)
-    return key_length(src_mu, obs, N, float(p_pe), sec,
-                      grid_points=spec.x_grid_points)
+def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
+    """Best (rate, mu, p_pe, payload) of evaluate(mu, p_pe) -> (rate, payload).
+
+    A coarse grid, then spec.refine_rounds rectangles around the incumbent
+    whose half-widths start at one coarse step and shrink threefold a round.
+    Points are visited mu-major and replace the incumbent only with a
+    strictly higher rate, so ties keep the earliest point.  With no positive
+    rate on the coarse grid nothing is refined and (0.0, nan, nan, None) is
+    returned.
+    """
+    mu_lo, mu_hi = mu_bounds
+    pp_lo, pp_hi = spec.p_pe_bounds
+    best = (0.0, math.nan, math.nan, None)
+
+    def scan(mus, ppes):
+        nonlocal best
+        for mu in map(float, mus):
+            for pp in map(float, ppes):
+                rate, payload = evaluate(mu, pp)
+                if rate > best[0]:
+                    best = (rate, mu, pp, payload)
+
+    scan(np.linspace(mu_lo, mu_hi, spec.coarse_points[0]),
+         np.linspace(pp_lo, pp_hi, spec.coarse_points[1]))
+    if not best[0] > 0.0:
+        return best
+
+    mu_step = (mu_hi - mu_lo) / max(spec.coarse_points[0] - 1, 1)
+    pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
+    for _ in range(spec.refine_rounds):
+        _, mu0, pp0, _ = best
+        scan(
+            np.linspace(max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step),
+                        spec.refine_points[0]),
+            np.linspace(max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step),
+                        spec.refine_points[1]),
+        )
+        mu_step /= 3.0
+        pp_step /= 3.0
+    return best
+
+
+def _pin_p_pe(spec: OptimizationSpec, p_pe: float) -> OptimizationSpec:
+    """spec with the p_pe axis collapsed to the single value p_pe."""
+    return replace(
+        spec,
+        p_pe_bounds=(p_pe, p_pe),
+        coarse_points=(spec.coarse_points[0], 1),
+        refine_points=(spec.refine_points[0], 1),
+    )
 
 
 def optimize_rate(
@@ -80,39 +136,20 @@ def optimize_rate(
     never falls below the best coarse-grid value.  Raises AllVacuous when no
     grid point yields a positive key.
     """
-    mu_lo, mu_hi = spec.resolved_mu_bounds(src.eta_A)
-    pp_lo, pp_hi = spec.p_pe_bounds
+    ch_L = replace(ch, L_km=float(L_km))
 
-    best = None  # (rate, mu, p_pe, KeyLengthResult)
+    def evaluate(mu, p_pe):
+        src_mu = replace(src, mu=mu)
+        res = key_length(src_mu, simulate_observables(src_mu, ch_L), N, p_pe, sec,
+                         grid_points=spec.x_grid_points)
+        return res.rate, res
 
-    def scan(mus, ppes):
-        nonlocal best
-        for mu in mus:
-            for pp in ppes:
-                res = _rate_at(mu, pp, L_km, N, src, ch, sec, spec)
-                if best is None or res.rate > best[0]:
-                    best = (res.rate, float(mu), float(pp), res)
-
-    scan(np.linspace(mu_lo, mu_hi, spec.coarse_points[0]),
-         np.linspace(pp_lo, pp_hi, spec.coarse_points[1]))
-    if best is None or best[0] <= 0.0:
+    rate, mu, p_pe, res = _grid_search(
+        evaluate, spec.resolved_mu_bounds(src.eta_A), spec
+    )
+    if not rate > 0.0:
         raise AllVacuous(f"no positive key on the grid at L={L_km} km, N={N:g}")
-
-    mu_step = (mu_hi - mu_lo) / max(spec.coarse_points[0] - 1, 1)
-    pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
-    for _ in range(spec.refine_rounds):
-        _, mu0, pp0, _ = best
-        scan(
-            np.linspace(max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step),
-                        spec.refine_points[0]),
-            np.linspace(max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step),
-                        spec.refine_points[1]),
-        )
-        mu_step /= 3.0
-        pp_step /= 3.0
-
-    rate, mu, pp, res = best
-    return OptimizeResult(rate=rate, mu=mu, p_pe=pp, result=res)
+    return OptimizeResult(rate=rate, mu=mu, p_pe=p_pe, result=res)
 
 
 def max_distance(
@@ -189,45 +226,18 @@ def sweep_point(
 ) -> SweepRow:
     """One (L, N) row; vacuous points are reported, not raised."""
     if mode == "asymptotic":
-        best_rate = 0.0
-        best_mu = math.nan
-        mu_lo, mu_hi = spec.resolved_mu_bounds(src.eta_A)
-        for mu in np.linspace(mu_lo, mu_hi, spec.coarse_points[0]):
-            r = asymptotic_rate(
-                SourceModel(float(mu), src.eta_A, src.d_A),
-                ChannelModel(ch.alpha_db_per_km, L_km, ch.eta_B, ch.p_d, ch.e_d),
-                f_EC=sec.f_EC,
-            )
-            if r > best_rate:
-                best_rate, best_mu = r, float(mu)
-        step = (mu_hi - mu_lo) / (spec.coarse_points[0] - 1)
-        if best_rate > 0.0:
-            for _ in range(spec.refine_rounds):
-                for mu in np.linspace(max(mu_lo, best_mu - step),
-                                      min(mu_hi, best_mu + step),
-                                      spec.refine_points[0]):
-                    r = asymptotic_rate(
-                        SourceModel(float(mu), src.eta_A, src.d_A),
-                        ChannelModel(ch.alpha_db_per_km, L_km, ch.eta_B,
-                                     ch.p_d, ch.e_d),
-                        f_EC=sec.f_EC,
-                    )
-                    if r > best_rate:
-                        best_rate, best_mu = r, float(mu)
-                step /= 3.0
-        status = "ok" if best_rate > 0.0 else "vacuous"
-        return SweepRow(L_km, N, mode, best_mu, math.nan, math.nan,
-                        math.nan, math.nan, math.nan, best_rate,
-                        math.nan, math.nan, status)
+        ch_L = replace(ch, L_km=float(L_km))
 
-    eff_spec = spec
-    if p_pe_override is not None:
-        eff_spec = replace(
-            spec,
-            p_pe_bounds=(p_pe_override, p_pe_override),
-            coarse_points=(spec.coarse_points[0], 1),
-            refine_points=(spec.refine_points[0], 1),
-        )
+        def evaluate(mu, _p_pe):
+            return asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC), None
+
+        rate, mu, _, _ = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A),
+                                      _pin_p_pe(spec, spec.p_pe_bounds[0]))
+        return SweepRow(L_km, N, mode, mu, math.nan, math.nan,
+                        math.nan, math.nan, math.nan, rate,
+                        math.nan, math.nan, "ok" if rate > 0.0 else "vacuous")
+
+    eff_spec = spec if p_pe_override is None else _pin_p_pe(spec, p_pe_override)
     try:
         opt = optimize_rate(L_km, N, src, ch, sec, eff_spec)
     except AllVacuous:
@@ -240,26 +250,3 @@ def sweep_point(
         res.ell_T, res.ell_B, res.ell, res.rate,
         res.diagnostics.e_p_t, res.diagnostics.e_p_nt, "ok",
     )
-
-
-def sweep(
-    distances: Sequence[float],
-    Ns: Sequence[float],
-    mode: str,
-    src: SourceModel,
-    ch: ChannelModel,
-    sec: SecurityBudget,
-    spec: OptimizationSpec = OptimizationSpec(),
-    p_pe_override: float | None = None,
-) -> list[SweepRow]:
-    """Rows for every (L, N) pair, in input order; mode is finite | asymptotic | both."""
-    if not distances or not Ns:
-        raise ValueError("distances and Ns must be nonempty")
-    modes = ["finite", "asymptotic"] if mode == "both" else [mode]
-    rows = []
-    for L in distances:
-        for N in Ns:
-            for m in modes:
-                rows.append(sweep_point(L, N, m, src, ch, sec, spec,
-                                        p_pe_override=p_pe_override))
-    return rows

@@ -21,6 +21,7 @@ replays the same bound with true integer counts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,12 @@ def _solve_omega_arrays(n, l, eps_sec):
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
     target = eps_sec**2 / 16.0
+    # Below the smallest normal double the tail LHS underflows to 0 before
+    # the true crossing, and bisection would return too small an omega.
+    if target < sys.float_info.min:
+        raise NoSolution(
+            f"tail target eps_sec^2/16 = {target:.3g} underflows for eps_sec={eps_sec}"
+        )
     lo = np.zeros(np.broadcast(n, l).shape)
     hi = np.full_like(lo, OMEGA_MAX)
     at_zero = _tail_condition_lhs(lo, n, l) <= target

@@ -41,6 +41,16 @@ class TestConfig:
     def test_parse_distances(self):
         assert _parse_distances("10:30:10") == [10.0, 20.0, 30.0]
         assert _parse_distances("5,7.5,12") == [5.0, 7.5, 12.0]
+        # l0 + i * step: no drift accumulates over a long fractional grid
+        grid = _parse_distances("0:9000:0.3")
+        assert len(grid) == 30001
+        assert grid[-1] == 9000.0
+
+    def test_empty_distance_list_rejected(self, tmp_path):
+        from passivekey import ConfigError
+
+        with pytest.raises(ConfigError, match="empty distance list"):
+            load_config(write_config(tmp_path, "[sweep]\ndistances = ,\n"))
 
     def test_bad_number(self, tmp_path):
         from passivekey import ConfigError
@@ -66,6 +76,54 @@ class TestRunCommand:
         path = write_config(tmp_path, "[sweep]\ndistances = 50:10:10\nmode = xyz\n")
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, args", [
+        ("[optimizer]\ncoarse_mu = abc\n", []),
+        ("[optimizer]\nmu_max = abc\n", []),
+        ("", ["--N", "abc"]),
+        ("", ["--p-pe", "1.5"]),
+    ], ids=["coarse_mu", "mu_max", "N", "p_pe"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, config, args):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "50:50:10",
+                     "--out", str(out)] + args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_coarse_mu_asymptotic(self, tmp_path):
+        path = write_config(tmp_path, FAST_OPTIMIZER.replace("coarse_mu = 6",
+                                                             "coarse_mu = 1"))
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "50:50:10",
+                     "--mode", "asymptotic", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[2] == "asymptotic"
+        assert row[-1] == "ok"
+        assert float(row[9]) > 0.0
+
+    def test_both_mode_row_order(self, tmp_path):
+        path = write_config(tmp_path, """
+[optimizer]
+coarse_mu = 8
+coarse_p_pe = 8
+refine_rounds = 2
+refine_mu = 5
+refine_p_pe = 5
+x_grid_points = 60
+""")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "40,50", "--N", "1e9",
+                     "--mode", "both", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(float(r[0]), r[2]) for r in rows] == [
+            (40.0, "finite"), (40.0, "asymptotic"),
+            (50.0, "finite"), (50.0, "asymptotic"),
+        ]
+        # asymptotic dominates finite at the same point
+        rates = [float(r[9]) for r in rows]
+        assert rates[1] >= rates[0]
+        assert rates[3] >= rates[2]
 
     def test_csv_deterministic(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER)

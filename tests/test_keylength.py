@@ -9,14 +9,17 @@ from passivekey import (
     SampleBudget,
     asymptotic_rate,
     binary_entropy,
-    ell_both,
-    ell_both_at,
-    ell_triggered,
-    ell_triggered_at,
     key_length,
     phase_error_counts,
     simulate_observables,
     x_range,
+)
+from passivekey.keylength import (
+    X_GRID_POINTS,
+    X_REFINE_POINTS,
+    X_REFINE_ROUNDS,
+    _ell_curve,
+    _minimize_over_x,
 )
 
 from conftest import make_channel
@@ -51,38 +54,43 @@ class TestBinaryEntropy:
         assert out == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
 
+# the ell(x) path of key_length at N = 1e9, p_pe = 0.5
+def ell_at(x, which, src, obs, sec):
+    ell, *_ = _ell_curve(x, which, src, obs, 1e9, 0.5, sec)
+    return ell
+
+
+def ell_min(which, src, obs, sec):
+    return _minimize_over_x(which, src, obs, 1e9, 0.5, sec,
+                            X_GRID_POINTS, X_REFINE_ROUNDS, X_REFINE_POINTS)
+
+
 class TestEllCurves:
     def test_matches_extended_precision(self, src, obs, sec):
         from reference_impl import Ref, ref_ell
 
         ref = Ref(0.5, 0.5, 1e-6, 0.20, 50.0, 0.1, 6e-7, 0.005)
-        budget_T = SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-11)
         lo, hi = x_range(src, obs)
         for x in (lo, 0.5 * (lo + hi), hi):
-            got_T = ell_triggered_at(float(x), src, obs, budget_T, sec)
+            got_T = float(ell_at(float(x), "T", src, obs, sec))
             want_T = float(ref_ell("T", ref, float(x), 1e9, 0.5, 1e-10, 1e-12, 1.16))
             assert got_T == pytest.approx(want_T, rel=1e-7)
-            got_B = ell_both_at(float(x), src, obs, budget_T, sec)
+            got_B = float(ell_at(float(x), "B", src, obs, sec))
             want_B = float(ref_ell("B", ref, float(x), 1e9, 0.5, 1e-10, 1e-12, 1.16))
             assert got_B == pytest.approx(want_B, rel=1e-7)
 
     def test_minimizer_close_to_dense_grid(self, src, obs, sec):
-        budget = SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-11)
-        val, x_opt = ell_both(src, obs, budget, sec)
+        val, x_opt = ell_min("B", src, obs, sec)
         lo, hi = x_range(src, obs)
-        dense = min(
-            ell_both_at(float(x), src, obs, budget, sec)
-            for x in np.linspace(lo, hi, 2000)
-        )
+        dense = float(np.min(ell_at(np.linspace(lo, hi, 2000), "B", src, obs, sec)))
         assert val <= dense * (1 + 1e-3) + 1.0
         assert lo <= x_opt <= hi
 
     def test_minimum_at_most_endpoint_values(self, src, obs, sec):
-        budget = SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-10)
-        val, _ = ell_triggered(src, obs, budget, sec)
+        val, _ = ell_min("T", src, obs, sec)
         lo, hi = x_range(src, obs)
-        assert val <= ell_triggered_at(lo, src, obs, budget, sec) + 1e-6
-        assert val <= ell_triggered_at(hi, src, obs, budget, sec) + 1e-6
+        assert val <= float(ell_at(lo, "T", src, obs, sec)) + 1e-6
+        assert val <= float(ell_at(hi, "T", src, obs, sec)) + 1e-6
 
 
 class TestKeyLength:

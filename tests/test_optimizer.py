@@ -1,4 +1,4 @@
-"""Derivative-free (mu, p_pe) optimization, distance search, and sweeps."""
+"""Derivative-free (mu, p_pe) optimization, distance search, and sweep rows."""
 
 import math
 
@@ -9,7 +9,6 @@ from passivekey import (
     OptimizationSpec,
     max_distance,
     optimize_rate,
-    sweep,
     sweep_point,
 )
 
@@ -38,6 +37,20 @@ class TestOptimizationSpec:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             OptimizationSpec(mu_bounds=(5.0, 10.0)).resolved_mu_bounds(0.9)
+
+    @pytest.mark.parametrize("fields", [
+        {"coarse_points": (0, 8)},
+        {"coarse_points": (8, 0)},
+        {"refine_points": (5, 0)},
+        {"x_grid_points": 0},
+        {"refine_rounds": -1},
+        {"p_pe_bounds": (0.0, 0.5)},
+        {"p_pe_bounds": (0.6, 0.5)},
+        {"p_pe_bounds": (0.5, 1.0)},
+    ])
+    def test_validation(self, fields):
+        with pytest.raises(ValueError):
+            OptimizationSpec(**fields)
 
 
 class TestOptimizeRate:
@@ -104,21 +117,29 @@ class TestSweep:
         assert row.rate > 0.0
         assert math.isnan(row.p_pe_opt)
 
+    def test_asymptotic_row_searches_mu_only(self, src, sec, monkeypatch):
+        # coarse mu grid, then refine_rounds x refine_points[0] mu values;
+        # the row keeps the first mu with the highest rate
+        import numpy as np
+        import passivekey.optimizer as opt
+
+        original = opt.asymptotic_rate
+        seen = []
+
+        def recording(s, ch, f_EC):
+            seen.append((s.mu, original(s, ch, f_EC=f_EC)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(opt, "asymptotic_rate", recording)
+        row = sweep_point(50.0, 1e9, "asymptotic", src, make_channel(0.0), sec, FAST)
+        c, rounds, r = FAST.coarse_points[0], FAST.refine_rounds, FAST.refine_points[0]
+        assert len(seen) == c + rounds * r
+        assert [mu for mu, _ in seen[:c]] == list(np.linspace(0.01, 0.99, c))
+        best = max(rate for _, rate in seen)
+        assert row.rate == best
+        assert row.mu_opt == next(mu for mu, rate in seen if rate == best)
+
     def test_p_pe_override(self, src, sec):
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec, FAST,
                           p_pe_override=0.7)
         assert row.p_pe_opt == pytest.approx(0.7, rel=1e-12)
-
-    def test_sweep_ordering_and_both_mode(self, src, sec):
-        rows = sweep([40.0, 50.0], [1e9], "both", src, make_channel(0.0), sec, FAST)
-        assert [(r.L_km, r.mode) for r in rows] == [
-            (40.0, "finite"), (40.0, "asymptotic"),
-            (50.0, "finite"), (50.0, "asymptotic"),
-        ]
-        # asymptotic dominates finite at the same point
-        assert rows[1].rate >= rows[0].rate
-        assert rows[3].rate >= rows[2].rate
-
-    def test_sweep_empty_rejected(self, src, sec):
-        with pytest.raises(ValueError):
-            sweep([], [1e9], "finite", src, make_channel(0.0), sec, FAST)

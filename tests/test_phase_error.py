@@ -42,7 +42,8 @@ class TestSolveOmega:
     def test_matches_extended_precision(self):
         from reference_impl import ref_omega
 
-        for n, l, eps in ((500.0, 500.0, 1e-3), (1e6, 1e6, 1e-10)):
+        for n, l, eps in ((500.0, 500.0, 1e-3), (1e6, 1e6, 1e-10),
+                          (1e6, 1e6, 1e-150), (1e6, 1e6, 1e-153)):
             w = solve_omega(PhaseErrorInputs(n=n, l=l, e_ob=0.0, eps_sec=eps))
             assert w == pytest.approx(float(ref_omega(n, l, eps)), abs=1e-9)
 
@@ -50,6 +51,13 @@ class TestSolveOmega:
         w1 = solve_omega(PhaseErrorInputs(n=1e5, l=1e5, e_ob=0.0, eps_sec=1e-6))
         w2 = solve_omega(PhaseErrorInputs(n=1e5, l=1e5, e_ob=0.0, eps_sec=1e-12))
         assert w2 > w1
+
+    @pytest.mark.parametrize("eps", [1e-155, 1e-160])
+    def test_underflowed_target_raises(self, eps):
+        # eps^2/16 is subnormal: the Gaussian tail underflows to 0 before the
+        # true crossing (38.44 at 1e-160), which bisection would land short of
+        with pytest.raises(NoSolution):
+            solve_omega(PhaseErrorInputs(n=1e6, l=1e6, e_ob=0.0, eps_sec=eps))
 
     def test_no_solution(self, monkeypatch):
         # unreachable on the real bracket (the Gaussian tail underflows to 0
