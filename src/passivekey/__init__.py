@@ -44,7 +44,6 @@ from .keylength import (
     asymptotic_rate,
     binary_entropy,
     key_length,
-    phase_error_counts,
 )
 from .optimizer import (
     OptimizationSpec,
@@ -126,7 +125,6 @@ __all__ = [
     "optimize_rate",
     "overall_delta",
     "phase_error_bound",
-    "phase_error_counts",
     "photon_prob",
     "serfling_xi",
     "series_sum",

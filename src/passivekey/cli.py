@@ -144,10 +144,17 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
                 cfg.distances = _parse_distances(overrides.sweep)
             if getattr(overrides, "N", None):
                 cfg.Ns = [float(v) for v in overrides.N]
-            if getattr(overrides, "out", None):
-                cfg.out_path = overrides.out
             if getattr(overrides, "p_pe", None) is not None:
                 cfg.p_pe_override = overrides.p_pe
+            if getattr(overrides, "seed", None) is not None:
+                cfg.verify_seed = overrides.seed
+            if getattr(overrides, "trials", None) is not None:
+                cfg.verify_trials = overrides.trials
+            if getattr(overrides, "out", None):
+                if getattr(overrides, "command", None) == "verify":
+                    cfg.verify_path = overrides.out
+                else:
+                    cfg.out_path = overrides.out
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -163,6 +170,10 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError("every N must be >= 1")
     if cfg.p_pe_override is not None and not 0 < cfg.p_pe_override < 1:
         raise ConfigError(f"p_pe must be in (0, 1), got {cfg.p_pe_override}")
+    if cfg.verify_trials < 1:
+        raise ConfigError(f"verify trials must be >= 1, got {cfg.verify_trials}")
+    if cfg.verify_seed < 0:
+        raise ConfigError(f"verify seed must be >= 0, got {cfg.verify_seed}")
     return cfg
 
 
@@ -289,12 +300,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run(cfg, workers=args.workers)
         if args.command == "verify":
-            if args.seed is not None:
-                cfg.verify_seed = args.seed
-            if args.trials is not None:
-                cfg.verify_trials = args.trials
-            if args.out:
-                cfg.verify_path = args.out
             return run_verify(cfg)
     except PassiveKeyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,10 +7,13 @@ phase-error bound:
 * B (both) additionally credits the nontriggered events (error
   correction separate, privacy amplification joint).
 
-``_ell_curve`` evaluates either strategy on an array of the free vacuum
-ratio x and ``_minimize_over_x`` takes its worst case; the final key is
-``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
-``R = ell / (2 N)``.
+``_ell`` is the one key-length expression ell(x) of either strategy on an
+array of the free vacuum ratio x.  ``_ell_curve`` feeds it the finite-size
+terms (chi, the phase-error bound, the epsilon penalty) and
+``_minimize_over_x`` takes its worst case, together with the bound values
+there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
+zero) and the rate is ``R = ell / (2 N)``.  The asymptotic rate is the same
+expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
 
 Epsilon budgeting: the triggered-only strategy splits its secrecy budget
 into ten equal parts (eps_pe = eps_sec / 10) and pays
@@ -45,8 +48,7 @@ from .decoy_bounds import (
     evaluate_bounds,
     x_range,
 )
-from .errors import VacuousBound
-from .phase_error import PhaseErrorInputs, _phase_error_arrays
+from .phase_error import _phase_error_arrays
 from .photonics import SourceModel, delta_n
 
 X_GRID_POINTS = 200
@@ -112,112 +114,77 @@ def _budget_for(which: str, N: float, p_pe: float, sec: SecurityBudget) -> Sampl
 
 
 def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
-    """e_p per class from lower-bound single-photon gains; 0.5 where vacuous."""
-    scalar = np.ndim(q1_lb) == 0 and np.ndim(w) == 0
-    q1_lb, w = np.atleast_1d(
-        *np.broadcast_arrays(
-            np.asarray(q1_lb, dtype=float), np.asarray(w, dtype=float)
-        )
-    )
-    ep = np.full(q1_lb.shape, 0.5)
+    """e_p per class on arrays of lower-bound single-photon gains; 0.5 where vacuous."""
+    ep = np.full(np.shape(q1_lb), 0.5)
     ok = (q1_lb > 0) & np.isfinite(w)
     if np.any(ok):
         n = N * (1.0 - p_pe) * q1_lb[ok]
         l = N * p_pe * q1_lb[ok]
         ep[ok] = _phase_error_arrays(n, l, np.clip(w[ok], 0.0, 0.5), eps_sec)
-    return float(ep[0]) if scalar else ep
+    return ep
+
+
+def _ell(x, which, src, obs, b, e_p_t, e_p_nt, N, f_EC, penalty):
+    """ell_T(x) or ell_B(x) from the bound arrays b and the e_p of each class.
+
+    The one key-length expression: the finite key passes its chi terms in b,
+    its pulse count and its epsilon penalty; the asymptotic rate passes
+    chi = 0, N = 1 and no penalty.  e_p_nt is unused for "T".
+    """
+    sp_t = np.maximum(delta_n(src, 1) * b.zeta - b.chi1 / obs.Q_nt, 0.0)
+    gain = sp_t * (1.0 - binary_entropy(e_p_t))
+    lam_t = N * obs.Q_t * f_EC * binary_entropy(obs.E_t)
+    if which == "T":
+        vac = np.maximum(delta_n(src, 0) * x - b.chi0 / obs.Q_nt, 0.0)
+        return N * obs.Q_nt * (vac + gain) - lam_t - penalty
+    vac = np.maximum(delta_n(src, 0) * x + x - b.chi0 / obs.Q_nt, 0.0)
+    gain_nt = np.maximum(b.zeta, 0.0) * (1.0 - binary_entropy(e_p_nt))
+    lam_nt = N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt)
+    return N * obs.Q_nt * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
 
 
 def _ell_curve(x, which, src, obs, N, p_pe, sec):
-    """(ell, bounds, e_p_t, e_p_nt) of strategy "T" or "B" at scalar or array x.
+    """(ell, bounds, e_p_t, e_p_nt) of strategy "T" or "B" on an array of x.
 
     e_p_nt is None for "T".
     """
     budget = _budget_for(which, N, p_pe, sec)
-    chi = chi_low_orders(src, budget, obs)
-    b = evaluate_bounds(x, src, budget, obs, chi=chi)
-    x = np.asarray(x, dtype=float)
-
-    sp_t = np.maximum(delta_n(src, 1) * b.zeta - b.chi1 / obs.Q_nt, 0.0)
+    b = evaluate_bounds(x, src, budget, obs, chi=chi_low_orders(src, budget, obs))
     e_p_t = _phase_error_for_class(b.q1_t_lb, b.w_t, N, p_pe, sec.eps_sec)
-    lam_t = N * obs.Q_t * sec.f_EC * binary_entropy(obs.E_t)
-
     if which == "T":
-        vac = np.maximum(delta_n(src, 0) * x - b.chi0 / obs.Q_nt, 0.0)
-        bracket = N * obs.Q_nt * (vac + sp_t * (1.0 - binary_entropy(e_p_t)))
+        e_p_nt = None
         penalty = 6.0 * math.log2(10.0 / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
-        return bracket - lam_t - penalty, b, e_p_t, None
-
-    sp_nt = np.maximum(b.zeta, 0.0)
-    q1_nt_lb = obs.Q_nt * np.asarray(b.zeta, dtype=float)
-    e_p_nt = _phase_error_for_class(q1_nt_lb, b.w_nt, N, p_pe, sec.eps_sec)
-    vac = np.maximum(delta_n(src, 0) * x + x - b.chi0 / obs.Q_nt, 0.0)
-    bracket = N * obs.Q_nt * (
-        vac
-        + sp_t * (1.0 - binary_entropy(e_p_t))
-        + sp_nt * (1.0 - binary_entropy(e_p_nt))
-    )
-    lam_nt = N * obs.Q_nt * sec.f_EC * binary_entropy(obs.E_nt)
-    penalty = (
-        12.0 * math.log2(15.0 / sec.eps_sec) + 1.0 + math.log2(4.0 / sec.eps_cor)
-    )
-    return bracket - lam_t - lam_nt - penalty, b, e_p_t, e_p_nt
+    else:
+        e_p_nt = _phase_error_for_class(obs.Q_nt * b.zeta, b.w_nt, N, p_pe, sec.eps_sec)
+        penalty = (
+            12.0 * math.log2(15.0 / sec.eps_sec) + 1.0 + math.log2(4.0 / sec.eps_cor)
+        )
+    ell = _ell(x, which, src, obs, b, e_p_t, e_p_nt, N, sec.f_EC, penalty)
+    return ell, b, e_p_t, e_p_nt
 
 
 def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points, refine_rounds,
                      refine_points):
-    """(min over x of ell(x), minimizing x): an x_range grid refined at its minimum."""
+    """(min over x of ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there).
+
+    An x_range grid refined at its minimum; e_p_nt is nan for "T".
+    """
     lo, hi = x_range(src, obs)
-    if hi <= lo:
-        ell, *_ = _ell_curve(lo, which, src, obs, N, p_pe, sec)
-        return float(ell), lo
-    best_x = lo
-    best_val = math.inf
+    best_val, best_x, best_diag = math.inf, lo, None
     points = grid_points
     for _ in range(refine_rounds + 1):
         xs = np.linspace(lo, hi, points)
-        vals, *_ = _ell_curve(xs, which, src, obs, N, p_pe, sec)
+        vals, b, e_p_t, e_p_nt = _ell_curve(xs, which, src, obs, N, p_pe, sec)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = float(xs[i])
-        lo_new = xs[max(i - 1, 0)]
-        hi_new = xs[min(i + 1, len(xs) - 1)]
-        lo, hi = float(lo_new), float(hi_new)
+            best_val, best_x = float(vals[i]), float(xs[i])
+            best_diag = (
+                float(b.zeta[i]), float(b.w_t[i]), float(b.w_nt[i]), float(e_p_t[i]),
+                float(e_p_nt[i]) if e_p_nt is not None else math.nan,
+            )
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
         points = refine_points
-    return best_val, best_x
-
-
-def phase_error_counts(
-    event_class: str,
-    x: float,
-    src: SourceModel,
-    obs: Observables,
-    budget: SampleBudget,
-    eps_sec: float,
-) -> PhaseErrorInputs:
-    """Code/sample counts and observed error fraction for one event class.
-
-    event_class is "triggered" or "nontriggered"; counts use the certified
-    lower-bound single-photon gains.
-    """
-    b = evaluate_bounds(x, src, budget, obs, chi=chi_low_orders(src, budget, obs))
-    if event_class == "triggered":
-        q1_lb = float(b.q1_t_lb)
-        w = float(b.w_t)
-    elif event_class == "nontriggered":
-        q1_lb = obs.Q_nt * float(b.zeta)
-        w = float(b.w_nt)
-    else:
-        raise ValueError("event_class must be 'triggered' or 'nontriggered'")
-    if not q1_lb > 0 or not math.isfinite(w):
-        raise VacuousBound(f"single-photon gain not certified for {event_class} at x={x}")
-    return PhaseErrorInputs(
-        n=budget.N * (1.0 - budget.p_pe) * q1_lb,
-        l=budget.N * budget.p_pe * q1_lb,
-        e_ob=min(max(w, 0.0), 0.5),
-        eps_sec=eps_sec,
-    )
+    return best_val, best_x, best_diag
 
 
 def key_length(
@@ -229,22 +196,15 @@ def key_length(
     grid_points: int = X_GRID_POINTS,
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N)."""
-    ell_t, x_t = _minimize_over_x(
+    ell_t, x_t, diag_t = _minimize_over_x(
         "T", src, obs, N, p_pe, sec, grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS
     )
-    ell_b, x_b = _minimize_over_x(
+    ell_b, x_b, diag_b = _minimize_over_x(
         "B", src, obs, N, p_pe, sec, grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS
     )
     ell = max(math.floor(max(ell_t, ell_b)), 0)
-
-    x_win, which = (x_t, "T") if ell_t >= ell_b else (x_b, "B")
-    _, b, e_p_t, e_p_nt = _ell_curve(x_win, which, src, obs, N, p_pe, sec)
     diag = Diagnostics(
-        zeta=float(b.zeta),
-        w_t=float(b.w_t),
-        w_nt=float(b.w_nt),
-        e_p_t=float(e_p_t),
-        e_p_nt=float(e_p_nt) if e_p_nt is not None else math.nan,
+        *(diag_t if ell_t >= ell_b else diag_b),
         lambda_ec_t=N * obs.Q_t * sec.f_EC * binary_entropy(obs.E_t),
         lambda_ec_nt=N * obs.Q_nt * sec.f_EC * binary_entropy(obs.E_nt),
     )
@@ -265,39 +225,17 @@ def asymptotic_rate(
     f_EC: float = 1.16,
     grid_points: int = 400,
 ) -> float:
-    """Infinite-N per-pulse rate: fluctuation terms and log penalties removed.
+    """Infinite-N per-pulse rate: the same ell(x) with chi = 0, N = 1 and no penalty.
 
     The phase-error inflation reduces to the raw single-photon error bounds
-    and both strategies are minimized over x on a dense grid; the result is
-    an upper envelope of every finite-N rate for this source and channel.
+    (clipped to [0, 0.5], so a vacuous +inf bound credits nothing) and both
+    strategies are minimized over x on a dense grid; the result is an upper
+    envelope of every finite-N rate for this source and channel.
     """
     obs = simulate_observables(src, ch)
-    lo, hi = x_range(src, obs)
-    xs = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
+    xs = np.linspace(*x_range(src, obs), grid_points)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
-    z, w_t, w_nt = b.zeta, b.w_t, b.w_nt
-    d0, d1 = delta_n(src, 0), delta_n(src, 1)
-
-    one_minus_h_t = np.where(
-        np.isfinite(w_t), 1.0 - binary_entropy(np.clip(w_t, 0.0, 0.5)), 0.0
-    )
-    one_minus_h_nt = np.where(
-        np.isfinite(w_nt), 1.0 - binary_entropy(np.clip(w_nt, 0.0, 0.5)), 0.0
-    )
-    sp_t = np.maximum(d1 * z, 0.0)
-    sp_nt = np.maximum(z, 0.0)
-
-    lam_t = obs.Q_t * f_EC * binary_entropy(obs.E_t)
-    lam_nt = obs.Q_nt * f_EC * binary_entropy(obs.E_nt)
-
-    ell_t = float(np.min(
-        obs.Q_nt * (np.maximum(d0 * xs, 0.0) + sp_t * one_minus_h_t)
-    )) - lam_t
-    ell_b = float(np.min(
-        obs.Q_nt * (
-            np.maximum(d0 * xs + xs, 0.0)
-            + sp_t * one_minus_h_t
-            + sp_nt * one_minus_h_nt
-        )
-    )) - lam_t - lam_nt
+    e_p_t, e_p_nt = np.clip(b.w_t, 0.0, 0.5), np.clip(b.w_nt, 0.0, 0.5)
+    ell_t = float(np.min(_ell(xs, "T", src, obs, b, e_p_t, None, 1.0, f_EC, 0.0)))
+    ell_b = float(np.min(_ell(xs, "B", src, obs, b, e_p_t, e_p_nt, 1.0, f_EC, 0.0)))
     return max(ell_t, ell_b, 0.0) / 2.0

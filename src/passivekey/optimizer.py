@@ -71,14 +71,16 @@ class OptimizeResult:
 
 
 def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
-    """Best (rate, mu, p_pe, payload) of evaluate(mu, p_pe) -> (rate, payload).
+    """Best (rate, mu, p_pe, payload) of evaluate(mu)(p_pe) -> (rate, payload).
 
-    A coarse grid, then spec.refine_rounds rectangles around the incumbent
-    whose half-widths start at one coarse step and shrink threefold a round.
-    Points are visited mu-major and replace the incumbent only with a
-    strictly higher rate, so ties keep the earliest point.  With no positive
-    rate on the coarse grid nothing is refined and (0.0, nan, nan, None) is
-    returned.
+    evaluate(mu) does the work shared by a mu row once (the observables
+    depend on mu, not p_pe) and returns the function of p_pe that scans the
+    row.  A coarse grid, then spec.refine_rounds rectangles around the
+    incumbent whose half-widths start at one coarse step and shrink
+    threefold a round.  Points are visited mu-major and replace the
+    incumbent only with a strictly higher rate, so ties keep the earliest
+    point.  With no positive rate on the coarse grid nothing is refined and
+    (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
@@ -87,8 +89,9 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     def scan(mus, ppes):
         nonlocal best
         for mu in map(float, mus):
+            at_mu = evaluate(mu)
             for pp in map(float, ppes):
-                rate, payload = evaluate(mu, pp)
+                rate, payload = at_mu(pp)
                 if rate > best[0]:
                     best = (rate, mu, pp, payload)
 
@@ -138,11 +141,15 @@ def optimize_rate(
     """
     ch_L = replace(ch, L_km=float(L_km))
 
-    def evaluate(mu, p_pe):
+    def evaluate(mu):
         src_mu = replace(src, mu=mu)
-        res = key_length(src_mu, simulate_observables(src_mu, ch_L), N, p_pe, sec,
-                         grid_points=spec.x_grid_points)
-        return res.rate, res
+        obs = simulate_observables(src_mu, ch_L)
+
+        def at(p_pe):
+            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+            return res.rate, res
+
+        return at
 
     rate, mu, p_pe, res = _grid_search(
         evaluate, spec.resolved_mu_bounds(src.eta_A), spec
@@ -228,8 +235,9 @@ def sweep_point(
     if mode == "asymptotic":
         ch_L = replace(ch, L_km=float(L_km))
 
-        def evaluate(mu, _p_pe):
-            return asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC), None
+        def evaluate(mu):
+            rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
+            return lambda _p_pe: (rate, None)
 
         rate, mu, _, _ = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A),
                                       _pin_p_pe(spec, spec.p_pe_bounds[0]))

@@ -77,16 +77,22 @@ class TestRunCommand:
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, args", [
-        ("[optimizer]\ncoarse_mu = abc\n", []),
-        ("[optimizer]\nmu_max = abc\n", []),
-        ("", ["--N", "abc"]),
-        ("", ["--p-pe", "1.5"]),
-    ], ids=["coarse_mu", "mu_max", "N", "p_pe"])
-    def test_bad_input_exits_2(self, tmp_path, capsys, config, args):
+    @pytest.mark.parametrize("command, config, args", [
+        ("run", "[optimizer]\ncoarse_mu = abc\n", []),
+        ("run", "[optimizer]\nmu_max = abc\n", []),
+        ("run", "", ["--N", "abc"]),
+        ("run", "", ["--p-pe", "1.5"]),
+        ("verify", "", ["--trials", "0"]),
+        ("verify", "", ["--seed", "-1"]),
+        ("verify", "[verify]\ntrials = 0\n", []),
+        ("verify", "[verify]\nseed = -1\n", []),
+    ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
+            "verify_seed_flag", "verify_trials_key", "verify_seed_key"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
-        assert main(["run", "--config", path, "--sweep", "50:50:10",
+        sweep = ["--sweep", "50:50:10"] if command == "run" else []
+        assert main([command, "--config", path, *sweep,
                      "--out", str(out)] + args) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()

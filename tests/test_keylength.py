@@ -1,16 +1,21 @@
 """Composable key-length formulas and the x-minimization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passivekey import (
+    PhaseErrorInputs,
     SampleBudget,
     asymptotic_rate,
     binary_entropy,
+    chi_low_orders,
+    evaluate_bounds,
     key_length,
-    phase_error_counts,
+    phase_error_bound,
     simulate_observables,
     x_range,
 )
@@ -20,6 +25,7 @@ from passivekey.keylength import (
     X_REFINE_ROUNDS,
     _ell_curve,
     _minimize_over_x,
+    _phase_error_for_class,
 )
 
 from conftest import make_channel
@@ -54,15 +60,16 @@ class TestBinaryEntropy:
         assert out == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
 
-# the ell(x) path of key_length at N = 1e9, p_pe = 0.5
-def ell_at(x, which, src, obs, sec):
-    ell, *_ = _ell_curve(x, which, src, obs, 1e9, 0.5, sec)
+# the ell(x) path of key_length at N = 1e9, p_pe = 0.5, on an array of x
+def ell_at(xs, which, src, obs, sec):
+    ell, *_ = _ell_curve(np.asarray(xs, dtype=float), which, src, obs, 1e9, 0.5, sec)
     return ell
 
 
 def ell_min(which, src, obs, sec):
-    return _minimize_over_x(which, src, obs, 1e9, 0.5, sec,
-                            X_GRID_POINTS, X_REFINE_ROUNDS, X_REFINE_POINTS)
+    val, x_opt, _ = _minimize_over_x(which, src, obs, 1e9, 0.5, sec,
+                                     X_GRID_POINTS, X_REFINE_ROUNDS, X_REFINE_POINTS)
+    return val, x_opt
 
 
 class TestEllCurves:
@@ -71,13 +78,14 @@ class TestEllCurves:
 
         ref = Ref(0.5, 0.5, 1e-6, 0.20, 50.0, 0.1, 6e-7, 0.005)
         lo, hi = x_range(src, obs)
-        for x in (lo, 0.5 * (lo + hi), hi):
-            got_T = float(ell_at(float(x), "T", src, obs, sec))
+        xs = [lo, 0.5 * (lo + hi), hi]
+        got_T = ell_at(xs, "T", src, obs, sec)
+        got_B = ell_at(xs, "B", src, obs, sec)
+        for x, got_t, got_b in zip(xs, got_T, got_B):
             want_T = float(ref_ell("T", ref, float(x), 1e9, 0.5, 1e-10, 1e-12, 1.16))
-            assert got_T == pytest.approx(want_T, rel=1e-7)
-            got_B = float(ell_at(float(x), "B", src, obs, sec))
+            assert float(got_t) == pytest.approx(want_T, rel=1e-7)
             want_B = float(ref_ell("B", ref, float(x), 1e9, 0.5, 1e-10, 1e-12, 1.16))
-            assert got_B == pytest.approx(want_B, rel=1e-7)
+            assert float(got_b) == pytest.approx(want_B, rel=1e-7)
 
     def test_minimizer_close_to_dense_grid(self, src, obs, sec):
         val, x_opt = ell_min("B", src, obs, sec)
@@ -88,9 +96,9 @@ class TestEllCurves:
 
     def test_minimum_at_most_endpoint_values(self, src, obs, sec):
         val, _ = ell_min("T", src, obs, sec)
-        lo, hi = x_range(src, obs)
-        assert val <= float(ell_at(lo, "T", src, obs, sec)) + 1e-6
-        assert val <= float(ell_at(hi, "T", src, obs, sec)) + 1e-6
+        at_lo, at_hi = ell_at(x_range(src, obs), "T", src, obs, sec)
+        assert val <= float(at_lo) + 1e-6
+        assert val <= float(at_hi) + 1e-6
 
 
 class TestKeyLength:
@@ -119,15 +127,95 @@ class TestKeyLength:
         assert 0.0 < d.e_p_nt <= 0.5
         assert d.lambda_ec_t > 0.0
 
-    def test_phase_error_counts(self, src, obs, sec):
+    # B wins at the x_range endpoint x* = 0 (50 km) and inside it (100 km)
+    @pytest.mark.parametrize("L, N", [(50.0, 1e9), (100.0, 1e13)])
+    def test_diagnostics_at_winning_x(self, src, sec, L, N):
+        obs = simulate_observables(src, make_channel(L))
+        res = key_length(src, obs, N=N, p_pe=0.5, sec=sec)
+        assert res.ell_B > res.ell_T
+        _, b, e_p_t, e_p_nt = _ell_curve(np.array([res.x_opt_B]), "B", src, obs, N, 0.5,
+                                         sec)
+        d = res.diagnostics
+        assert d.zeta == pytest.approx(float(b.zeta[0]), rel=1e-12)
+        assert d.w_t == pytest.approx(float(b.w_t[0]), rel=1e-12)
+        assert d.w_nt == pytest.approx(float(b.w_nt[0]), rel=1e-12)
+        assert d.e_p_t == pytest.approx(float(e_p_t[0]), rel=1e-12)
+        assert d.e_p_nt == pytest.approx(float(e_p_nt[0]), rel=1e-12)
+        # the losing strategy's minimiser reports its own bound values too
+        _, x_t, diag_t = _minimize_over_x("T", src, obs, N, 0.5, sec, X_GRID_POINTS,
+                                          X_REFINE_ROUNDS, X_REFINE_POINTS)
+        _, b, e_p_t, _ = _ell_curve(np.array([x_t]), "T", src, obs, N, 0.5, sec)
+        assert diag_t[:4] == pytest.approx(
+            [float(b.zeta[0]), float(b.w_t[0]), float(b.w_nt[0]), float(e_p_t[0])],
+            rel=1e-12)
+        assert np.isnan(diag_t[4])
+
+    def test_phase_error_for_class_counts(self, src, obs, sec):
+        # equal code/sample split n = l = N p_pe q1 at p_pe = 0.5, for both classes
         budget = SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-11)
-        pe = phase_error_counts("triggered", 0.0, src, obs, budget, sec.eps_sec)
-        # equal split at p_pe = 0.5
-        assert pe.n == pytest.approx(pe.l, rel=1e-12)
-        assert 0.0 <= pe.e_ob <= 0.5
+        b = evaluate_bounds(np.array([0.0]), src, budget, obs,
+                            chi=chi_low_orders(src, budget, obs))
+        for q1, w in ((b.q1_t_lb, b.w_t), (obs.Q_nt * b.zeta, b.w_nt)):
+            got = _phase_error_for_class(q1, w, 1e9, 0.5, sec.eps_sec)
+            count = 1e9 * 0.5 * float(q1[0])
+            want = phase_error_bound(PhaseErrorInputs(
+                n=count, l=count, e_ob=min(max(float(w[0]), 0.0), 0.5),
+                eps_sec=sec.eps_sec))
+            assert 0.0 < float(got[0]) <= 0.5
+            assert float(got[0]) == pytest.approx(want, rel=1e-12)
+
+    def test_single_point_x_range(self, src, sec):
+        # p_d = e_d = 0: both QBERs vanish and x_range collapses to (0, 0)
+        ch = replace(make_channel(50.0), p_d=0.0, e_d=0.0)
+        obs = simulate_observables(src, ch)
+        assert x_range(src, obs) == (0.0, 0.0)
+        res = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec)
+        assert res.x_opt_T == res.x_opt_B == 0.0
+        at_zero = {w: float(_ell_curve(np.array([0.0]), w, src, obs, 1e9, 0.5, sec)[0][0])
+                   for w in "TB"}
+        assert res.ell_T == at_zero["T"]
+        assert res.ell_B == at_zero["B"]
+        assert res.ell == max(float(int(max(at_zero.values()))), 0.0)
+        assert asymptotic_rate(src, ch) > 0.0
+
+
+def ref_asymptotic_rate(ref, f_EC, grid_points=400):
+    """50-digit asymptotic rate: no chi, no penalty, e_p the raw error bound."""
+    import mpmath as mp
+    from reference_impl import _h2
+
+    Qt, Qnt, Et, Ent = ref.observables()
+    delta = Qt / Qnt
+    d0, d1, d2 = ref.delta(0), ref.delta(1), ref.delta(2)
+    x_hi = min(2 * Et * delta / d0, 2 * Ent)
+
+    def credit(w):  # 1 - h(e_p), nothing where the error bound is vacuous
+        return 1 - _h2(min(max(w, mp.mpf(0)), mp.mpf("0.5"))) if w is not None else 0
+
+    ell_t = ell_b = mp.inf
+    for k in range(grid_points):
+        x = x_hi * k / (grid_points - 1)
+        z = ((d2 - delta) - (d2 - d0) * x) / (d2 - d1)
+        single_t = max(d1 * z, 0) * credit(
+            (2 * delta * Et - d0 * x) / (2 * d1 * z) if z > 0 else None)
+        single_nt = max(z, 0) * credit((2 * Ent - x) / (2 * z) if z > 0 else None)
+        ell_t = min(ell_t, Qnt * (max(d0 * x, 0) + single_t))
+        ell_b = min(ell_b, Qnt * (max(d0 * x + x, 0) + single_t + single_nt))
+    lam_t, lam_nt = Qt * f_EC * _h2(Et), Qnt * f_EC * _h2(Ent)
+    return max(ell_t - lam_t, ell_b - lam_t - lam_nt, 0) / 2
 
 
 class TestAsymptoticRate:
+    @pytest.mark.parametrize("L", [10.0, 100.0, 150.0, 200.0])
+    def test_matches_extended_precision(self, src, L):
+        from reference_impl import Ref
+
+        ref = Ref(0.5, 0.5, 1e-6, 0.20, L, 0.1, 6e-7, 0.005)
+        obs = simulate_observables(src, make_channel(L))
+        want = float(ref_asymptotic_rate(ref, 1.16))
+        assert abs(asymptotic_rate(src, make_channel(L)) - want) <= 1e-9 * (
+            obs.Q_t + obs.Q_nt)
+
     def test_dominates_finite(self, src, sec):
         for L in (10.0, 50.0, 100.0):
             ch = make_channel(L)
