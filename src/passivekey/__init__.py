@@ -54,7 +54,6 @@ from .optimizer import (
     sweep_point,
 )
 from .oracle import (
-    Population,
     TrialReport,
     check_lemma3,
     check_lemma4,
@@ -95,7 +94,6 @@ __all__ = [
     "OptimizeResult",
     "PassiveKeyError",
     "PhaseErrorInputs",
-    "Population",
     "SampleBudget",
     "SecurityBudget",
     "SeriesSum",

@@ -12,15 +12,10 @@ statistics enter later, in the decoy bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .photonics import (
-    DEFAULT_REL_TOL,
-    SourceModel,
-    nontrigger_prob,
-    photon_prob,
-    series_sum,
-)
+from .photonics import SourceModel, nontrigger_prob, photon_prob, series_sum
 
 QBER_SLACK = 1e-9
 
@@ -50,10 +45,11 @@ class ChannelModel:
     e_d: float
 
     def __post_init__(self):
-        if self.alpha_db_per_km < 0:
-            raise ValueError("alpha_db_per_km must be >= 0")
-        if self.L_km < 0:
-            raise ValueError("L_km must be >= 0")
+        if not 0 <= self.alpha_db_per_km < math.inf:
+            raise ValueError(f"alpha_db_per_km must be in [0, inf), got "
+                             f"{self.alpha_db_per_km}")
+        if not self.L_km >= 0:
+            raise ValueError(f"L_km must be >= 0, got {self.L_km}")
         if not 0 < self.eta_B <= 1:
             raise ValueError("eta_B must be in (0, 1]")
         if not 0 <= self.p_d < 1:
@@ -91,9 +87,7 @@ def transmittance(ch: ChannelModel) -> float:
     return 10.0 ** (-ch.alpha_db_per_km * ch.L_km / 10.0) * ch.eta_B
 
 
-def simulate_observables(
-    src: SourceModel, ch: ChannelModel, rel_tol: float = DEFAULT_REL_TOL
-) -> Observables:
+def simulate_observables(src: SourceModel, ch: ChannelModel) -> Observables:
     """Expected (Q_t, Q_nt, E_t, E_nt) for this source and channel.
 
     Per photon number n, the receiver clicks with probability
@@ -119,10 +113,10 @@ def simulate_observables(
     def w_nt(n: int) -> float:
         return photon_prob(src, n) * nontrigger_prob(src, n)
 
-    q_t = series_sum(lambda n: w_t(n) * click(n), rel_tol).value
-    q_nt = series_sum(lambda n: w_nt(n) * click(n), rel_tol).value
-    s_et = series_sum(lambda n: w_t(n) * err(n), rel_tol).value
-    s_ent = series_sum(lambda n: w_nt(n) * err(n), rel_tol).value
+    q_t = series_sum(lambda n: w_t(n) * click(n)).value
+    q_nt = series_sum(lambda n: w_nt(n) * click(n)).value
+    s_et = series_sum(lambda n: w_t(n) * err(n)).value
+    s_ent = series_sum(lambda n: w_nt(n) * err(n)).value
 
     e_t = s_et / (2.0 * q_t) if q_t > 0 else 0.0
     e_nt = s_ent / (2.0 * q_nt) if q_nt > 0 else 0.0

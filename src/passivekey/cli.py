@@ -8,8 +8,9 @@ counts.
 
 Configuration is an INI-style file of ``key = value`` lines under section
 headers; every key has an embedded default (the reference experimental
-parameters), so an empty config reproduces the standard setup.  Command
-line flags override the file.
+parameters), so an empty config reproduces the standard setup.  Values are
+literal (no ``%`` interpolation).  A command-line flag overrides the file by
+writing its config key (``FLAG_KEYS``) before the one typed parse.
 
 Exit codes: 0 success, 2 configuration error, 3 internal numerical failure.
 """
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 from .channel import ChannelModel
 from .errors import ConfigError, PassiveKeyError
@@ -29,7 +32,7 @@ from .optimizer import OptimizationSpec, SweepRow, sweep_point
 from .oracle import RNG_ALGORITHM, check_lemma3, check_lemma4
 from .photonics import SourceModel
 
-CSV_HEADER = "L_km,N,mode,mu_opt,p_pe_opt,x_opt,ell_T,ell_B,ell,rate,e_p_t,e_p_nt,status"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 DEFAULTS = {
     "source": {"mu": "0.5", "eta_A": "0.5", "d_A": "1e-6"},
@@ -46,21 +49,30 @@ DEFAULTS = {
     "verify": {"seed": "1", "trials": "100000", "path": "verify.csv"},
 }
 
+# Per command: flag dest -> the (section, key) its value is written to.
+FLAG_KEYS = {
+    "run": {"mode": ("sweep", "mode"), "sweep": ("sweep", "distances"),
+            "N": ("sweep", "Ns"), "p_pe": ("sweep", "p_pe"),
+            "out": ("output", "path")},
+    "verify": {"seed": ("verify", "seed"), "trials": ("verify", "trials"),
+               "out": ("verify", "path")},
+}
+
 
 @dataclass
 class RunConfig:
-    source: SourceModel = None
-    channel: ChannelModel = None
-    security: SecurityBudget = None
-    spec: OptimizationSpec = None
-    distances: list = field(default_factory=list)
-    Ns: list = field(default_factory=list)
-    mode: str = "finite"
-    p_pe_override: float | None = None
-    out_path: str = "sweep.csv"
-    verify_seed: int = 1
-    verify_trials: int = 100_000
-    verify_path: str = "verify.csv"
+    source: SourceModel
+    channel: ChannelModel
+    security: SecurityBudget
+    spec: OptimizationSpec
+    distances: list[float]
+    Ns: list[float]
+    mode: str
+    p_pe_override: float | None
+    out_path: str
+    verify_seed: int
+    verify_trials: int
+    verify_path: str
 
 
 def _parse_distances(text: str) -> list[float]:
@@ -70,6 +82,8 @@ def _parse_distances(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"distance range must be L0:L1:step, got {text!r}")
         l0, l1, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (l0, l1, step))):
+            raise ConfigError(f"distance range must be finite, got {text!r}")
         if step <= 0:
             raise ConfigError("distance step must be > 0")
         out = []
@@ -82,8 +96,8 @@ def _parse_distances(text: str) -> list[float]:
 
 
 def load_config(path: str | None, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Defaults, then the config file, then command-line overrides."""
-    parser = configparser.ConfigParser()
+    """Defaults, then the config file, then the non-empty flags; one typed parse."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
         try:
@@ -93,6 +107,12 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
+    if overrides is not None:
+        for dest, (section, key) in FLAG_KEYS[overrides.command].items():
+            value = getattr(overrides, dest)
+            value = ",".join(value) if isinstance(value, list) else value
+            if value:
+                parser.set(section, key, value)
 
     def fval(section, key, kind=float):
         raw = parser.get(section, key)
@@ -101,20 +121,13 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
-    cfg = RunConfig()
+    def fields_of(section):
+        """A model's keyword arguments: its field names are the section's keys."""
+        return {key: fval(section, key) for key in DEFAULTS[section]}
+
     try:
-        cfg.source = SourceModel(mu=fval("source", "mu"),
-                                 eta_A=fval("source", "eta_A"),
-                                 d_A=fval("source", "d_A"))
-        cfg.channel = ChannelModel(alpha_db_per_km=fval("channel", "alpha_db_per_km"),
-                                   L_km=0.0,
-                                   eta_B=fval("channel", "eta_B"),
-                                   p_d=fval("channel", "p_d"),
-                                   e_d=fval("channel", "e_d"))
-        cfg.security = SecurityBudget(eps_sec=fval("security", "eps_sec"),
-                                      eps_cor=fval("security", "eps_cor"),
-                                      f_EC=fval("security", "f_EC"))
-        cfg.spec = OptimizationSpec(
+        source = SourceModel(**fields_of("source"))
+        spec = OptimizationSpec(
             mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max"))
             if parser.get("optimizer", "mu_max").strip() else None,
             p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
@@ -125,36 +138,22 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
                            fval("optimizer", "refine_p_pe", int)),
             x_grid_points=fval("optimizer", "x_grid_points", int),
         )
-        cfg.spec.resolved_mu_bounds(cfg.source.eta_A)  # empty mu range fails here
-
-        cfg.distances = _parse_distances(parser.get("sweep", "distances"))
-        cfg.Ns = [float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()]
-        cfg.mode = parser.get("sweep", "mode").strip()
-        ppe_raw = parser.get("sweep", "p_pe").strip()
-        cfg.p_pe_override = float(ppe_raw) if ppe_raw else None
-        cfg.out_path = parser.get("output", "path")
-        cfg.verify_seed = fval("verify", "seed", int)
-        cfg.verify_trials = fval("verify", "trials", int)
-        cfg.verify_path = parser.get("verify", "path")
-
-        if overrides is not None:
-            if getattr(overrides, "mode", None):
-                cfg.mode = overrides.mode
-            if getattr(overrides, "sweep", None):
-                cfg.distances = _parse_distances(overrides.sweep)
-            if getattr(overrides, "N", None):
-                cfg.Ns = [float(v) for v in overrides.N]
-            if getattr(overrides, "p_pe", None) is not None:
-                cfg.p_pe_override = overrides.p_pe
-            if getattr(overrides, "seed", None) is not None:
-                cfg.verify_seed = overrides.seed
-            if getattr(overrides, "trials", None) is not None:
-                cfg.verify_trials = overrides.trials
-            if getattr(overrides, "out", None):
-                if getattr(overrides, "command", None) == "verify":
-                    cfg.verify_path = overrides.out
-                else:
-                    cfg.out_path = overrides.out
+        spec.resolved_mu_bounds(source.eta_A)  # empty mu range fails here
+        cfg = RunConfig(
+            source=source,
+            channel=ChannelModel(L_km=0.0, **fields_of("channel")),
+            security=SecurityBudget(**fields_of("security")),
+            spec=spec,
+            distances=_parse_distances(parser.get("sweep", "distances")),
+            Ns=[float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()],
+            mode=parser.get("sweep", "mode").strip(),
+            p_pe_override=fval("sweep", "p_pe")
+            if parser.get("sweep", "p_pe").strip() else None,
+            out_path=parser.get("output", "path"),
+            verify_seed=fval("verify", "seed", int),
+            verify_trials=fval("verify", "trials", int),
+            verify_path=parser.get("verify", "path"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -162,12 +161,13 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError(f"mode must be finite|asymptotic|both, got {cfg.mode!r}")
     if not cfg.distances:
         raise ConfigError("empty distance list")
-    if sorted(cfg.distances) != cfg.distances or any(L < 0 for L in cfg.distances):
-        raise ConfigError("distances must be nonnegative and ascending")
+    if sorted(cfg.distances) != cfg.distances or not all(
+            0 <= L < math.inf for L in cfg.distances):
+        raise ConfigError("distances must be finite, nonnegative and ascending")
     if not cfg.Ns:
         raise ConfigError("empty N list")
-    if not all(N >= 1 for N in cfg.Ns):
-        raise ConfigError("every N must be >= 1")
+    if not all(1 <= N < math.inf for N in cfg.Ns):
+        raise ConfigError("every N must be finite and >= 1")
     if cfg.p_pe_override is not None and not 0 < cfg.p_pe_override < 1:
         raise ConfigError(f"p_pe must be in (0, 1), got {cfg.p_pe_override}")
     if cfg.verify_trials < 1:
@@ -177,6 +177,13 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
     return cfg
 
 
+def _check_writable(path: str) -> None:
+    """ConfigError unless path can be written as a file, before any work is done."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write output {path!r}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -184,11 +191,7 @@ def _fmt(value) -> str:
 
 
 def format_row(row: SweepRow) -> str:
-    return ",".join(_fmt(v) for v in (
-        row.L_km, row.N, row.mode, row.mu_opt, row.p_pe_opt, row.x_opt,
-        row.ell_T, row.ell_B, row.ell, row.rate, row.e_p_t, row.e_p_nt,
-        row.status,
-    ))
+    return ",".join(_fmt(v) for v in astuple(row))
 
 
 def _row_task(args) -> SweepRow:
@@ -198,8 +201,13 @@ def _row_task(args) -> SweepRow:
 
 
 def run(cfg: RunConfig, workers: int = 1) -> int:
+    """Write the sweep CSV; rows go to min(workers, rows, CPUs) processes."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    _check_writable(cfg.out_path)
     modes = ["finite", "asymptotic"] if cfg.mode == "both" else [cfg.mode]
     tasks = [(L, N, m, cfg) for L in cfg.distances for N in cfg.Ns for m in modes]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_task, tasks))
@@ -213,6 +221,7 @@ def run(cfg: RunConfig, workers: int = 1) -> int:
 
 
 def run_verify(cfg: RunConfig, report_stream=None) -> int:
+    _check_writable(cfg.verify_path)
     stream = report_stream if report_stream is not None else sys.stdout
     seed = cfg.verify_seed
     trials = cfg.verify_trials
@@ -276,15 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distance grid in km (or comma list)")
     p_run.add_argument("--N", action="append",
                        help="total pulse count; repeatable")
-    p_run.add_argument("--p-pe", dest="p_pe", type=float, default=None,
+    p_run.add_argument("--p-pe", dest="p_pe",
                        help="pin the parameter-estimation fraction")
     p_run.add_argument("--out", help="output CSV path")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="worker processes, >= 1; capped at the rows and CPUs")
 
     p_ver = sub.add_parser("verify", help="run the Monte Carlo oracle suite")
     p_ver.add_argument("--config", default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--seed")
+    p_ver.add_argument("--trials")
     p_ver.add_argument("--out", help="violation-count CSV path")
     return parser
 
@@ -293,18 +303,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, overrides=args)
+        if args.command == "run":
+            return run(cfg, workers=args.workers)
+        return run_verify(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "run":
-            return run(cfg, workers=args.workers)
-        if args.command == "verify":
-            return run_verify(cfg)
     except PassiveKeyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -65,12 +65,10 @@ class SampleBudget:
 class SinglePhotonBounds:
     """Raw bound values at one (or an array of) vacuum-ratio x."""
 
-    x: object
     zeta: object
     q1_t_lb: object
     w_t: object          # may be +inf where the denominator is vacuous
     w_nt: object         # may be +inf where zeta <= 0
-    chi: float
     chi0: float
     chi1: float
 
@@ -122,15 +120,14 @@ def chi_total(src: SourceModel, budget: SampleBudget, obs: Observables) -> float
     return _chi_from_sum(budget, obs, sqrt_delta_p_sum(src))
 
 
-def chi_low_orders(
-    src: SourceModel, budget: SampleBudget, obs: Observables, k_max: int = 2
-) -> float:
-    """Aggregate fluctuation chi with the sqrt(delta_k p_k) sum cut at k_max.
+def chi_low_orders(src: SourceModel, budget: SampleBudget, obs: Observables) -> float:
+    """Aggregate fluctuation chi with the sqrt(delta_k p_k) sum cut at k = 2.
 
     The reference key-rate curves are only reproduced with the first three
-    orders included; chi_total is the conservative full-series variant.
+    orders (``sqrt_delta_p_low_orders``) included; chi_total is the
+    conservative full-series variant.
     """
-    return _chi_from_sum(budget, obs, sqrt_delta_p_low_orders(src, k_max))
+    return _chi_from_sum(budget, obs, sqrt_delta_p_low_orders(src))
 
 
 def _deltas(src: SourceModel) -> tuple[float, float, float]:
@@ -156,12 +153,10 @@ def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
     den_t = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
     num_nt = 2.0 * obs.E_nt - xa
     return SinglePhotonBounds(
-        x=x,
         zeta=z,
         q1_t_lb=d1 * obs.Q_nt * z - chi1,
         w_t=np.where(den_t > 0, num_t / np.where(den_t > 0, den_t, 1.0), np.inf),
         w_nt=np.where(z > 0, num_nt / np.where(z > 0, 2.0 * z, 1.0), np.inf),
-        chi=chi,
         chi0=chi0,
         chi1=chi1,
     )

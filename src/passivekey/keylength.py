@@ -54,6 +54,7 @@ from .photonics import SourceModel, delta_n
 X_GRID_POINTS = 200
 X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
+ASYMPTOTIC_GRID_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,16 @@ def _ell_curve(x, which, src, obs, N, p_pe, sec):
     return ell, b, e_p_t, e_p_nt
 
 
-def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points, refine_rounds,
-                     refine_points):
+def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points):
     """(min over x of ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there).
 
-    An x_range grid refined at its minimum; e_p_nt is nan for "T".
+    A grid_points grid on x_range, refined X_REFINE_ROUNDS times with
+    X_REFINE_POINTS points around its minimum; e_p_nt is nan for "T".
     """
     lo, hi = x_range(src, obs)
     best_val, best_x, best_diag = math.inf, lo, None
     points = grid_points
-    for _ in range(refine_rounds + 1):
+    for _ in range(X_REFINE_ROUNDS + 1):
         xs = np.linspace(lo, hi, points)
         vals, b, e_p_t, e_p_nt = _ell_curve(xs, which, src, obs, N, p_pe, sec)
         i = int(np.argmin(vals))
@@ -183,7 +184,7 @@ def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points, refine_rounds,
                 float(e_p_nt[i]) if e_p_nt is not None else math.nan,
             )
         lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-        points = refine_points
+        points = X_REFINE_POINTS
     return best_val, best_x, best_diag
 
 
@@ -196,12 +197,8 @@ def key_length(
     grid_points: int = X_GRID_POINTS,
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N)."""
-    ell_t, x_t, diag_t = _minimize_over_x(
-        "T", src, obs, N, p_pe, sec, grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS
-    )
-    ell_b, x_b, diag_b = _minimize_over_x(
-        "B", src, obs, N, p_pe, sec, grid_points, X_REFINE_ROUNDS, X_REFINE_POINTS
-    )
+    ell_t, x_t, diag_t = _minimize_over_x("T", src, obs, N, p_pe, sec, grid_points)
+    ell_b, x_b, diag_b = _minimize_over_x("B", src, obs, N, p_pe, sec, grid_points)
     ell = max(math.floor(max(ell_t, ell_b)), 0)
     diag = Diagnostics(
         *(diag_t if ell_t >= ell_b else diag_b),
@@ -219,21 +216,17 @@ def key_length(
     )
 
 
-def asymptotic_rate(
-    src: SourceModel,
-    ch: ChannelModel,
-    f_EC: float = 1.16,
-    grid_points: int = 400,
-) -> float:
+def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:
     """Infinite-N per-pulse rate: the same ell(x) with chi = 0, N = 1 and no penalty.
 
     The phase-error inflation reduces to the raw single-photon error bounds
     (clipped to [0, 0.5], so a vacuous +inf bound credits nothing) and both
-    strategies are minimized over x on a dense grid; the result is an upper
-    envelope of every finite-N rate for this source and channel.
+    strategies are minimized over x on a dense ASYMPTOTIC_GRID_POINTS grid;
+    the result is an upper envelope of every finite-N rate for this source
+    and channel.
     """
     obs = simulate_observables(src, ch)
-    xs = np.linspace(*x_range(src, obs), grid_points)
+    xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
     e_p_t, e_p_nt = np.clip(b.w_t, 0.0, 0.5), np.clip(b.w_nt, 0.0, 0.5)
     ell_t = float(np.min(_ell(xs, "T", src, obs, b, e_p_t, None, 1.0, f_EC, 0.0)))

@@ -30,19 +30,6 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 
 @dataclass(frozen=True)
-class Population:
-    """A finite population with a count of marked (error) items."""
-
-    size: int
-    errors: int
-    rng_seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.errors <= self.size:
-            raise ValueError("errors must be in [0, size]")
-
-
-@dataclass(frozen=True)
 class TrialReport:
     """Outcome of a Monte Carlo bound check."""
 

@@ -90,26 +90,20 @@ def delta_n(src: SourceModel, n: int) -> float:
     return (1.0 - q) / q
 
 
-def series_sum(
-    term: Callable[[int], float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    index_cap: int = SERIES_INDEX_CAP,
-) -> SeriesSum:
+def series_sum(term: Callable[[int], float]) -> SeriesSum:
     """Sum term(0) + term(1) + ... with a certified geometric tail cutoff.
 
     Truncates once the running term ratio r falls below 1 and the tail
-    estimate |t_n| * r / (1 - r) drops below rel_tol * |partial sum|.
+    estimate |t_n| * r / (1 - r) drops below DEFAULT_REL_TOL * |partial sum|.
     Two consecutive exactly-zero terms also terminate (an all-zero tail).
 
     Returns the partial sum and the number of terms taken.  Raises
-    NoConvergence if neither condition is met within index_cap terms.
+    NoConvergence if neither condition is met within SERIES_INDEX_CAP terms.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
     total = 0.0
     prev = None
     zeros = 0
-    for n in range(index_cap):
+    for n in range(SERIES_INDEX_CAP):
         t = term(n)
         total += t
         if t == 0.0:
@@ -122,13 +116,13 @@ def series_sum(
             r = abs(t) / abs(prev)
             if r < 1.0:
                 tail = abs(t) * r / (1.0 - r)
-                if tail <= rel_tol * max(abs(total), 1e-300):
+                if tail <= DEFAULT_REL_TOL * max(abs(total), 1e-300):
                     return SeriesSum(total, n + 1)
         prev = t
-    raise NoConvergence(f"series did not converge within {index_cap} terms")
+    raise NoConvergence(f"series did not converge within {SERIES_INDEX_CAP} terms")
 
 
-def sqrt_delta_p_sum(src: SourceModel, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def sqrt_delta_p_sum(src: SourceModel) -> float:
     """Sum over k of sqrt(delta_k * p_k).
 
     The terms behave like (mu / ((1+mu)(1-eta_A)))^(k/2), so the series
@@ -143,13 +137,13 @@ def sqrt_delta_p_sum(src: SourceModel, rel_tol: float = DEFAULT_REL_TOL) -> floa
     def term(k: int) -> float:
         return math.sqrt(delta_n(src, k) * photon_prob(src, k))
 
-    return series_sum(term, rel_tol).value
+    return series_sum(term).value
 
 
-def sqrt_delta_p_low_orders(src: SourceModel, k_max: int = 2) -> float:
-    """Sum of sqrt(delta_k * p_k) over k = 0..k_max only.
+def sqrt_delta_p_low_orders(src: SourceModel) -> float:
+    """Sum of sqrt(delta_k * p_k) over k = 0, 1, 2 only.
 
     The key-rate chain uses the first three photon-number orders (the same
     orders that appear in the yield bound); see keylength for rationale.
     """
-    return sum(math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(k_max + 1))
+    return sum(math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3))

@@ -86,16 +86,45 @@ class TestRunCommand:
         ("verify", "", ["--seed", "-1"]),
         ("verify", "[verify]\ntrials = 0\n", []),
         ("verify", "[verify]\nseed = -1\n", []),
+        ("run", "", ["--workers", "0"]),
+        ("run", "", ["--workers", "-1"]),
+        ("run", "", ["--N", "inf"]),
+        ("run", "", ["--sweep", "nan"]),
+        ("run", "[channel]\nalpha_db_per_km = nan\n", []),
+        ("run", "", ["--out", "{tmp}/missing/sweep.csv"]),
+        ("verify", "", ["--trials", "100", "--out", "{tmp}/missing/verify.csv"]),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
-            "verify_seed_flag", "verify_trials_key", "verify_seed_key"])
+            "verify_seed_flag", "verify_trials_key", "verify_seed_key",
+            "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
+            "run_out_unwritable", "verify_out_unwritable"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
         sweep = ["--sweep", "50:50:10"] if command == "run" else []
+        args = [a.format(tmp=tmp_path) for a in args]
         assert main([command, "--config", path, *sweep,
                      "--out", str(out)] + args) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "missing").exists()
+
+    def test_workers_match_serial(self, tmp_path):
+        path = write_config(tmp_path, FAST_OPTIMIZER)
+        outs = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
+        for workers, out in zip(("1", "2"), outs):
+            assert main(["run", "--config", path, "--sweep", "50,60", "--N", "1e9",
+                         "--workers", workers, "--out", str(out)]) == 0
+        assert len(outs[0].read_text().splitlines()) == 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_percent_in_path_is_literal(self, tmp_path):
+        from_file = tmp_path / "file%d%%.csv"
+        from_flag = tmp_path / "flag%s.csv"
+        path = write_config(tmp_path, FAST_OPTIMIZER + f"[output]\npath = {from_file}\n")
+        args = ["run", "--config", path, "--sweep", "50:50:10", "--mode", "asymptotic"]
+        assert main(args) == 0
+        assert main(args + ["--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
     def test_single_coarse_mu_asymptotic(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER.replace("coarse_mu = 6",

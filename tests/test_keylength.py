@@ -21,8 +21,6 @@ from passivekey import (
 )
 from passivekey.keylength import (
     X_GRID_POINTS,
-    X_REFINE_POINTS,
-    X_REFINE_ROUNDS,
     _ell_curve,
     _minimize_over_x,
     _phase_error_for_class,
@@ -67,8 +65,7 @@ def ell_at(xs, which, src, obs, sec):
 
 
 def ell_min(which, src, obs, sec):
-    val, x_opt, _ = _minimize_over_x(which, src, obs, 1e9, 0.5, sec,
-                                     X_GRID_POINTS, X_REFINE_ROUNDS, X_REFINE_POINTS)
+    val, x_opt, _ = _minimize_over_x(which, src, obs, 1e9, 0.5, sec, X_GRID_POINTS)
     return val, x_opt
 
 
@@ -142,8 +139,7 @@ class TestKeyLength:
         assert d.e_p_t == pytest.approx(float(e_p_t[0]), rel=1e-12)
         assert d.e_p_nt == pytest.approx(float(e_p_nt[0]), rel=1e-12)
         # the losing strategy's minimiser reports its own bound values too
-        _, x_t, diag_t = _minimize_over_x("T", src, obs, N, 0.5, sec, X_GRID_POINTS,
-                                          X_REFINE_ROUNDS, X_REFINE_POINTS)
+        _, x_t, diag_t = _minimize_over_x("T", src, obs, N, 0.5, sec, X_GRID_POINTS)
         _, b, e_p_t, _ = _ell_curve(np.array([x_t]), "T", src, obs, N, 0.5, sec)
         assert diag_t[:4] == pytest.approx(
             [float(b.zeta[0]), float(b.w_t[0]), float(b.w_nt[0]), float(e_p_t[0])],
