@@ -7,10 +7,12 @@ concentration bounds and writes a plain-text report plus a CSV of violation
 counts.
 
 Configuration is an INI-style file of ``key = value`` lines under section
-headers; every key has an embedded default (the reference experimental
-parameters), so an empty config reproduces the standard setup.  Values are
-literal (no ``%`` interpolation).  A command-line flag overrides the file by
-writing its config key (``FLAG_KEYS``) before the one typed parse.
+headers.  ``DEFAULTS`` is the whole schema, and the run reads every key in
+it: an empty config reproduces the reference setup, and a ``[DEFAULT]`` key or
+a section or key it lacks is a ``ConfigError`` (sections are case-sensitive,
+keys are not).  Values are literal (no ``%`` interpolation).  A flag
+overrides the file by writing its config key (``FLAG_KEYS``) before the one
+typed parse.
 
 Exit codes: 0 success, 2 configuration error, 3 internal numerical failure.
 """
@@ -28,20 +30,20 @@ from dataclasses import astuple, dataclass, fields
 from .channel import ChannelModel
 from .errors import ConfigError, PassiveKeyError
 from .keylength import SecurityBudget
-from .optimizer import OptimizationSpec, SweepRow, sweep_point
+from .optimizer import OptimizationSpec, SweepRow, distance_grid, sweep_point
 from .oracle import RNG_ALGORITHM, check_lemma3, check_lemma4
 from .photonics import SourceModel
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 DEFAULTS = {
-    "source": {"mu": "0.5", "eta_A": "0.5", "d_A": "1e-6"},
+    "source": {"eta_A": "0.5", "d_A": "1e-6"},
     "channel": {"alpha_db_per_km": "0.20", "eta_B": "0.1", "p_d": "6e-7",
                 "e_d": "0.005"},
     "security": {"eps_sec": "1e-10", "eps_cor": "1e-12", "f_EC": "1.16"},
     "sweep": {"distances": "10:220:10", "Ns": "1e13", "mode": "finite",
               "p_pe": ""},
-    "optimizer": {"mu_min": "0.01", "mu_max": "", "p_pe_min": "0.01",
+    "optimizer": {"mu_min": "0.01", "mu_max": "inf", "p_pe_min": "0.01",
                   "p_pe_max": "0.99", "coarse_mu": "24", "coarse_p_pe": "24",
                   "refine_rounds": "3", "refine_mu": "7", "refine_p_pe": "7",
                   "x_grid_points": "200"},
@@ -81,18 +83,19 @@ def _parse_distances(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"distance range must be L0:L1:step, got {text!r}")
-        l0, l1, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (l0, l1, step))):
-            raise ConfigError(f"distance range must be finite, got {text!r}")
-        if step <= 0:
-            raise ConfigError("distance step must be > 0")
-        out = []
-        i = 0
-        while l0 + i * step <= l1 + 1e-9:
-            out.append(round(l0 + i * step, 9))
-            i += 1
-        return out
+        return distance_grid(*(float(p) for p in parts))
     return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _check_schema(parser: configparser.ConfigParser) -> None:
+    """ConfigError naming the first [DEFAULT] key, section or key DEFAULTS lacks."""
+    for key in parser.defaults():
+        raise ConfigError(f"[DEFAULT] {key}: keys must sit in a named section")
+    for section in parser.sections():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in sorted(set(parser[section]) - {k.lower() for k in DEFAULTS[section]}):
+            raise ConfigError(f"unknown key [{section}] {key}")
 
 
 def load_config(path: str | None, overrides: argparse.Namespace | None = None) -> RunConfig:
@@ -107,6 +110,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
+        _check_schema(parser)
     if overrides is not None:
         for dest, (section, key) in FLAG_KEYS[overrides.command].items():
             value = getattr(overrides, dest)
@@ -122,14 +126,12 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
     def fields_of(section):
-        """A model's keyword arguments: its field names are the section's keys."""
+        """A model's keyword arguments (all but mu and L_km) from its section's keys."""
         return {key: fval(section, key) for key in DEFAULTS[section]}
 
     try:
-        source = SourceModel(**fields_of("source"))
         spec = OptimizationSpec(
-            mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max"))
-            if parser.get("optimizer", "mu_max").strip() else None,
+            mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max")),
             p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
             coarse_points=(fval("optimizer", "coarse_mu", int),
                            fval("optimizer", "coarse_p_pe", int)),
@@ -138,9 +140,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
                            fval("optimizer", "refine_p_pe", int)),
             x_grid_points=fval("optimizer", "x_grid_points", int),
         )
-        spec.resolved_mu_bounds(source.eta_A)  # empty mu range fails here
+        source = fields_of("source")
         cfg = RunConfig(
-            source=source,
+            # a template like L_km=0.0: mu is the first value each row searches
+            source=SourceModel(mu=spec.resolved_mu_bounds(source["eta_A"])[0],
+                               **source),
             channel=ChannelModel(L_km=0.0, **fields_of("channel")),
             security=SecurityBudget(**fields_of("security")),
             spec=spec,

@@ -100,13 +100,10 @@ class KeyLengthResult:
 
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0; array-transparent."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(arr)
-    inner = (arr > 0) & (arr < 1)
-    xi = arr[inner]
-    out[inner] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return float(out[0]) if scalar else out
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where((x > 0) & (x < 1), h, 0.0)[()]
 
 
 def _budget_for(which: str, N: float, p_pe: float, sec: SecurityBudget) -> SampleBudget:

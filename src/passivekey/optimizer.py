@@ -28,11 +28,11 @@ MU_SAFETY = 0.99
 class OptimizationSpec:
     """Grid sizes and bounds for the (mu, p_pe) search.
 
-    mu_bounds defaults to [0.01, MU_SAFETY * (1 - eta_A) / eta_A] (cap at the
-    series-divergence threshold); p_pe_bounds to [0.01, 0.99].
+    mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
+    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99].
     """
 
-    mu_bounds: tuple[float, float] | None = None
+    mu_bounds: tuple[float, float] = (0.01, math.inf)
     p_pe_bounds: tuple[float, float] = (0.01, 0.99)
     coarse_points: tuple[int, int] = (24, 24)
     refine_rounds: int = 3
@@ -51,15 +51,23 @@ class OptimizationSpec:
             )
 
     def resolved_mu_bounds(self, eta_A: float) -> tuple[float, float]:
-        if self.mu_bounds is not None:
-            lo, hi = self.mu_bounds
-        else:
-            lo, hi = 0.01, math.inf
+        lo, hi = self.mu_bounds
         cap = MU_SAFETY * (1.0 - eta_A) / eta_A if eta_A > 0 else math.inf
         hi = min(hi, cap)
         if not hi > lo:
             raise ValueError(f"empty mu range [{lo}, {hi}] for eta_A={eta_A}")
         return lo, hi
+
+
+def distance_grid(l0: float, l1: float, step: float) -> list[float]:
+    """l0 + i * step up to l1 + 1e-9 (so 0:0.3:0.1 ends at 0.3), rounded to 9 digits."""
+    if not (all(map(math.isfinite, (l0, l1, step))) and step > 0):
+        raise ValueError(f"distance grid needs finite ends and step > 0, got "
+                         f"{l0}:{l1}:{step}")
+    out = []
+    while l0 + len(out) * step <= l1 + 1e-9:
+        out.append(round(l0 + len(out) * step, 9))
+    return out
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,8 @@ def optimize_rate(
     """Maximal rate over (mu, p_pe) at fixed distance and pulse count.
 
     Coarse grid, then shrinking rectangles around the incumbent; the result
-    never falls below the best coarse-grid value.  Raises AllVacuous when no
-    grid point yields a positive key.
+    never falls below the best coarse-grid value.  src.mu and ch.L_km are
+    overwritten.  Raises AllVacuous when no grid point yields a positive key.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
@@ -170,10 +178,10 @@ def max_distance(
 ) -> float:
     """Largest distance with a positive optimized rate, bisected to 0.1 km.
 
-    Returns 0 when even L = 0 yields no key.
+    Scans distance_grid(0, L_max_km, step_km) to the first distance with no
+    key; returns 0 when L = 0 yields none.  src.mu and ch.L_km are overwritten.
     """
-    if step_km <= 0:
-        raise ValueError("step_km must be > 0")
+    grid = distance_grid(0.0, L_max_km, step_km)
 
     def positive(L):
         try:
@@ -181,20 +189,13 @@ def max_distance(
         except AllVacuous:
             return False
 
-    if not positive(0.0):
+    # index of the first distance with no key, len(grid) if there is none
+    i = next((i for i, L in enumerate(grid) if not positive(L)), len(grid))
+    if i == 0:
         return 0.0
-    lo = 0.0
-    hi = None
-    L = step_km
-    while L <= L_max_km:
-        if positive(L):
-            lo = L
-        else:
-            hi = L
-            break
-        L += step_km
-    if hi is None:
-        return lo
+    if i == len(grid):
+        return grid[-1]
+    lo, hi = grid[i - 1], grid[i]
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
         if positive(mid):
@@ -231,7 +232,7 @@ def sweep_point(
     spec: OptimizationSpec = OptimizationSpec(),
     p_pe_override: float | None = None,
 ) -> SweepRow:
-    """One (L, N) row; vacuous points are reported, not raised."""
+    """One (L, N) row, vacuous points reported, not raised; src.mu, ch.L_km overwritten."""
     if mode == "asymptotic":
         ch_L = replace(ch, L_km=float(L_km))
 

@@ -1,10 +1,16 @@
 """Configuration loading, CSV output determinism, and exit codes."""
 
 import io
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passivekey.cli import CSV_HEADER, _parse_distances, load_config, main
+from passivekey import ConfigError
+from passivekey.cli import DEFAULTS, CSV_HEADER, _parse_distances, load_config, main
 
 FAST_OPTIMIZER = """
 [optimizer]
@@ -26,7 +32,8 @@ def write_config(tmp_path, body):
 class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
-        assert cfg.source.mu == 0.5
+        assert cfg.source.eta_A == 0.5
+        assert cfg.spec.mu_bounds == (0.01, math.inf)
         assert cfg.channel.alpha_db_per_km == 0.20
         assert cfg.security.eps_sec == 1e-10
         assert cfg.security.f_EC == 1.16
@@ -34,9 +41,43 @@ class TestConfig:
         assert cfg.Ns == [1e13]
 
     def test_file_overrides(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "[source]\nmu = 0.3\n"))
-        assert cfg.source.mu == 0.3
-        assert cfg.source.eta_A == 0.5  # untouched default
+        cfg = load_config(write_config(tmp_path, "[source]\neta_A = 0.3\n"))
+        assert cfg.source.eta_A == 0.3
+        assert cfg.source.d_A == 1e-6  # untouched default
+        # keys are case-insensitive
+        cfg = load_config(write_config(tmp_path, "[source]\nETA_A = 0.4\n"))
+        assert cfg.source.eta_A == 0.4
+
+    def test_readme_ini_loads(self, tmp_path):
+        # the schema is closed, so a stale key in the README's example fails here
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            load_config(write_config(tmp_path, block))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_unknown_key_rejected(self, tmp_path_factory, data):
+        section = data.draw(st.sampled_from(sorted(DEFAULTS)))
+        known = {key.lower() for key in DEFAULTS[section]}
+        key = data.draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True)
+                        .filter(lambda k: k.lower() not in known))
+        path = tmp_path_factory.mktemp("schema") / "config.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key.lower()}")):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("body, name", [
+        ("[source]\nmu = 0.3\n", "[source] mu"),
+        ("[channel]\nalpha = 5\n", "[channel] alpha"),
+        ("[optimiser]\n", "[optimiser]"),
+        ("[Optimizer]\ncoarse_mu = 3\n", "[Optimizer]"),
+        ("[DEFAULT]\nx = 1\n", "[DEFAULT] x"),
+    ])
+    def test_unknown_name_is_named(self, tmp_path, body, name):
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            load_config(write_config(tmp_path, body))
 
     def test_parse_distances(self):
         assert _parse_distances("10:30:10") == [10.0, 20.0, 30.0]
@@ -47,26 +88,18 @@ class TestConfig:
         assert grid[-1] == 9000.0
 
     def test_empty_distance_list_rejected(self, tmp_path):
-        from passivekey import ConfigError
-
         with pytest.raises(ConfigError, match="empty distance list"):
             load_config(write_config(tmp_path, "[sweep]\ndistances = ,\n"))
 
     def test_bad_number(self, tmp_path):
-        from passivekey import ConfigError
-
         with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, "[source]\nmu = banana\n"))
+            load_config(write_config(tmp_path, "[source]\neta_A = banana\n"))
 
     def test_bad_mode(self, tmp_path):
-        from passivekey import ConfigError
-
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[sweep]\nmode = sideways\n"))
 
     def test_missing_file(self):
-        from passivekey import ConfigError
-
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.ini")
 
@@ -93,10 +126,18 @@ class TestRunCommand:
         ("run", "[channel]\nalpha_db_per_km = nan\n", []),
         ("run", "", ["--out", "{tmp}/missing/sweep.csv"]),
         ("verify", "", ["--trials", "100", "--out", "{tmp}/missing/verify.csv"]),
+        ("run", "[source]\nmu = 0.3\n", []),
+        ("run", "[channel]\nalpha = 5\n", []),
+        ("run", "[optimiser]\n", []),
+        ("run", "[Optimizer]\ncoarse_mu = 3\n", []),
+        ("run", "[DEFAULT]\nx = 1\n", []),
+        ("run", "[optimizer]\nmu_max =\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
-            "run_out_unwritable", "verify_out_unwritable"])
+            "run_out_unwritable", "verify_out_unwritable", "source_mu",
+            "channel_alpha", "section_optimiser", "section_Optimizer",
+            "default_section", "mu_max_empty"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
@@ -107,6 +148,15 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "missing").exists()
+
+    def test_mu_min_alone_sets_search_floor(self, tmp_path):
+        path = write_config(tmp_path, FAST_OPTIMIZER + "mu_min = 0.6\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "50:50:10",
+                     "--mode", "asymptotic", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[-1] == "ok"
+        assert float(row[3]) >= 0.6
 
     def test_workers_match_serial(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER)

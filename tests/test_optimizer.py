@@ -1,9 +1,11 @@
 """Derivative-free (mu, p_pe) optimization, distance search, and sweep rows."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from passivekey import optimizer
 from passivekey import (
     AllVacuous,
     OptimizationSpec,
@@ -96,6 +98,21 @@ class TestMaxDistance:
     def test_step_validation(self, src, sec):
         with pytest.raises(ValueError):
             max_distance(1e9, src, make_channel(0.0), sec, FAST, step_km=0.0)
+
+    def test_probes_include_last_grid_point(self, src, sec, monkeypatch):
+        # with a key everywhere, the scan must reach L_max_km itself, although
+        # three steps of 0.1 km sum to more than 0.3
+        probed = []
+
+        def always_positive(L_km, *args):
+            probed.append(L_km)
+            return SimpleNamespace(rate=1.0)
+
+        monkeypatch.setattr(optimizer, "optimize_rate", always_positive)
+        d = max_distance(1e9, src, make_channel(0.0), sec, FAST,
+                         step_km=0.1, L_max_km=0.3)
+        assert probed == [0.0, 0.1, 0.2, 0.3]
+        assert d == 0.3
 
 
 class TestSweep:
