@@ -10,21 +10,20 @@ two composable key-length formulas (:mod:`~passivekey.keylength`),
 parameter optimization and distance sweeps (:mod:`~passivekey.optimizer`),
 and a seeded Monte Carlo harness for the underlying concentration bounds
 (:mod:`~passivekey.oracle`).
+
+The top level exports what a caller of the engine uses: the models, each
+stage's entry point and result type, the two oracle checks and every error
+class.  A stage's building blocks (series sums, photon-number
+probabilities, per-order chi terms, the N -> infinity limbs) are imported
+from their module, e.g. ``from passivekey.photonics import series_sum``.
 """
 
 from .channel import ChannelModel, Observables, simulate_observables, transmittance
 from .decoy_bounds import (
     SampleBudget,
     SinglePhotonBounds,
-    asymptotic_e1,
-    asymptotic_q1_nt,
     chi_low_orders,
-    chi_term,
-    chi_total,
     evaluate_bounds,
-    overall_delta,
-    serfling_xi,
-    x_range,
 )
 from .errors import (
     AllVacuous,
@@ -42,7 +41,6 @@ from .keylength import (
     KeyLengthResult,
     SecurityBudget,
     asymptotic_rate,
-    binary_entropy,
     key_length,
 )
 from .optimizer import (
@@ -53,29 +51,9 @@ from .optimizer import (
     optimize_rate,
     sweep_point,
 )
-from .oracle import (
-    TrialReport,
-    check_lemma3,
-    check_lemma4,
-    hypergeom_tail,
-)
-from .phase_error import (
-    PhaseErrorInputs,
-    e_hat,
-    gaussian_tail,
-    phase_error_bound,
-    solve_omega,
-)
-from .photonics import (
-    SeriesSum,
-    SourceModel,
-    delta_n,
-    nontrigger_prob,
-    photon_prob,
-    series_sum,
-    sqrt_delta_p_sum,
-    trigger_prob,
-)
+from .oracle import TrialReport, check_lemma3, check_lemma4
+from .phase_error import PhaseErrorInputs, phase_error_bound, solve_omega
+from .photonics import SourceModel
 
 __version__ = "1.0.0"
 
@@ -96,41 +74,23 @@ __all__ = [
     "PhaseErrorInputs",
     "SampleBudget",
     "SecurityBudget",
-    "SeriesSum",
     "SinglePhotonBounds",
     "SourceModel",
     "SweepRow",
     "TrialReport",
     "VacuousBound",
     "ZeroGain",
-    "asymptotic_e1",
-    "asymptotic_q1_nt",
     "asymptotic_rate",
-    "binary_entropy",
     "check_lemma3",
     "check_lemma4",
     "chi_low_orders",
-    "chi_term",
-    "chi_total",
-    "delta_n",
-    "e_hat",
     "evaluate_bounds",
-    "gaussian_tail",
-    "hypergeom_tail",
     "key_length",
     "max_distance",
-    "nontrigger_prob",
     "optimize_rate",
-    "overall_delta",
     "phase_error_bound",
-    "photon_prob",
-    "serfling_xi",
-    "series_sum",
     "simulate_observables",
     "solve_omega",
-    "sqrt_delta_p_sum",
     "sweep_point",
     "transmittance",
-    "trigger_prob",
-    "x_range",
 ]

@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import ChannelModel, simulate_observables
 from .errors import AllVacuous
-from .keylength import KeyLengthResult, SecurityBudget, asymptotic_rate, key_length
+from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
+                        asymptotic_rate, key_length)
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
@@ -29,7 +30,9 @@ class OptimizationSpec:
     """Grid sizes and bounds for the (mu, p_pe) search.
 
     mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
-    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99].
+    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99].  The cap
+    is infinite when eta_A is 0 or subnormal, and then mu_bounds must give a
+    finite upper end.
     """
 
     mu_bounds: tuple[float, float] = (0.01, math.inf)
@@ -37,7 +40,7 @@ class OptimizationSpec:
     coarse_points: tuple[int, int] = (24, 24)
     refine_rounds: int = 3
     refine_points: tuple[int, int] = (7, 7)
-    x_grid_points: int = 200
+    x_grid_points: int = X_GRID_POINTS
 
     def __post_init__(self):
         if min(*self.coarse_points, *self.refine_points, self.x_grid_points) < 1:
@@ -54,6 +57,9 @@ class OptimizationSpec:
         lo, hi = self.mu_bounds
         cap = MU_SAFETY * (1.0 - eta_A) / eta_A if eta_A > 0 else math.inf
         hi = min(hi, cap)
+        if not math.isfinite(hi):
+            raise ValueError(f"mu range [{lo}, {hi}] has no finite upper end "
+                             f"for eta_A={eta_A}: set mu_max")
         if not hi > lo:
             raise ValueError(f"empty mu range [{lo}, {hi}] for eta_A={eta_A}")
         return lo, hi
@@ -180,12 +186,15 @@ def max_distance(
 
     Scans distance_grid(0, L_max_km, step_km) to the first distance with no
     key; returns 0 when L = 0 yields none.  src.mu and ch.L_km are overwritten.
+    A probe stops at the coarse grid: some coarse point is positive exactly
+    when the refined optimum is, since refinement never lowers the best.
     """
     grid = distance_grid(0.0, L_max_km, step_km)
+    coarse = replace(spec, refine_rounds=0)
 
     def positive(L):
         try:
-            return optimize_rate(L, N, src, ch, sec, spec).rate > 0.0
+            return optimize_rate(L, N, src, ch, sec, coarse).rate > 0.0
         except AllVacuous:
             return False
 

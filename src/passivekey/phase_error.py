@@ -87,18 +87,20 @@ def _solve_omega_arrays(n, l, eps_sec):
         )
     lo = np.zeros(np.broadcast(n, l).shape)
     hi = np.full_like(lo, OMEGA_MAX)
-    at_zero = _tail_condition_lhs(lo, n, l) <= target
     if np.any(_tail_condition_lhs(hi, n, l) > target):
         raise NoSolution(
             f"tail condition unmet at omega={OMEGA_MAX} for eps_sec={eps_sec}"
         )
-    # The LHS is strictly decreasing on [0, OMEGA_MAX]; bisect the crossing.
-    while float(np.max(hi - lo)) > OMEGA_TOL:
+    # The LHS is strictly decreasing on [0, OMEGA_MAX] and above 0.96 at
+    # omega = 0, so never below a target eps_sec^2/16 < 1/16 there: the
+    # crossing is interior.  Every bracket halves exactly (its ends are
+    # dyadic fractions of OMEGA_MAX), so a fixed step count reaches OMEGA_TOL.
+    for _ in range(math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))):
         mid = 0.5 * (lo + hi)
         ok = _tail_condition_lhs(mid, n, l) <= target
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    return np.where(at_zero, 0.0, hi)
+    return hi
 
 
 def solve_omega(inputs: PhaseErrorInputs) -> float:

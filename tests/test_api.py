@@ -1,0 +1,45 @@
+"""The top-level namespace: what it exports, and what its users import from it."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import passivekey
+
+ROOT = Path(__file__).parent.parent
+
+
+def top_level_imports(source: str) -> set[str]:
+    """Names imported ``from passivekey import ...`` anywhere in source."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "passivekey"
+        for alias in node.names
+    }
+
+
+def test_all_has_no_duplicates():
+    assert len(passivekey.__all__) == len(set(passivekey.__all__))
+
+
+def test_every_name_in_all_resolves():
+    for name in passivekey.__all__:
+        assert hasattr(passivekey, name), name
+
+
+@pytest.mark.parametrize("path", ["tests/test_acceptance.py", "tests/conftest.py"])
+def test_callers_import_only_exported_names(path):
+    names = top_level_imports((ROOT / path).read_text())
+    assert names
+    assert names <= set(passivekey.__all__)
+
+
+def test_readme_imports_only_exported_names():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    names = set().union(*map(top_level_imports, blocks))
+    assert names
+    assert names <= set(passivekey.__all__)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivekey import ConfigError
+from passivekey import ConfigError, OptimizationSpec
 from passivekey.cli import DEFAULTS, CSV_HEADER, _parse_distances, load_config, main
 
 FAST_OPTIMIZER = """
@@ -39,6 +39,10 @@ class TestConfig:
         assert cfg.security.f_EC == 1.16
         assert cfg.mode == "finite"
         assert cfg.Ns == [1e13]
+
+    def test_default_spec_is_the_library_default(self):
+        # DEFAULTS repeats the OptimizationSpec defaults as strings
+        assert load_config(None).spec == OptimizationSpec()
 
     def test_file_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[source]\neta_A = 0.3\n"))
@@ -132,12 +136,14 @@ class TestRunCommand:
         ("run", "[Optimizer]\ncoarse_mu = 3\n", []),
         ("run", "[DEFAULT]\nx = 1\n", []),
         ("run", "[optimizer]\nmu_max =\n", []),
+        ("run", "[source]\neta_A = 0\n", []),
+        ("run", "[source]\neta_A = 1e-320\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
             "run_out_unwritable", "verify_out_unwritable", "source_mu",
             "channel_alpha", "section_optimiser", "section_Optimizer",
-            "default_section", "mu_max_empty"])
+            "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from passivekey import (
     Observables,
     SampleBudget,
+    chi_low_orders,
+    evaluate_bounds,
+    simulate_observables,
+)
+from passivekey.decoy_bounds import (
     asymptotic_e1,
     asymptotic_q1_nt,
-    chi_low_orders,
     chi_term,
     chi_total,
-    evaluate_bounds,
     overall_delta,
     serfling_xi,
-    simulate_observables,
     x_range,
 )
 

@@ -11,19 +11,19 @@ from passivekey import (
     PhaseErrorInputs,
     SampleBudget,
     asymptotic_rate,
-    binary_entropy,
     chi_low_orders,
     evaluate_bounds,
     key_length,
     phase_error_bound,
     simulate_observables,
-    x_range,
 )
+from passivekey.decoy_bounds import x_range
 from passivekey.keylength import (
     X_GRID_POINTS,
     _ell_curve,
     _minimize_over_x,
     _phase_error_for_class,
+    binary_entropy,
 )
 
 from conftest import make_channel

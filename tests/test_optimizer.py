@@ -40,6 +40,14 @@ class TestOptimizationSpec:
         with pytest.raises(ValueError):
             OptimizationSpec(mu_bounds=(5.0, 10.0)).resolved_mu_bounds(0.9)
 
+    @pytest.mark.parametrize("eta_A", [0.0, 1e-320])
+    def test_infinite_cap_needs_finite_mu_max(self, eta_A):
+        # no divergence cap: the default (0.01, inf) would give a nan mu grid
+        with pytest.raises(ValueError, match="mu_max"):
+            OptimizationSpec().resolved_mu_bounds(eta_A)
+        spec = OptimizationSpec(mu_bounds=(0.01, 0.5))
+        assert spec.resolved_mu_bounds(eta_A) == (0.01, 0.5)
+
     @pytest.mark.parametrize("fields", [
         {"coarse_points": (0, 8)},
         {"coarse_points": (8, 0)},
@@ -113,6 +121,20 @@ class TestMaxDistance:
                          step_km=0.1, L_max_km=0.3)
         assert probed == [0.0, 0.1, 0.2, 0.3]
         assert d == 0.3
+
+    def test_probes_stop_at_coarse_grid(self, src, sec, monkeypatch):
+        # rate > 0 is settled on the coarse grid, so no probe refines
+        rounds = []
+
+        def key_below_1km(L_km, N, src, ch, sec, spec):
+            rounds.append(spec.refine_rounds)
+            return SimpleNamespace(rate=1.0 if L_km < 1.0 else 0.0)
+
+        monkeypatch.setattr(optimizer, "optimize_rate", key_below_1km)
+        d = max_distance(1e9, src, make_channel(0.0), sec, FAST, L_max_km=3.0)
+        assert d == pytest.approx(1.0, abs=0.1)
+        assert FAST.refine_rounds > 0
+        assert len(rounds) > 2 and set(rounds) == {0}
 
 
 class TestSweep:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from passivekey import check_lemma3, check_lemma4, hypergeom_tail, serfling_xi
+from passivekey import check_lemma3, check_lemma4
+from passivekey.decoy_bounds import serfling_xi
+from passivekey.oracle import hypergeom_tail
 
 
 class TestHypergeomTail:

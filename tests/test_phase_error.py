@@ -1,18 +1,12 @@
 """Random-sampling phase-error bound and its Gaussian-tail solver."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivekey import (
-    NoSolution,
-    PhaseErrorInputs,
-    e_hat,
-    gaussian_tail,
-    phase_error_bound,
-    solve_omega,
-)
-from passivekey.phase_error import _tail_condition_lhs
+from passivekey import NoSolution, PhaseErrorInputs, phase_error_bound, solve_omega
+from passivekey.phase_error import _tail_condition_lhs, e_hat, gaussian_tail
 
 
 class TestGaussianTail:
@@ -58,6 +52,16 @@ class TestSolveOmega:
         # true crossing (38.44 at 1e-160), which bisection would land short of
         with pytest.raises(NoSolution):
             solve_omega(PhaseErrorInputs(n=1e6, l=1e6, e_ob=0.0, eps_sec=eps))
+
+    @given(n=st.floats(0.0, 1e300, exclude_min=True),
+           l=st.floats(0.0, 1e300, exclude_min=True))
+    @settings(max_examples=200)
+    def test_crossing_is_never_at_zero(self, n, l):
+        # every target eps_sec^2/16 with 0 < eps_sec < 1 is below 1/16, so
+        # the bisection never needs the omega = 0 end of its bracket; a tiny n
+        # overflows e^nu to inf, which is still above
+        with np.errstate(over="ignore"):
+            assert _tail_condition_lhs(0.0, n, l) > 1.0 / 16.0
 
     def test_no_solution(self, monkeypatch):
         # unreachable on the real bracket (the Gaussian tail underflows to 0
@@ -131,7 +135,7 @@ class TestPhaseErrorBound:
     def test_exact_hypergeometric_soundness(self):
         # exact failure probability of the claim at n = l = 500:
         # P[ hidden errors/n > e_p(c) ] summed over observed counts c
-        from passivekey import hypergeom_tail
+        from passivekey.oracle import hypergeom_tail
 
         n, l, eps_sec = 500, 500, 1e-3
         frac = 0.03

@@ -11,14 +11,16 @@ from passivekey import (
     DivergentSeries,
     NoConvergence,
     SourceModel,
+)
+from passivekey.photonics import (
     delta_n,
     nontrigger_prob,
     photon_prob,
     series_sum,
+    sqrt_delta_p_low_orders,
     sqrt_delta_p_sum,
     trigger_prob,
 )
-from passivekey.photonics import sqrt_delta_p_low_orders
 
 
 class TestPhotonProb:
