@@ -11,8 +11,8 @@ headers.  ``DEFAULTS`` is the whole schema, and the run reads every key in
 it: an empty config reproduces the reference setup, and a ``[DEFAULT]`` key or
 a section or key it lacks is a ``ConfigError`` (sections are case-sensitive,
 keys are not).  Values are literal (no ``%`` interpolation).  A flag
-overrides the file by writing its config key (``FLAG_KEYS``) before the one
-typed parse.
+overrides the file by writing its config keys (``FLAG_KEYS``) before the one
+typed parse; ``--p-pe`` writes both p_pe bounds, and equal bounds pin p_pe.
 
 Exit codes: 0 success, 2 configuration error, 3 internal numerical failure.
 """
@@ -41,8 +41,7 @@ DEFAULTS = {
     "channel": {"alpha_db_per_km": "0.20", "eta_B": "0.1", "p_d": "6e-7",
                 "e_d": "0.005"},
     "security": {"eps_sec": "1e-10", "eps_cor": "1e-12", "f_EC": "1.16"},
-    "sweep": {"distances": "10:220:10", "Ns": "1e13", "mode": "finite",
-              "p_pe": ""},
+    "sweep": {"distances": "10:220:10", "Ns": "1e13", "mode": "finite"},
     "optimizer": {"mu_min": "0.01", "mu_max": "inf", "p_pe_min": "0.01",
                   "p_pe_max": "0.99", "coarse_mu": "24", "coarse_p_pe": "24",
                   "refine_rounds": "3", "refine_mu": "7", "refine_p_pe": "7",
@@ -51,13 +50,14 @@ DEFAULTS = {
     "verify": {"seed": "1", "trials": "100000", "path": "verify.csv"},
 }
 
-# Per command: flag dest -> the (section, key) its value is written to.
+# Per command: flag dest -> the (section, key) pairs its value is written to.
 FLAG_KEYS = {
-    "run": {"mode": ("sweep", "mode"), "sweep": ("sweep", "distances"),
-            "N": ("sweep", "Ns"), "p_pe": ("sweep", "p_pe"),
-            "out": ("output", "path")},
-    "verify": {"seed": ("verify", "seed"), "trials": ("verify", "trials"),
-               "out": ("verify", "path")},
+    "run": {"mode": [("sweep", "mode")], "sweep": [("sweep", "distances")],
+            "N": [("sweep", "Ns")],
+            "p_pe": [("optimizer", "p_pe_min"), ("optimizer", "p_pe_max")],
+            "out": [("output", "path")]},
+    "verify": {"seed": [("verify", "seed")], "trials": [("verify", "trials")],
+               "out": [("verify", "path")]},
 }
 
 
@@ -70,7 +70,6 @@ class RunConfig:
     distances: list[float]
     Ns: list[float]
     mode: str
-    p_pe_override: float | None
     out_path: str
     verify_seed: int
     verify_trials: int
@@ -112,18 +111,20 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
         _check_schema(parser)
     if overrides is not None:
-        for dest, (section, key) in FLAG_KEYS[overrides.command].items():
+        for dest, keys in FLAG_KEYS[overrides.command].items():
             value = getattr(overrides, dest)
             value = ",".join(value) if isinstance(value, list) else value
             if value:
-                parser.set(section, key, value)
+                for section, key in keys:
+                    parser.set(section, key, value)
 
     def fval(section, key, kind=float):
         raw = parser.get(section, key)
         try:
             return kind(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
 
     def fields_of(section):
         """A model's keyword arguments (all but mu and L_km) from its section's keys."""
@@ -151,8 +152,6 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             distances=_parse_distances(parser.get("sweep", "distances")),
             Ns=[float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()],
             mode=parser.get("sweep", "mode").strip(),
-            p_pe_override=fval("sweep", "p_pe")
-            if parser.get("sweep", "p_pe").strip() else None,
             out_path=parser.get("output", "path"),
             verify_seed=fval("verify", "seed", int),
             verify_trials=fval("verify", "trials", int),
@@ -172,8 +171,6 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError("empty N list")
     if not all(1 <= N < math.inf for N in cfg.Ns):
         raise ConfigError("every N must be finite and >= 1")
-    if cfg.p_pe_override is not None and not 0 < cfg.p_pe_override < 1:
-        raise ConfigError(f"p_pe must be in (0, 1), got {cfg.p_pe_override}")
     if cfg.verify_trials < 1:
         raise ConfigError(f"verify trials must be >= 1, got {cfg.verify_trials}")
     if cfg.verify_seed < 0:
@@ -200,8 +197,7 @@ def format_row(row: SweepRow) -> str:
 
 def _row_task(args) -> SweepRow:
     L, N, mode, cfg = args
-    return sweep_point(L, N, mode, cfg.source, cfg.channel, cfg.security,
-                       cfg.spec, p_pe_override=cfg.p_pe_override)
+    return sweep_point(L, N, mode, cfg.source, cfg.channel, cfg.security, cfg.spec)
 
 
 def run(cfg: RunConfig, workers: int = 1) -> int:
@@ -290,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--N", action="append",
                        help="total pulse count; repeatable")
     p_run.add_argument("--p-pe", dest="p_pe",
-                       help="pin the parameter-estimation fraction")
+                       help="pin p_pe: sets both p_pe_min and p_pe_max")
     p_run.add_argument("--out", help="output CSV path")
     p_run.add_argument("--workers", type=int, default=1,
                        help="worker processes, >= 1; capped at the rows and CPUs")

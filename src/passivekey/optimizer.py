@@ -4,7 +4,7 @@ The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  Finite
 rows, rows with a pinned p_pe and asymptotic rows all run that one search;
-the last two collapse its p_pe axis to a single point.  The
+the last two give it equal p_pe bounds, an axis of a single point.  The
 source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -30,9 +30,9 @@ class OptimizationSpec:
     """Grid sizes and bounds for the (mu, p_pe) search.
 
     mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
-    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99].  The cap
-    is infinite when eta_A is 0 or subnormal, and then mu_bounds must give a
-    finite upper end.
+    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99], and equal
+    p_pe bounds pin p_pe to that one value.  The cap is infinite when eta_A is
+    0 or subnormal, and then mu_bounds must give a finite upper end.
     """
 
     mu_bounds: tuple[float, float] = (0.01, math.inf)
@@ -91,17 +91,20 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     depend on mu, not p_pe) and returns the function of p_pe that scans the
     row.  A coarse grid, then spec.refine_rounds rectangles around the
     incumbent whose half-widths start at one coarse step and shrink
-    threefold a round.  Points are visited mu-major and replace the
-    incumbent only with a strictly higher rate, so ties keep the earliest
-    point.  With no positive rate on the coarse grid nothing is refined and
-    (0.0, nan, nan, None) is returned.
+    threefold a round.  An axis whose ends are equal is a single point, so
+    equal p_pe bounds cost one evaluation per mu.  Points are visited mu-major
+    and replace the incumbent only with a strictly higher rate, so ties keep
+    the earliest point.  With no positive rate on the coarse grid nothing is
+    refined and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
     best = (0.0, math.nan, math.nan, None)
 
-    def scan(mus, ppes):
+    def scan(mu_ends, pp_ends, points):
         nonlocal best
+        mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
+                     for (lo, hi), k in zip((mu_ends, pp_ends), points))
         for mu in map(float, mus):
             at_mu = evaluate(mu)
             for pp in map(float, ppes):
@@ -109,8 +112,7 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
                 if rate > best[0]:
                     best = (rate, mu, pp, payload)
 
-    scan(np.linspace(mu_lo, mu_hi, spec.coarse_points[0]),
-         np.linspace(pp_lo, pp_hi, spec.coarse_points[1]))
+    scan((mu_lo, mu_hi), (pp_lo, pp_hi), spec.coarse_points)
     if not best[0] > 0.0:
         return best
 
@@ -118,25 +120,12 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
     for _ in range(spec.refine_rounds):
         _, mu0, pp0, _ = best
-        scan(
-            np.linspace(max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step),
-                        spec.refine_points[0]),
-            np.linspace(max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step),
-                        spec.refine_points[1]),
-        )
+        scan((max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
+             (max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step)),
+             spec.refine_points)
         mu_step /= 3.0
         pp_step /= 3.0
     return best
-
-
-def _pin_p_pe(spec: OptimizationSpec, p_pe: float) -> OptimizationSpec:
-    """spec with the p_pe axis collapsed to the single value p_pe."""
-    return replace(
-        spec,
-        p_pe_bounds=(p_pe, p_pe),
-        coarse_points=(spec.coarse_points[0], 1),
-        refine_points=(spec.refine_points[0], 1),
-    )
 
 
 def optimize_rate(
@@ -241,7 +230,11 @@ def sweep_point(
     spec: OptimizationSpec = OptimizationSpec(),
     p_pe_override: float | None = None,
 ) -> SweepRow:
-    """One (L, N) row, vacuous points reported, not raised; src.mu, ch.L_km overwritten."""
+    """One (L, N) row, vacuous points reported, not raised; src.mu, ch.L_km overwritten.
+
+    p_pe_override is the same as equal p_pe bounds (p, p).  The asymptotic
+    rate has no p_pe, so its search pins p_pe to the lower bound.
+    """
     if mode == "asymptotic":
         ch_L = replace(ch, L_km=float(L_km))
 
@@ -249,15 +242,16 @@ def sweep_point(
             rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
             return lambda _p_pe: (rate, None)
 
-        rate, mu, _, _ = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A),
-                                      _pin_p_pe(spec, spec.p_pe_bounds[0]))
+        pinned = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
+        rate, mu, _, _ = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), pinned)
         return SweepRow(L_km, N, mode, mu, math.nan, math.nan,
                         math.nan, math.nan, math.nan, rate,
                         math.nan, math.nan, "ok" if rate > 0.0 else "vacuous")
 
-    eff_spec = spec if p_pe_override is None else _pin_p_pe(spec, p_pe_override)
+    if p_pe_override is not None:
+        spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
     try:
-        opt = optimize_rate(L_km, N, src, ch, sec, eff_spec)
+        opt = optimize_rate(L_km, N, src, ch, sec, spec)
     except AllVacuous:
         return SweepRow(L_km, N, mode, math.nan, math.nan, math.nan,
                         0.0, 0.0, 0.0, 0.0, math.nan, math.nan, "vacuous")

@@ -75,7 +75,8 @@ def _tail_condition_lhs(omega, n, l):
 
 
 def _solve_omega_arrays(n, l, eps_sec):
-    """Smallest omega in [0, OMEGA_MAX] meeting the tail condition, elementwise."""
+    """Smallest omega in [0, OMEGA_MAX] meeting the tail condition, elementwise;
+    inf where it is unmet at OMEGA_MAX (a nan LHS included)."""
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
     target = eps_sec**2 / 16.0
@@ -85,27 +86,29 @@ def _solve_omega_arrays(n, l, eps_sec):
         raise NoSolution(
             f"tail target eps_sec^2/16 = {target:.3g} underflows for eps_sec={eps_sec}"
         )
-    lo = np.zeros(np.broadcast(n, l).shape)
-    hi = np.full_like(lo, OMEGA_MAX)
-    if np.any(_tail_condition_lhs(hi, n, l) > target):
-        raise NoSolution(
-            f"tail condition unmet at omega={OMEGA_MAX} for eps_sec={eps_sec}"
-        )
     # The LHS is strictly decreasing on [0, OMEGA_MAX] and above 0.96 at
     # omega = 0, so never below a target eps_sec^2/16 < 1/16 there: the
-    # crossing is interior.  Every bracket halves exactly (its ends are
-    # dyadic fractions of OMEGA_MAX), so a fixed step count reaches OMEGA_TOL.
-    for _ in range(math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))):
-        mid = 0.5 * (lo + hi)
-        ok = _tail_condition_lhs(mid, n, l) <= target
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return hi
+    # crossing is interior.  Every bracket [hi - 2 step, hi] halves exactly
+    # (its ends are dyadic fractions of OMEGA_MAX), so one step shared by all
+    # elements and a fixed step count reach OMEGA_TOL.
+    hi = np.full(np.broadcast(n, l).shape, OMEGA_MAX)
+    step = OMEGA_MAX
+    # e^nu overflows for n below about 2.4e-4, and then inf * Phi = nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        met = _tail_condition_lhs(hi, n, l) <= target
+        for _ in range(math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))):
+            step /= 2.0
+            mid = hi - step
+            hi = np.where(_tail_condition_lhs(mid, n, l) <= target, mid, hi)
+    return np.where(met, hi, math.inf)
 
 
 def solve_omega(inputs: PhaseErrorInputs) -> float:
-    """Smallest omega >= 0 satisfying the Gaussian-tail condition."""
-    return float(_solve_omega_arrays(inputs.n, inputs.l, inputs.eps_sec))
+    """Smallest omega >= 0 meeting the Gaussian-tail condition; NoSolution if > OMEGA_MAX."""
+    omega = float(_solve_omega_arrays(inputs.n, inputs.l, inputs.eps_sec))
+    if not math.isfinite(omega):
+        raise NoSolution(f"tail condition unmet at omega={OMEGA_MAX} for {inputs}")
+    return omega
 
 
 def e_hat(e_ob, tau):
@@ -128,8 +131,9 @@ def _phase_error_arrays(n, l, e_ob, eps_sec):
         # +2 error-count shift: the bound is stated for the count c+2.
         e_shift = np.minimum((e_ob * l + 2.0) / l, 1.0)
         ep = ((n + l) * e_hat(e_shift, tau) - l * e_shift) / n
-    # fewer than two bits in total carries no information, and overflow of
-    # tau (vanishing sample side) means the same: the bound is vacuous
+    # fewer than two bits in total carries no information, and an infinite
+    # omega (no solution) or overflow of tau (vanishing sample side) means
+    # the same: the bound is vacuous
     ep = np.where((n + l > 1.0) & np.isfinite(ep), ep, 0.5)
     return np.clip(ep, 0.0, 0.5)
 

@@ -99,6 +99,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[source]\neta_A = banana\n"))
 
+    @pytest.mark.parametrize("body, name", [
+        ("[verify]\ntrials = 1e5\n", "[verify] trials"),
+        ("[optimizer]\ncoarse_mu = 24.0\n", "[optimizer] coarse_mu"),
+    ])
+    def test_non_integer_count_says_integer(self, tmp_path, body, name):
+        with pytest.raises(ConfigError, match=re.escape(name) + ".* is not an integer"):
+            load_config(write_config(tmp_path, body))
+
     def test_bad_mode(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, "[sweep]\nmode = sideways\n"))
@@ -138,12 +146,14 @@ class TestRunCommand:
         ("run", "[optimizer]\nmu_max =\n", []),
         ("run", "[source]\neta_A = 0\n", []),
         ("run", "[source]\neta_A = 1e-320\n", []),
+        ("run", "[sweep]\np_pe = 0.7\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
             "run_out_unwritable", "verify_out_unwritable", "source_mu",
             "channel_alpha", "section_optimiser", "section_Optimizer",
-            "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal"])
+            "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal",
+            "sweep_p_pe"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
@@ -257,6 +267,19 @@ x_grid_points = 60
                      "--N", "1e9", "--p-pe", "0.7", "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[4]) == pytest.approx(0.7, rel=1e-12)
+
+    def test_p_pe_flag_is_equal_bounds(self, tmp_path):
+        # --p-pe writes both p_pe bounds: the same run as a config that does
+        flag = write_config(tmp_path, FAST_OPTIMIZER)
+        bounds = tmp_path / "bounds.ini"
+        bounds.write_text(FAST_OPTIMIZER + "p_pe_min = 0.7\np_pe_max = 0.7\n")
+        outs = [tmp_path / "flag.csv", tmp_path / "bounds.csv"]
+        args = ["--sweep", "50,200", "--N", "1e9", "--mode", "both"]
+        assert main(["run", "--config", flag, "--p-pe", "0.7", *args,
+                     "--out", str(outs[0])]) == 0
+        assert main(["run", "--config", str(bounds), *args,
+                     "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestVerifyCommand:

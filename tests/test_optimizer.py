@@ -182,3 +182,23 @@ class TestSweep:
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec, FAST,
                           p_pe_override=0.7)
         assert row.p_pe_opt == pytest.approx(0.7, rel=1e-12)
+
+    def test_equal_p_pe_bounds_are_one_point(self, src, sec, monkeypatch):
+        # an axis whose ends are equal is searched once per mu, not once per
+        # grid point, and gives the row that p_pe_override gives
+        original = optimizer.key_length
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "key_length", counting)
+        grid = dict(coarse_points=(4, 24), refine_rounds=1, refine_points=(3, 7))
+        opt = optimize_rate(50.0, 1e9, src, make_channel(0.0), sec,
+                            OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
+        assert len(calls) == 4 + 3
+        assert set(calls) == {0.7}
+        row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
+                          OptimizationSpec(**grid), p_pe_override=0.7)
+        assert (opt.rate, opt.mu, opt.p_pe) == (row.rate, row.mu_opt, row.p_pe_opt)

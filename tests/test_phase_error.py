@@ -1,12 +1,15 @@
 """Random-sampling phase-error bound and its Gaussian-tail solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passivekey import NoSolution, PhaseErrorInputs, phase_error_bound, solve_omega
-from passivekey.phase_error import _tail_condition_lhs, e_hat, gaussian_tail
+from passivekey.phase_error import (OMEGA_MAX, _solve_omega_arrays,
+                                    _tail_condition_lhs, e_hat, gaussian_tail)
 
 
 class TestGaussianTail:
@@ -63,9 +66,30 @@ class TestSolveOmega:
         with np.errstate(over="ignore"):
             assert _tail_condition_lhs(0.0, n, l) > 1.0 / 16.0
 
+    @given(n=st.floats(1.0, 1e13), l=st.floats(1.0, 1e13),
+           eps=st.sampled_from([1e-6, 1e-10, 1e-14]))
+    @settings(max_examples=200)
+    def test_first_grid_point_meeting_the_condition(self, n, l, eps):
+        # omega is on the 2^-46 OMEGA_MAX grid, and the point below it fails
+        w = float(_solve_omega_arrays(n, l, eps))
+        below = w - OMEGA_MAX / 2**46
+        assert _tail_condition_lhs(w, n, l) <= eps**2 / 16.0
+        assert eps**2 / 16.0 < _tail_condition_lhs(below, n, l)
+
+    def test_unmet_condition_is_infinite(self):
+        # e^nu overflows at n = 1e-4, so the LHS at OMEGA_MAX is nan, not
+        # below the target: no omega in the bracket, elementwise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _solve_omega_arrays(np.array([1e-4, 1e4]), 1e6, 1e-10)
+        assert w[0] == np.inf
+        assert 0.0 < w[1] < OMEGA_MAX
+        with pytest.raises(NoSolution):
+            solve_omega(PhaseErrorInputs(n=1e-4, l=1e6, e_ob=0.0, eps_sec=1e-10))
+
     def test_no_solution(self, monkeypatch):
-        # unreachable on the real bracket (the Gaussian tail underflows to 0
-        # before omega = 40), so shrink the bracket to exercise the guard
+        # a finite LHS never stays above the target up to omega = 40 (the
+        # Gaussian tail underflows to 0 first), so shrink the bracket
         import passivekey.phase_error as pe
 
         monkeypatch.setattr(pe, "OMEGA_MAX", 1.0)
@@ -131,6 +155,15 @@ class TestPhaseErrorBound:
         assert phase_error_bound(
             PhaseErrorInputs(n=0.4, l=0.4, e_ob=0.0, eps_sec=1e-10)
         ) == 0.5
+
+    @pytest.mark.parametrize("l", [1e6, 0.5])
+    def test_vacuous_without_omega(self, l):
+        # n = 1e-4 has no omega in the bracket; the bound is vacuous, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phase_error_bound(
+                PhaseErrorInputs(n=1e-4, l=l, e_ob=0.0, eps_sec=1e-10)
+            ) == 0.5
 
     def test_exact_hypergeometric_soundness(self):
         # exact failure probability of the claim at n = l = 500:
