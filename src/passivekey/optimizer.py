@@ -232,9 +232,12 @@ def sweep_point(
 ) -> SweepRow:
     """One (L, N) row, vacuous points reported, not raised; src.mu, ch.L_km overwritten.
 
-    p_pe_override is the same as equal p_pe bounds (p, p).  The asymptotic
-    rate has no p_pe, so its search pins p_pe to the lower bound.
+    p_pe_override is the same as equal p_pe bounds (p, p), checked in both
+    modes.  The asymptotic rate has no p_pe, so its search pins p_pe to the
+    lower bound.
     """
+    if p_pe_override is not None:
+        spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
     if mode == "asymptotic":
         ch_L = replace(ch, L_km=float(L_km))
 
@@ -248,8 +251,6 @@ def sweep_point(
                         math.nan, math.nan, math.nan, rate,
                         math.nan, math.nan, "ok" if rate > 0.0 else "vacuous")
 
-    if p_pe_override is not None:
-        spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
     try:
         opt = optimize_rate(L_km, N, src, ch, sec, spec)
     except AllVacuous:

@@ -13,6 +13,13 @@ the smallest value for which the Gaussian-tail condition
     sqrt((n+l)/n) sqrt((omega^2 + 2 pi) / 2) e^nu Phi(omega) <= eps_sec^2/16
 
 holds, with nu = 1/(6n) + 1/12 and Phi the standard normal upper tail.
+omega is defined on a grid: the first point of the OMEGA_MAX 2^-46 grid
+(spacing below OMEGA_TOL) where the float LHS meets the condition.  A
+safeguarded Newton solve of the condition in logs, with log Phi from
+`log_ndtr`, finds it in about four steps, and one exact LHS evaluation
+places it on the grid.  Where Phi is not a normal double the float LHS
+cannot judge a point, so omega there is the log-space crossing rounded up
+to the grid plus one step: it errs high, and e_p with it.
 
 Counts are real-valued expectations here; the Monte Carlo oracle harness
 replays the same bound with true integer counts.
@@ -25,13 +32,17 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, log_ndtr
 
 from .errors import NoSolution
 
 OMEGA_MAX = 40.0
 OMEGA_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
+_TWO_PI = 2.0 * math.pi
+_LOG_SQRT_2PI = 0.5 * math.log(_TWO_PI)
+# bisection on [0, OMEGA_MAX] alone reaches OMEGA_TOL in 46 of these
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -75,32 +86,64 @@ def _tail_condition_lhs(omega, n, l):
 
 
 def _solve_omega_arrays(n, l, eps_sec):
-    """Smallest omega in [0, OMEGA_MAX] meeting the tail condition, elementwise;
-    inf where it is unmet at OMEGA_MAX (a nan LHS included)."""
+    """First point of the OMEGA_MAX 2^-46 grid where the float tail LHS meets
+    eps_sec^2/16, elementwise; inf where the condition is unmet at OMEGA_MAX
+    (a nan LHS included).
+
+    Newton steps solve log g(omega) = c, with g = sqrt((omega^2 + 2 pi)/2)
+    Phi(omega) and c = log(eps_sec^2/16) - log(sqrt((n+l)/n) e^nu), inside a
+    [lo, hi] bracket until every step is at most a quarter grid step.  The
+    crossing is rounded up to the grid and moved at most one step either
+    way by one exact `_tail_condition_lhs` evaluation.  A point whose Phi is
+    not a normal double is not judged: there omega is the rounded-up
+    crossing plus one step, which errs high.
+    """
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
+    shape = np.broadcast(n, l).shape
     target = eps_sec**2 / 16.0
-    # Below the smallest normal double the tail LHS underflows to 0 before
-    # the true crossing, and bisection would return too small an omega.
+    # Below the smallest normal double Phi is subnormal at every point near
+    # the crossing, so no float LHS there can certify one.
     if target < sys.float_info.min:
         raise NoSolution(
             f"tail target eps_sec^2/16 = {target:.3g} underflows for eps_sec={eps_sec}"
         )
-    # The LHS is strictly decreasing on [0, OMEGA_MAX] and above 0.96 at
-    # omega = 0, so never below a target eps_sec^2/16 < 1/16 there: the
-    # crossing is interior.  Every bracket [hi - 2 step, hi] halves exactly
-    # (its ends are dyadic fractions of OMEGA_MAX), so one step shared by all
-    # elements and a fixed step count reach OMEGA_TOL.
-    hi = np.full(np.broadcast(n, l).shape, OMEGA_MAX)
-    step = OMEGA_MAX
+    step = OMEGA_MAX / 2.0 ** math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))
     # e^nu overflows for n below about 2.4e-4, and then inf * Phi = nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        met = _tail_condition_lhs(hi, n, l) <= target
-        for _ in range(math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))):
-            step /= 2.0
-            mid = hi - step
-            hi = np.where(_tail_condition_lhs(mid, n, l) <= target, mid, hi)
-    return np.where(met, hi, math.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = math.log(target) - 0.5 * np.log1p(l / n) - (1.0 / (6.0 * n) + 1.0 / 12.0)
+        # c is not finite only where the LHS at OMEGA_MAX is inf or nan,
+        # which `met` rejects: give those elements any finite stand-in
+        c = np.broadcast_to(np.where(np.isfinite(c), c, -1.0), shape)
+        # log g is concave and decreasing, above every c at omega = 0, and
+        # below c at this start, so the Newton steps fall to the crossing
+        w = np.minimum(np.sqrt(np.maximum(-2.0 * c, 1.0)), OMEGA_MAX)
+        lo = np.zeros(shape)
+        hi = np.full(shape, OMEGA_MAX)
+        for _ in range(_NEWTON_STEPS):
+            w2 = w * w
+            log_tail = log_ndtr(-w)
+            f = 0.5 * np.log(0.5 * (w2 + _TWO_PI)) + log_tail - c
+            right = f > 0.0
+            lo = np.where(right, w, lo)
+            hi = np.where(right, hi, w)
+            slope = w / (w2 + _TWO_PI) - np.exp(-0.5 * w2 - _LOG_SQRT_2PI - log_tail)
+            newton = w - f / slope
+            # inclusive: a converged step may land on a bracket end
+            nxt = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            converged = np.all(np.abs(nxt - w) <= step / 4.0)
+            w = nxt
+            if converged:
+                break
+        snapped = np.ceil(w / step) * step
+        points = np.stack([np.full(shape, OMEGA_MAX), snapped - step, snapped])
+        meets = _tail_condition_lhs(points, n, l) <= target
+        judged = gaussian_tail(points) >= sys.float_info.min
+    met = meets[0]
+    omega = np.where(judged[1] & meets[1], snapped - step,
+                     np.where(judged[2] & meets[2], snapped, snapped + step))
+    # past OMEGA_MAX: the float LHS there read 0, but the crossing is beyond
+    return np.where(met & (omega <= OMEGA_MAX), omega, math.inf)
 
 
 def solve_omega(inputs: PhaseErrorInputs) -> float:

@@ -2,7 +2,10 @@
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,6 +194,21 @@ class TestRunCommand:
         assert main(args) == 0
         assert main(args + ["--out", str(from_flag)]) == 0
         assert from_file.read_bytes() == from_flag.read_bytes()
+
+    def test_python_m_entry_point(self, tmp_path):
+        # `python -m passivekey` runs from a checkout, with src on the path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "passivekey", "run", "--sweep", "50",
+             "--N", "1e9", "--mode", "asymptotic", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[2] == "asymptotic"
 
     def test_single_coarse_mu_asymptotic(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER.replace("coarse_mu = 6",

@@ -156,6 +156,15 @@ class TestSweep:
         assert row.rate > 0.0
         assert math.isnan(row.p_pe_opt)
 
+    @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
+    @pytest.mark.parametrize("p_pe", [1.5, 0.0])
+    def test_bad_p_pe_override_raises(self, src, sec, mode, p_pe):
+        # the override is checked as p_pe bounds in both modes, although the
+        # asymptotic rate does not depend on p_pe
+        with pytest.raises(ValueError):
+            sweep_point(50.0, 1e9, mode, src, make_channel(0.0), sec, FAST,
+                        p_pe_override=p_pe)
+
     def test_asymptotic_row_searches_mu_only(self, src, sec, monkeypatch):
         # coarse mu grid, then refine_rounds x refine_points[0] mu values;
         # the row keeps the first mu with the highest rate

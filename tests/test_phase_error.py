@@ -87,6 +87,52 @@ class TestSolveOmega:
         with pytest.raises(NoSolution):
             solve_omega(PhaseErrorInputs(n=1e-4, l=1e6, e_ob=0.0, eps_sec=1e-10))
 
+    @pytest.mark.parametrize("n, l, eps", [
+        (7612.48155, 9.52973625e10, 1e-153),
+        (1e6, 1e13, 1e-153),
+        (2.4078e-4, 0.040691, 1e-6),
+    ])
+    def test_underflowed_tail_errs_high(self, n, l, eps):
+        # Phi is not a normal double at the crossing, and erfc reads 0 below
+        # it (a bisection of the float LHS lands at 37.677): omega is the
+        # log-space crossing rounded up, never short of the reference
+        from reference_impl import ref_omega
+
+        ref = float(ref_omega(n, l, eps))
+        w = float(_solve_omega_arrays(n, l, eps))
+        assert ref <= w <= ref + 1e-9
+
+    @given(log_n=st.floats(-4.0, 13.0), log_l=st.floats(-4.0, 13.0),
+           eps=st.sampled_from([1e-6, 1e-10, 1e-153]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_where_finite(self, log_n, log_l, eps):
+        from reference_impl import ref_omega
+
+        n, l = 10.0**log_n, 10.0**log_l
+        w = float(_solve_omega_arrays(n, l, eps))
+        if np.isfinite(w):
+            assert abs(w - float(ref_omega(n, l, eps))) <= 1e-9
+
+    def test_few_exact_evaluations(self, monkeypatch):
+        # the Newton solve leaves at most a few exact LHS evaluations; a
+        # 46-step bisection makes 47
+        import passivekey.phase_error as pe
+
+        calls = []
+        original = pe._tail_condition_lhs
+
+        def counting(omega, n, l):
+            calls.append(1)
+            return original(omega, n, l)
+
+        monkeypatch.setattr(pe, "_tail_condition_lhs", counting)
+        rng = np.random.default_rng(0)
+        n = 10.0 ** rng.uniform(2.0, 9.0, 200)
+        l = 10.0 ** rng.uniform(2.0, 9.0, 200)
+        w = pe._solve_omega_arrays(n, l, 1e-10)
+        assert np.all(np.isfinite(w))
+        assert len(calls) <= 4
+
     def test_no_solution(self, monkeypatch):
         # a finite LHS never stays above the target up to omega = 40 (the
         # Gaussian tail underflows to 0 first), so shrink the bracket
