@@ -53,8 +53,8 @@ class SampleBudget:
     eps_pe: float
 
     def __post_init__(self):
-        if not self.N >= 1:
-            raise ValueError("N must be >= 1")
+        if not 1 <= self.N < math.inf:
+            raise ValueError("N must be finite and >= 1")
         if not 0 < self.p_pe < 1:
             raise ValueError("p_pe must be in (0, 1)")
         if not 0 < self.eps_pe < 1:

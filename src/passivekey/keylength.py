@@ -70,8 +70,8 @@ class SecurityBudget:
             raise ValueError("eps_sec must be in (0, 1)")
         if not 0 < self.eps_cor < 1:
             raise ValueError("eps_cor must be in (0, 1)")
-        if not self.f_EC >= 1:
-            raise ValueError("f_EC must be >= 1")
+        if not 1 <= self.f_EC < math.inf:
+            raise ValueError("f_EC must be finite and >= 1")
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
-shrinking-rectangle refinement is used instead of gradient methods.  Finite
-rows, rows with a pinned p_pe and asymptotic rows all run that one search;
-the last two give it equal p_pe bounds, an axis of a single point.  The
-source intensity is capped below the divergence threshold of the
+shrinking-rectangle refinement is used instead of gradient methods.  The
+optimum is the max over one lazy grid walk; reach asks only whether any
+coarse point has a key.  Finite, pinned-p_pe and asymptotic rows all run the
+one search, the last two with equal p_pe bounds, an axis of a single point.
+The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
+_RATE = operator.itemgetter(0)  # max key over _walk's (rate, mu, p_pe, payload)
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,14 @@ class OptimizationSpec:
     x_grid_points: int = X_GRID_POINTS
 
     def __post_init__(self):
-        if min(*self.coarse_points, *self.refine_points, self.x_grid_points) < 1:
-            raise ValueError("every grid point count must be >= 1")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
+        counts = (*self.coarse_points, *self.refine_points, self.x_grid_points)
+        try:
+            if min(map(operator.index, counts)) < 1:
+                raise ValueError("every grid point count must be >= 1")
+            if operator.index(self.refine_rounds) < 0:
+                raise ValueError("refine_rounds must be >= 0")
+        except TypeError:
+            raise ValueError("grid counts and refine_rounds must be integers") from None
         lo, hi = self.p_pe_bounds
         if not 0 < lo <= hi < 1:
             raise ValueError(
@@ -84,35 +92,34 @@ class OptimizeResult:
     result: KeyLengthResult
 
 
+def _walk(evaluate, mu_ends, pp_ends, points):
+    """Yield (rate, mu, p_pe, payload) of evaluate(mu)(p_pe) on one grid, mu-major.
+
+    evaluate(mu) does a mu row's shared work (the observables) once and
+    returns the row's function of p_pe; an axis with equal ends is one point.
+    """
+    mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
+                 for (lo, hi), k in zip((mu_ends, pp_ends), points))
+    for mu in map(float, mus):
+        at_mu = evaluate(mu)
+        for pp in map(float, ppes):
+            rate, payload = at_mu(pp)
+            yield rate, mu, pp, payload
+
+
 def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     """Best (rate, mu, p_pe, payload) of evaluate(mu)(p_pe) -> (rate, payload).
 
-    evaluate(mu) does the work shared by a mu row once (the observables
-    depend on mu, not p_pe) and returns the function of p_pe that scans the
-    row.  A coarse grid, then spec.refine_rounds rectangles around the
-    incumbent whose half-widths start at one coarse step and shrink
-    threefold a round.  An axis whose ends are equal is a single point, so
-    equal p_pe bounds cost one evaluation per mu.  Points are visited mu-major
-    and replace the incumbent only with a strictly higher rate, so ties keep
-    the earliest point.  With no positive rate on the coarse grid nothing is
-    refined and (0.0, nan, nan, None) is returned.
+    max over the _walk of the coarse grid, then of spec.refine_rounds
+    rectangles around the incumbent, half-widths one coarse step shrinking
+    threefold a round.  The incumbent goes first and max keeps the first of
+    equal rates, so ties keep the earliest point.  With no positive coarse
+    rate nothing is refined and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
-    best = (0.0, math.nan, math.nan, None)
-
-    def scan(mu_ends, pp_ends, points):
-        nonlocal best
-        mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
-                     for (lo, hi), k in zip((mu_ends, pp_ends), points))
-        for mu in map(float, mus):
-            at_mu = evaluate(mu)
-            for pp in map(float, ppes):
-                rate, payload = at_mu(pp)
-                if rate > best[0]:
-                    best = (rate, mu, pp, payload)
-
-    scan((mu_lo, mu_hi), (pp_lo, pp_hi), spec.coarse_points)
+    coarse = _walk(evaluate, mu_bounds, spec.p_pe_bounds, spec.coarse_points)
+    best = max(chain([(0.0, math.nan, math.nan, None)], coarse), key=_RATE)
     if not best[0] > 0.0:
         return best
 
@@ -120,12 +127,30 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
     for _ in range(spec.refine_rounds):
         _, mu0, pp0, _ = best
-        scan((max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
-             (max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step)),
-             spec.refine_points)
+        rect = _walk(evaluate, (max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
+                     (max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step)),
+                     spec.refine_points)
+        best = max(chain([best], rect), key=_RATE)
         mu_step /= 3.0
         pp_step /= 3.0
     return best
+
+
+def _finite(L_km, N, src, ch, sec, spec):
+    """evaluate(mu) for _walk: the finite key at L_km km, N pulses, (mu, p_pe)."""
+    ch_L = replace(ch, L_km=float(L_km))
+
+    def evaluate(mu):
+        src_mu = replace(src, mu=mu)
+        obs = simulate_observables(src_mu, ch_L)
+
+        def at(p_pe):
+            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+            return res.rate, res
+
+        return at
+
+    return evaluate
 
 
 def optimize_rate(
@@ -142,21 +167,8 @@ def optimize_rate(
     never falls below the best coarse-grid value.  src.mu and ch.L_km are
     overwritten.  Raises AllVacuous when no grid point yields a positive key.
     """
-    ch_L = replace(ch, L_km=float(L_km))
-
-    def evaluate(mu):
-        src_mu = replace(src, mu=mu)
-        obs = simulate_observables(src_mu, ch_L)
-
-        def at(p_pe):
-            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
-            return res.rate, res
-
-        return at
-
-    rate, mu, p_pe, res = _grid_search(
-        evaluate, spec.resolved_mu_bounds(src.eta_A), spec
-    )
+    evaluate = _finite(L_km, N, src, ch, sec, spec)
+    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), spec)
     if not rate > 0.0:
         raise AllVacuous(f"no positive key on the grid at L={L_km} km, N={N:g}")
     return OptimizeResult(rate=rate, mu=mu, p_pe=p_pe, result=res)
@@ -175,17 +187,16 @@ def max_distance(
 
     Scans distance_grid(0, L_max_km, step_km) to the first distance with no
     key; returns 0 when L = 0 yields none.  src.mu and ch.L_km are overwritten.
-    A probe stops at the coarse grid: some coarse point is positive exactly
-    when the refined optimum is, since refinement never lowers the best.
+    A probe is any() over the coarse _walk, stopping at the first key: exact,
+    as refinement never lowers the coarse best.
     """
     grid = distance_grid(0.0, L_max_km, step_km)
-    coarse = replace(spec, refine_rounds=0)
+    mu_bounds = spec.resolved_mu_bounds(src.eta_A)
 
     def positive(L):
-        try:
-            return optimize_rate(L, N, src, ch, sec, coarse).rate > 0.0
-        except AllVacuous:
-            return False
+        walk = _walk(_finite(L, N, src, ch, sec, spec), mu_bounds,
+                     spec.p_pe_bounds, spec.coarse_points)
+        return any(rate > 0.0 for rate, *_ in walk)
 
     # index of the first distance with no key, len(grid) if there is none
     i = next((i for i, L in enumerate(grid) if not positive(L)), len(grid))
@@ -196,10 +207,7 @@ def max_distance(
     lo, hi = grid[i - 1], grid[i]
     while hi - lo > 0.1:
         mid = 0.5 * (lo + hi)
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
     return lo
 
 
@@ -236,6 +244,8 @@ def sweep_point(
     modes.  The asymptotic rate has no p_pe, so its search pins p_pe to the
     lower bound.
     """
+    if mode not in ("finite", "asymptotic"):
+        raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
     if p_pe_override is not None:
         spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
     if mode == "asymptotic":

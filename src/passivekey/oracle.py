@@ -50,6 +50,11 @@ def _log_binom(n: int, k) -> np.ndarray:
     return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
 
 
+def _check_trials(trials: int) -> None:
+    if not trials >= 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _ci_upper_95(violations: int, trials: int) -> float:
     """One-sided 95% Clopper-Pearson upper bound on the failure probability."""
     if violations >= trials:
@@ -101,6 +106,7 @@ def check_lemma3(
     (n bits, hidden); a violation is a trial whose hidden error fraction
     exceeds the bound computed from the observed one.
     """
+    _check_trials(trials)
     total = n + l
     marked = int(math.floor(total * true_error_fraction))
     rng = np.random.default_rng(seed)
@@ -131,6 +137,7 @@ def check_lemma4(
     the given rate, splits it uniformly into parts of size n1 and n2, and
     counts a hit when |mean1 - mean2| / 2 exceeds xi(eps, n1, n2).
     """
+    _check_trials(trials)
     xi = serfling_xi(eps, n1, n2)
     rng = np.random.default_rng(seed)
     total = n1 + n2

@@ -35,6 +35,16 @@ def budget():
     return SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-11)
 
 
+class TestSampleBudget:
+    @pytest.mark.parametrize("N", [0.5, math.inf, math.nan])
+    def test_N_must_be_finite_and_at_least_1(self, N):
+        with pytest.raises(ValueError, match="N must be finite"):
+            SampleBudget(N=N, p_pe=0.5, eps_pe=1e-11)
+
+    def test_N_of_1_accepted(self):
+        assert SampleBudget(N=1.0, p_pe=0.5, eps_pe=1e-11).N == 1.0
+
+
 class TestSerflingXi:
     def test_frozen_reference(self):
         # sqrt(2000 * 1001 * ln(100) / (8e6 * 1000)) at 50 digits

@@ -1,5 +1,7 @@
 """Composable key-length formulas and the x-minimization."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from passivekey import (
     PhaseErrorInputs,
     SampleBudget,
+    SecurityBudget,
     asymptotic_rate,
     chi_low_orders,
     evaluate_bounds,
@@ -117,6 +120,19 @@ class TestKeyLength:
         res = key_length(src, obs, N=1e5, p_pe=0.5, sec=sec)
         assert res.ell == 0.0
         assert res.rate == 0.0
+
+    def test_infinite_N_raises_before_any_arithmetic(self, src, obs, sec):
+        # N = inf is refused by the sample budget, not floored into an
+        # OverflowError after inf - inf warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="N must be finite"):
+                key_length(src, obs, math.inf, 0.5, sec)
+
+    @pytest.mark.parametrize("f_EC", [0.99, math.inf, math.nan])
+    def test_security_budget_needs_finite_f_EC(self, f_EC):
+        with pytest.raises(ValueError, match="f_EC"):
+            SecurityBudget(eps_sec=1e-10, eps_cor=1e-12, f_EC=f_EC)
 
     def test_diagnostics_populated(self, src, obs, sec):
         d = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec).diagnostics

@@ -1,8 +1,10 @@
 """Derivative-free (mu, p_pe) optimization, distance search, and sweep rows."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from passivekey import optimizer
@@ -57,10 +59,18 @@ class TestOptimizationSpec:
         {"p_pe_bounds": (0.0, 0.5)},
         {"p_pe_bounds": (0.6, 0.5)},
         {"p_pe_bounds": (0.5, 1.0)},
+        {"coarse_points": (2.5, 8)},
+        {"x_grid_points": 60.0},
+        {"refine_rounds": 1.5},
     ])
     def test_validation(self, fields):
         with pytest.raises(ValueError):
             OptimizationSpec(**fields)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = OptimizationSpec(coarse_points=(np.int64(8), 8),
+                                refine_rounds=np.int32(2))
+        assert spec.coarse_points[0] == 8 and spec.refine_rounds == 2
 
 
 class TestOptimizeRate:
@@ -91,13 +101,22 @@ class TestOptimizeRate:
         assert b.rate >= a.rate
 
 
+@pytest.fixture(scope="module")
+def fast_reach(src, sec):
+    """max_distance with FAST at 16 km steps up to 200 km, by N."""
+    return {N: max_distance(N, src, make_channel(0.0), sec, FAST,
+                            step_km=16.0, L_max_km=200.0)
+            for N in (1e8, 1e10)}
+
+
 class TestMaxDistance:
-    def test_monotone_in_N(self, src, sec):
-        d_small = max_distance(1e8, src, make_channel(0.0), sec, FAST,
-                               step_km=16.0, L_max_km=200.0)
-        d_large = max_distance(1e10, src, make_channel(0.0), sec, FAST,
-                               step_km=16.0, L_max_km=200.0)
-        assert 0.0 < d_small < d_large
+    def test_monotone_in_N(self, fast_reach):
+        assert 0.0 < fast_reach[1e8] < fast_reach[1e10]
+
+    def test_reach_is_unchanged(self, fast_reach):
+        # frozen reach values: a probe that stops at its first positive
+        # coarse point answers rate > 0 exactly, so they must not move
+        assert fast_reach == {1e8: 75.9375, 1e10: 120.8125}
 
     def test_zero_when_no_key_anywhere(self, src, sec):
         assert max_distance(1e4, src, make_channel(0.0), sec, FAST,
@@ -112,29 +131,44 @@ class TestMaxDistance:
         # three steps of 0.1 km sum to more than 0.3
         probed = []
 
-        def always_positive(L_km, *args):
-            probed.append(L_km)
-            return SimpleNamespace(rate=1.0)
+        def recording(s, ch):
+            probed.append(ch.L_km)
 
-        monkeypatch.setattr(optimizer, "optimize_rate", always_positive)
+        monkeypatch.setattr(optimizer, "simulate_observables", recording)
+        monkeypatch.setattr(optimizer, "key_length",
+                            lambda *args, **kwargs: SimpleNamespace(rate=1.0))
         d = max_distance(1e9, src, make_channel(0.0), sec, FAST,
                          step_km=0.1, L_max_km=0.3)
         assert probed == [0.0, 0.1, 0.2, 0.3]
         assert d == 0.3
 
-    def test_probes_stop_at_coarse_grid(self, src, sec, monkeypatch):
-        # rate > 0 is settled on the coarse grid, so no probe refines
-        rounds = []
+    def test_probe_stops_at_first_positive_point(self, src, sec, monkeypatch):
+        # rate > 0 is settled by the first positive coarse point: a probe
+        # with a key stops there, a vacuous one walks the coarse grid once,
+        # and no probe refines
+        mus = np.linspace(*FAST.resolved_mu_bounds(src.eta_A), FAST.coarse_points[0])
+        ppes = np.linspace(*FAST.p_pe_bounds, FAST.coarse_points[1])
+        calls = []
 
-        def key_below_1km(L_km, N, src, ch, sec, spec):
-            rounds.append(spec.refine_rounds)
-            return SimpleNamespace(rate=1.0 if L_km < 1.0 else 0.0)
+        def key_below_1km(s, L_km, N, p_pe, sec, grid_points):
+            calls.append((L_km, s.mu, p_pe))
+            key = L_km < 1.0 and s.mu >= mus[2] and p_pe >= ppes[3]
+            return SimpleNamespace(rate=1.0 if key else 0.0)
 
-        monkeypatch.setattr(optimizer, "optimize_rate", key_below_1km)
+        monkeypatch.setattr(optimizer, "simulate_observables", lambda s, ch: ch.L_km)
+        monkeypatch.setattr(optimizer, "key_length", key_below_1km)
         d = max_distance(1e9, src, make_channel(0.0), sec, FAST, L_max_km=3.0)
         assert d == pytest.approx(1.0, abs=0.1)
-        assert FAST.refine_rounds > 0
-        assert len(rounds) > 2 and set(rounds) == {0}
+
+        per_probe = Counter(L for L, _, _ in calls)
+        k = 2 * FAST.coarse_points[1] + 3 + 1  # (mus[2], ppes[3]), mu-major
+        grid = FAST.coarse_points[0] * FAST.coarse_points[1]
+        assert len(per_probe) > 2
+        assert {n for L, n in per_probe.items() if L < 1.0} == {k}
+        assert {n for L, n in per_probe.items() if L >= 1.0} == {grid}
+        assert max(per_probe.values()) <= grid
+        last_keyed = [c for c in calls if c[0] < 1.0][k - 1]
+        assert last_keyed[1:] == (mus[2], ppes[3])
 
 
 class TestSweep:
@@ -155,6 +189,13 @@ class TestSweep:
         assert row.status == "ok"
         assert row.rate > 0.0
         assert math.isnan(row.p_pe_opt)
+
+    @pytest.mark.parametrize("mode", ["Finite", "both", ""])
+    def test_unknown_mode_raises(self, src, sec, mode):
+        # anything but the two modes would otherwise run the finite search
+        # and write its own name into the row
+        with pytest.raises(ValueError, match="mode"):
+            sweep_point(50.0, 1e9, mode, src, make_channel(0.0), sec, FAST)
 
     @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
     @pytest.mark.parametrize("p_pe", [1.5, 0.0])

@@ -95,6 +95,17 @@ class TestCheckLemma3:
         )
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("check, args", [
+    (check_lemma3, (500, 500, 0.03, 1e-3)),
+    (check_lemma4, (100, 100, 0.1, 0.1)),
+], ids=["lemma3", "lemma4"])
+def test_trials_below_1_rejected(check, args, trials):
+    # the empirical rate violations / trials needs at least one trial
+    with pytest.raises(ValueError, match="trials"):
+        check(*args, trials=trials, seed=1)
+
+
 class TestRandomizedHypergeomAgreement:
     def test_empirical_matches_exact(self):
         # the exact tail should sit inside the Monte Carlo confidence band
