@@ -222,6 +222,8 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     the result is an upper envelope of every finite-N rate for this source
     and channel.
     """
+    if not 1 <= f_EC < math.inf:
+        raise ValueError("f_EC must be finite and >= 1")
     obs = simulate_observables(src, ch)
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)

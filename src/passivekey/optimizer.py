@@ -4,8 +4,9 @@ The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the max over one lazy grid walk; reach asks only whether any
-coarse point has a key.  Finite, pinned-p_pe and asymptotic rows all run the
-one search, the last two with equal p_pe bounds, an axis of a single point.
+coarse point has a key.  A sweep row, finite or asymptotic, is one search
+call (asymptotic and pinned-p_pe rows with equal p_pe bounds, an axis of one
+point); only optimize_rate raises AllVacuous, for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -190,6 +191,8 @@ def max_distance(
     A probe is any() over the coarse _walk, stopping at the first key: exact,
     as refinement never lowers the coarse best.
     """
+    if not 0 <= L_max_km < math.inf:
+        raise ValueError(f"L_max_km must be finite and >= 0, got {L_max_km}")
     grid = distance_grid(0.0, L_max_km, step_km)
     mu_bounds = spec.resolved_mu_bounds(src.eta_A)
 
@@ -238,38 +241,33 @@ def sweep_point(
     spec: OptimizationSpec = OptimizationSpec(),
     p_pe_override: float | None = None,
 ) -> SweepRow:
-    """One (L, N) row, vacuous points reported, not raised; src.mu, ch.L_km overwritten.
+    """One (L, N) row from one _grid_search, no key reported as "vacuous".
 
-    p_pe_override is the same as equal p_pe bounds (p, p), checked in both
-    modes.  The asymptotic rate has no p_pe, so its search pins p_pe to the
-    lower bound.
+    Asymptotic rows search mu only, p_pe pinned to its lower bound, and
+    p_pe_override is equal p_pe bounds (p, p), checked in both modes.
+    src.mu and ch.L_km are overwritten.
     """
     if mode not in ("finite", "asymptotic"):
         raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
+    if not 1 <= N < math.inf:
+        raise ValueError("N must be finite and >= 1")
     if p_pe_override is not None:
         spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
-    if mode == "asymptotic":
+    if mode == "finite":
+        evaluate = _finite(L_km, N, src, ch, sec, spec)
+    else:
         ch_L = replace(ch, L_km=float(L_km))
 
         def evaluate(mu):
             rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
             return lambda _p_pe: (rate, None)
 
-        pinned = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
-        rate, mu, _, _ = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), pinned)
-        return SweepRow(L_km, N, mode, mu, math.nan, math.nan,
-                        math.nan, math.nan, math.nan, rate,
+        spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
+    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), spec)
+    if res is None:  # every asymptotic row, and a finite row with no key
+        ell = 0.0 if mode == "finite" else math.nan
+        return SweepRow(L_km, N, mode, mu, math.nan, math.nan, ell, ell, ell, rate,
                         math.nan, math.nan, "ok" if rate > 0.0 else "vacuous")
-
-    try:
-        opt = optimize_rate(L_km, N, src, ch, sec, spec)
-    except AllVacuous:
-        return SweepRow(L_km, N, mode, math.nan, math.nan, math.nan,
-                        0.0, 0.0, 0.0, 0.0, math.nan, math.nan, "vacuous")
-    res = opt.result
     x_opt = res.x_opt_T if res.ell_T >= res.ell_B else res.x_opt_B
-    return SweepRow(
-        L_km, N, mode, opt.mu, opt.p_pe, x_opt,
-        res.ell_T, res.ell_B, res.ell, res.rate,
-        res.diagnostics.e_p_t, res.diagnostics.e_p_nt, "ok",
-    )
+    return SweepRow(L_km, N, mode, mu, p_pe, x_opt, res.ell_T, res.ell_B, res.ell,
+                    rate, res.diagnostics.e_p_t, res.diagnostics.e_p_nt, "ok")

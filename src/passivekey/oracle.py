@@ -19,6 +19,7 @@ runs replay exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,17 @@ def _log_binom(n: int, k) -> np.ndarray:
     return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
 
 
-def _check_trials(trials: int) -> None:
-    if not trials >= 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def _count(name: str, value, least: int) -> int:
+    """value as a Python int >= least, else a ValueError naming the argument."""
+    try:
+        if isinstance(value, bool):  # an int to operator.index, but no count
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def _ci_upper_95(violations: int, trials: int) -> float:
@@ -106,7 +115,7 @@ def check_lemma3(
     (n bits, hidden); a violation is a trial whose hidden error fraction
     exceeds the bound computed from the observed one.
     """
-    _check_trials(trials)
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     total = n + l
     marked = int(math.floor(total * true_error_fraction))
     rng = np.random.default_rng(seed)
@@ -137,7 +146,7 @@ def check_lemma4(
     the given rate, splits it uniformly into parts of size n1 and n2, and
     counts a hit when |mean1 - mean2| / 2 exceeds xi(eps, n1, n2).
     """
-    _check_trials(trials)
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     xi = serfling_xi(eps, n1, n2)
     rng = np.random.default_rng(seed)
     total = n1 + n2

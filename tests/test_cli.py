@@ -245,6 +245,36 @@ x_grid_points = 60
         assert rates[1] >= rates[0]
         assert rates[3] >= rates[2]
 
+    def test_frozen_sweep_rows(self, tmp_path):
+        # frozen_sweep.csv holds these rows as first written: finite ok,
+        # finite vacuous and asymptotic rows at both N.  A change that is
+        # meant to leave every rate as it was must reproduce them.
+        path = write_config(tmp_path, """
+[optimizer]
+coarse_mu = 8
+coarse_p_pe = 8
+refine_rounds = 2
+refine_mu = 5
+refine_p_pe = 5
+x_grid_points = 60
+""")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--mode", "both", "--sweep", "0:200:50",
+                     "--N", "1e9", "--N", "1e13", "--out", str(out)]) == 0
+        frozen = Path(__file__).with_name("frozen_sweep.csv").read_text().splitlines()
+        lines = out.read_text().splitlines()
+        assert lines[0] == frozen[0] == CSV_HEADER
+        assert len(lines) == len(frozen) == 1 + 5 * 2 * 2
+        assert {line.split(",")[-1] for line in frozen[1:]} == {"ok", "vacuous"}
+        for got, want in zip(lines[1:], frozen[1:]):
+            for i, (g, w) in enumerate(zip(got.split(","), want.split(","))):
+                if i in (2, 12):  # mode and status
+                    assert g == w, (got, want)
+                    continue
+                g, w = float(g), float(w)
+                assert (math.isnan(g) and math.isnan(w)) or math.isclose(
+                    g, w, rel_tol=1e-12, abs_tol=0.0), (got, want)
+
     def test_csv_deterministic(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER)
         out1 = tmp_path / "a.csv"

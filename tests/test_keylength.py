@@ -248,3 +248,10 @@ class TestAsymptoticRate:
 
     def test_zero_far_beyond_cutoff(self, src):
         assert asymptotic_rate(src, make_channel(400.0)) == 0.0
+
+    @pytest.mark.parametrize("f_EC", [0.5, math.inf, math.nan])
+    def test_needs_finite_f_EC_at_least_1(self, src, channel_50km, f_EC):
+        # SecurityBudget's rule: f_EC < 1 would credit more than the Shannon
+        # limit allows, nan would give a nan rate
+        with pytest.raises(ValueError, match="f_EC"):
+            asymptotic_rate(src, channel_50km, f_EC=f_EC)

@@ -126,6 +126,12 @@ class TestMaxDistance:
         with pytest.raises(ValueError):
             max_distance(1e9, src, make_channel(0.0), sec, FAST, step_km=0.0)
 
+    @pytest.mark.parametrize("L_max_km", [-10.0, math.inf, math.nan])
+    def test_L_max_validation(self, src, sec, L_max_km):
+        # a negative end gives an empty grid, which would read as no key at 0 km
+        with pytest.raises(ValueError, match="L_max_km"):
+            max_distance(1e9, src, make_channel(0.0), sec, FAST, L_max_km=L_max_km)
+
     def test_probes_include_last_grid_point(self, src, sec, monkeypatch):
         # with a key everywhere, the scan must reach L_max_km itself, although
         # three steps of 0.1 km sum to more than 0.3
@@ -180,15 +186,39 @@ class TestSweep:
 
     def test_vacuous_row(self, src, sec):
         row = sweep_point(200.0, 1e6, "finite", src, make_channel(0.0), sec, FAST)
-        assert row.status == "vacuous"
-        assert row.rate == 0.0
-        assert math.isnan(row.mu_opt)
+        assert (row.L_km, row.N, row.mode, row.status) == (200.0, 1e6, "finite", "vacuous")
+        # no key is zero bits, not an unknown number of them
+        assert (row.ell_T, row.ell_B, row.ell, row.rate) == (0.0, 0.0, 0.0, 0.0)
+        assert all(map(math.isnan, (row.mu_opt, row.p_pe_opt, row.x_opt,
+                                    row.e_p_t, row.e_p_nt)))
 
     def test_asymptotic_row(self, src, sec):
         row = sweep_point(50.0, 1e9, "asymptotic", src, make_channel(0.0), sec, FAST)
-        assert row.status == "ok"
+        assert (row.L_km, row.N, row.mode, row.status) == (50.0, 1e9, "asymptotic", "ok")
         assert row.rate > 0.0
-        assert math.isnan(row.p_pe_opt)
+        assert 0.01 <= row.mu_opt <= 0.99
+        # the N -> inf rate has no p_pe, x, finite ell or phase error
+        assert all(map(math.isnan, (row.p_pe_opt, row.x_opt, row.ell_T, row.ell_B,
+                                    row.ell, row.e_p_t, row.e_p_nt)))
+
+    def test_finite_row_matches_optimize_rate(self, src, sec):
+        row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec, FAST)
+        opt = optimize_rate(50.0, 1e9, src, make_channel(0.0), sec, FAST)
+        res = opt.result
+        x_opt = res.x_opt_T if res.ell_T >= res.ell_B else res.x_opt_B
+        assert (row.rate, row.mu_opt, row.p_pe_opt, row.x_opt) == (
+            opt.rate, opt.mu, opt.p_pe, x_opt)
+        assert (row.ell_T, row.ell_B, row.ell, row.e_p_t, row.e_p_nt) == (
+            res.ell_T, res.ell_B, res.ell, res.diagnostics.e_p_t,
+            res.diagnostics.e_p_nt)
+        assert row.status == "ok"
+
+    @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
+    @pytest.mark.parametrize("N", [0.5, math.inf, math.nan])
+    def test_bad_N_raises(self, src, sec, mode, N):
+        # the asymptotic rate does not use N, but a row still reports it
+        with pytest.raises(ValueError, match="N must be finite and >= 1"):
+            sweep_point(50.0, N, mode, src, make_channel(0.0), sec, FAST)
 
     @pytest.mark.parametrize("mode", ["Finite", "both", ""])
     def test_unknown_mode_raises(self, src, sec, mode):

@@ -95,15 +95,35 @@ class TestCheckLemma3:
         )
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-@pytest.mark.parametrize("check, args", [
+CHECKS = pytest.mark.parametrize("check, args", [
     (check_lemma3, (500, 500, 0.03, 1e-3)),
     (check_lemma4, (100, 100, 0.1, 0.1)),
 ], ids=["lemma3", "lemma4"])
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+@CHECKS
 def test_trials_below_1_rejected(check, args, trials):
-    # the empirical rate violations / trials needs at least one trial
+    # the empirical rate violations / trials needs at least one trial, and a
+    # count that is no integer must be named before it reaches the RNG
     with pytest.raises(ValueError, match="trials"):
         check(*args, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, None])
+@CHECKS
+def test_seed_must_be_a_nonnegative_integer(check, args, seed):
+    # every report carries its seed so that the run replays
+    with pytest.raises(ValueError, match="seed"):
+        check(*args, trials=10, seed=seed)
+
+
+@CHECKS
+def test_numpy_integer_counts_replay(check, args):
+    # integer-like counts are converted, not rejected, and give the same report
+    report = check(*args, trials=np.int64(50), seed=np.uint8(3))
+    assert report == check(*args, trials=50, seed=3)
+    assert type(report.trials) is int and type(report.seed) is int
 
 
 class TestRandomizedHypergeomAgreement:
