@@ -63,14 +63,14 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class SinglePhotonBounds:
-    """Raw bound values at one (or an array of) vacuum-ratio x."""
+    """Raw bound values, and the gain bounds ell credits, at one (or an array of) x."""
 
     zeta: object
+    q0_t_lb: object
     q1_t_lb: object
+    q1_nt_lb: object
     w_t: object          # may be +inf where the denominator is vacuous
     w_nt: object         # may be +inf where zeta <= 0
-    chi0: float
-    chi1: float
 
 
 def serfling_xi(eps: float, n1: float, n2: float) -> float:
@@ -93,26 +93,22 @@ def overall_delta(obs: Observables) -> float:
     return obs.Q_t / obs.Q_nt
 
 
+def _chi_scale(budget: SampleBudget) -> float:
+    """The width sqrt(ln(1/eps_pe) / (2 N p_pe)) that every chi multiplies."""
+    return math.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
+
+
 def chi_term(src: SourceModel, budget: SampleBudget, i: int) -> float:
     """Per-order fluctuation chi_i = sqrt(delta_i p_i ln(1/eps_pe) / (2 N p_pe))."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    return math.sqrt(
-        delta_n(src, i)
-        * photon_prob(src, i)
-        * math.log(1.0 / budget.eps_pe)
-        / (2.0 * budget.N * budget.p_pe)
-    )
+    return math.sqrt(delta_n(src, i) * photon_prob(src, i)) * _chi_scale(budget)
 
 
 def _chi_from_sum(budget: SampleBudget, obs: Observables, s: float) -> float:
     if obs.Q_nt == 0:
         raise ZeroGain("Q_nt = 0; chi undefined")
-    return (
-        math.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
-        * s
-        / obs.Q_nt
-    )
+    return _chi_scale(budget) * s / obs.Q_nt
 
 
 def chi_total(src: SourceModel, budget: SampleBudget, obs: Observables) -> float:
@@ -142,8 +138,10 @@ def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
     """Bound values at x for given fluctuation terms (all zero in the N -> inf limit).
 
     zeta(x) = [(delta2 - delta) - (delta2 - delta0) x - chi] / (delta2 - delta1)
-    is affine and decreasing in x and may be negative; q1_t_lb, W_t(x) and
-    W_nt(x) = (2 E_nt - x) / (2 zeta(x)) all derive from it.
+    is affine and decreasing in x and may be negative; the gain bounds
+    q1_t_lb = delta1 Q_nt zeta - chi1 and q1_nt_lb = Q_nt zeta, W_t(x) and
+    W_nt(x) = (2 E_nt - x) / (2 zeta(x)) derive from it, beside the vacuum
+    gain bound q0_t_lb = delta0 Q_nt x - chi0.
     """
     d0, d1, d2 = _deltas(src)
     delta = overall_delta(obs)
@@ -154,11 +152,11 @@ def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
     num_nt = 2.0 * obs.E_nt - xa
     return SinglePhotonBounds(
         zeta=z,
+        q0_t_lb=d0 * obs.Q_nt * xa - chi0,
         q1_t_lb=d1 * obs.Q_nt * z - chi1,
+        q1_nt_lb=obs.Q_nt * z,
         w_t=np.where(den_t > 0, num_t / np.where(den_t > 0, den_t, 1.0), np.inf),
         w_nt=np.where(z > 0, num_nt / np.where(z > 0, 2.0 * z, 1.0), np.inf),
-        chi0=chi0,
-        chi1=chi1,
     )
 
 
@@ -185,7 +183,7 @@ def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:
 
 def asymptotic_q1_nt(x: float, src: SourceModel, obs: Observables) -> float:
     """Infinite-sample lower bound on Q1_nt at vacuum gain Q0_nt = x * Q_nt."""
-    return float(_bounds(x, src, obs, 0.0, 0.0, 0.0).zeta) * obs.Q_nt
+    return float(_bounds(x, src, obs, 0.0, 0.0, 0.0).q1_nt_lb)
 
 
 def asymptotic_e1(x: float, src: SourceModel, obs: Observables) -> float:

@@ -15,11 +15,19 @@ there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
 zero) and the rate is ``R = ell / (2 N)``.  The asymptotic rate is the same
 expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
 
-Epsilon budgeting: the triggered-only strategy splits its secrecy budget
-into ten equal parts (eps_pe = eps_sec / 10) and pays
-``6 log2(10/eps_sec) + log2(2/eps_cor)`` bits; the combined strategy splits
-into fifteen (eps_pe = eps_sec / 15) and pays
-``12 log2(15/eps_sec) + 1 + log2(4/eps_cor)`` bits.
+Epsilon ledger (``_EPS_LEDGER``), after the uncertainty-principle analysis
+of Tomamichel, Lim, Gisin and Renner (Nat. Commun. 3, 634, 2012): a
+strategy splits eps_sec into s shares and pays
+``a log2(s/eps_sec) + b + log2(c/eps_cor)`` bits.
+
+    strategy   s    a   b   c   chi, chi0, chi1 at   e_p at
+    T         10    6   0   2   eps_sec/10 each      eps_sec, 1 class
+    B         15   12   1   4   eps_sec/15 each      eps_sec, 2 classes
+
+chi goes through ``chi_low_orders`` and chi0, chi1 through ``chi_term`` in
+``evaluate_bounds``, all at eps_pe = eps_sec/s; e_p goes through
+``_phase_error_arrays`` at the full eps_sec (tail target eps_sec^2/16), not
+at a share; error verification fails with probability eps_cor.
 
 Two deliberate choices, calibrated against the reference curves (the
 acceptance suite pins them):
@@ -49,12 +57,13 @@ from .decoy_bounds import (
     x_range,
 )
 from .phase_error import _phase_error_arrays
-from .photonics import SourceModel, delta_n
+from .photonics import SourceModel
 
 X_GRID_POINTS = 200
 X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
 ASYMPTOTIC_GRID_POINTS = 400
+_EPS_LEDGER = {"T": (10.0, 6.0, 0.0, 2.0), "B": (15.0, 12.0, 1.0, 4.0)}
 
 
 @dataclass(frozen=True)
@@ -106,11 +115,6 @@ def binary_entropy(x):
     return np.where((x > 0) & (x < 1), h, 0.0)[()]
 
 
-def _budget_for(which: str, N: float, p_pe: float, sec: SecurityBudget) -> SampleBudget:
-    split = 10.0 if which == "T" else 15.0
-    return SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / split)
-
-
 def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
     """e_p per class on arrays of lower-bound single-photon gains; 0.5 where vacuous."""
     ep = np.full(np.shape(q1_lb), 0.5)
@@ -122,23 +126,21 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
     return ep
 
 
-def _ell(x, which, src, obs, b, e_p_t, e_p_nt, N, f_EC, penalty):
-    """ell_T(x) or ell_B(x) from the bound arrays b and the e_p of each class.
+def _ell(x, which, obs, b, e_p_t, e_p_nt, N, f_EC, penalty):
+    """ell_T(x) or ell_B(x) from the gain bounds in b and the e_p of each class.
 
     The one key-length expression: the finite key passes its chi terms in b,
     its pulse count and its epsilon penalty; the asymptotic rate passes
     chi = 0, N = 1 and no penalty.  e_p_nt is unused for "T".
     """
-    sp_t = np.maximum(delta_n(src, 1) * b.zeta - b.chi1 / obs.Q_nt, 0.0)
-    gain = sp_t * (1.0 - binary_entropy(e_p_t))
+    gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - binary_entropy(e_p_t))
     lam_t = N * obs.Q_t * f_EC * binary_entropy(obs.E_t)
     if which == "T":
-        vac = np.maximum(delta_n(src, 0) * x - b.chi0 / obs.Q_nt, 0.0)
-        return N * obs.Q_nt * (vac + gain) - lam_t - penalty
-    vac = np.maximum(delta_n(src, 0) * x + x - b.chi0 / obs.Q_nt, 0.0)
-    gain_nt = np.maximum(b.zeta, 0.0) * (1.0 - binary_entropy(e_p_nt))
+        return N * (np.maximum(b.q0_t_lb, 0.0) + gain) - lam_t - penalty
+    vac = np.maximum(b.q0_t_lb + obs.Q_nt * x, 0.0)
+    gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - binary_entropy(e_p_nt))
     lam_nt = N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt)
-    return N * obs.Q_nt * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
+    return N * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
 
 
 def _ell_curve(x, which, src, obs, N, p_pe, sec):
@@ -146,19 +148,15 @@ def _ell_curve(x, which, src, obs, N, p_pe, sec):
 
     e_p_nt is None for "T".
     """
-    budget = _budget_for(which, N, p_pe, sec)
-    b = evaluate_bounds(x, src, budget, obs, chi=chi_low_orders(src, budget, obs))
-    e_p_t = _phase_error_for_class(b.q1_t_lb, b.w_t, N, p_pe, sec.eps_sec)
-    if which == "T":
-        e_p_nt = None
-        penalty = 6.0 * math.log2(10.0 / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
-    else:
-        e_p_nt = _phase_error_for_class(obs.Q_nt * b.zeta, b.w_nt, N, p_pe, sec.eps_sec)
-        penalty = (
-            12.0 * math.log2(15.0 / sec.eps_sec) + 1.0 + math.log2(4.0 / sec.eps_cor)
-        )
-    ell = _ell(x, which, src, obs, b, e_p_t, e_p_nt, N, sec.f_EC, penalty)
-    return ell, b, e_p_t, e_p_nt
+    s, a, b, c = _EPS_LEDGER[which]
+    budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
+    penalty = a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor)
+    bounds = evaluate_bounds(x, src, budget, obs, chi=chi_low_orders(src, budget, obs))
+    e_p_t = _phase_error_for_class(bounds.q1_t_lb, bounds.w_t, N, p_pe, sec.eps_sec)
+    e_p_nt = None if which == "T" else _phase_error_for_class(
+        bounds.q1_nt_lb, bounds.w_nt, N, p_pe, sec.eps_sec)
+    ell = _ell(x, which, obs, bounds, e_p_t, e_p_nt, N, sec.f_EC, penalty)
+    return ell, bounds, e_p_t, e_p_nt
 
 
 def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points):
@@ -228,6 +226,6 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
     e_p_t, e_p_nt = np.clip(b.w_t, 0.0, 0.5), np.clip(b.w_nt, 0.0, 0.5)
-    ell_t = float(np.min(_ell(xs, "T", src, obs, b, e_p_t, None, 1.0, f_EC, 0.0)))
-    ell_b = float(np.min(_ell(xs, "B", src, obs, b, e_p_t, e_p_nt, 1.0, f_EC, 0.0)))
+    ell_t = float(np.min(_ell(xs, "T", obs, b, e_p_t, None, 1.0, f_EC, 0.0)))
+    ell_b = float(np.min(_ell(xs, "B", obs, b, e_p_t, e_p_nt, 1.0, f_EC, 0.0)))
     return max(ell_t, ell_b, 0.0) / 2.0

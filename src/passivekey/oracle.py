@@ -64,6 +64,13 @@ def _count(name: str, value, least: int) -> int:
     return n
 
 
+def _fraction(name: str, value) -> float:
+    """value if it lies in [0, 1], else a ValueError naming the argument."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
 def _ci_upper_95(violations: int, trials: int) -> float:
     """One-sided 95% Clopper-Pearson upper bound on the failure probability."""
     if violations >= trials:
@@ -116,6 +123,8 @@ def check_lemma3(
     exceeds the bound computed from the observed one.
     """
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
+    n, l = _count("n", n, 0), _count("l", l, 1)
+    true_error_fraction = _fraction("true_error_fraction", true_error_fraction)
     total = n + l
     marked = int(math.floor(total * true_error_fraction))
     rng = np.random.default_rng(seed)
@@ -147,6 +156,8 @@ def check_lemma4(
     counts a hit when |mean1 - mean2| / 2 exceeds xi(eps, n1, n2).
     """
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
+    n1, n2 = _count("n1", n1, 1), _count("n2", n2, 1)
+    outcome_rate = _fraction("outcome_rate", outcome_rate)
     xi = serfling_xi(eps, n1, n2)
     rng = np.random.default_rng(seed)
     total = n1 + n2

@@ -125,19 +125,38 @@ def series_sum(term: Callable[[int], float]) -> SeriesSum:
 def sqrt_delta_p_sum(src: SourceModel) -> float:
     """Sum over k of sqrt(delta_k * p_k).
 
-    The terms behave like (mu / ((1+mu)(1-eta_A)))^(k/2), so the series
-    converges only when mu * eta_A < 1 - eta_A; otherwise the fluctuation
-    bound built on it is unusable and DivergentSeries is raised.
+    With q_k = 1 - gamma_k = (1-d_A)(1-eta_A)^k, term k is
+    c rho^k sqrt(1 - q_k), c = 1/sqrt((1+mu)(1-d_A)) and
+    rho = sqrt(mu / ((1+mu)(1-eta_A))), so the series converges only when
+    mu * eta_A < 1 - eta_A; otherwise the fluctuation bound built on it is
+    unusable and DivergentSeries is raised.  The terms with q_k > 1/2 are
+    summed as they stand; from the first k = K with q_K <= 1/2 on,
+    sqrt(1 - q) = 1 - q / (1 + sqrt(1 - q)) gives the rest as
+    c rho^K [1/(1 - rho) - sum_j rho^j q_{K+j} / (1 + sqrt(1 - q_{K+j}))],
+    whose terms fall like (rho (1-eta_A))^j and whose difference keeps at
+    least 0.7 of its first part.  q_k is formed in logs, so it never
+    underflows into a degenerate detector.
     """
     if src.eta_A >= 1.0 or src.mu / ((1.0 + src.mu) * (1.0 - src.eta_A)) >= 1.0:
         raise DivergentSeries(
             f"sqrt(delta_k p_k) diverges for mu={src.mu}, eta_A={src.eta_A}"
         )
+    c = 1.0 / math.sqrt((1.0 + src.mu) * (1.0 - src.d_A))
+    rho = math.sqrt(src.mu / ((1.0 + src.mu) * (1.0 - src.eta_A)))
+    log_q0, log_r = math.log1p(-src.d_A), math.log1p(-src.eta_A)
+    if log_r == 0.0:  # eta_A = 0: every q_k is 1 - d_A, a geometric series
+        return c * math.sqrt(src.d_A) / (1.0 - rho)
+    K = math.ceil(min(max((-math.log(2.0) - log_q0) / log_r, 0.0), SERIES_INDEX_CAP))
 
-    def term(k: int) -> float:
-        return math.sqrt(delta_n(src, k) * photon_prob(src, k))
+    def head(k: int) -> float:
+        return c * rho**k * math.sqrt(-math.expm1(log_q0 + k * log_r)) if k < K else 0.0
 
-    return series_sum(term).value
+    def tail(j: int) -> float:
+        q = math.exp(log_q0 + (K + j) * log_r)
+        return rho**j * q / (1.0 + math.sqrt(1.0 - q))
+
+    return (series_sum(head).value
+            + c * rho**K * (1.0 / (1.0 - rho) - series_sum(tail).value))
 
 
 def sqrt_delta_p_low_orders(src: SourceModel) -> float:

@@ -43,3 +43,34 @@ def test_readme_imports_only_exported_names():
     names = set().union(*map(top_level_imports, blocks))
     assert names
     assert names <= set(passivekey.__all__)
+
+
+def imported_but_unused(source: str) -> set[str]:
+    """Names a module binds by import and never reads (`from __future__` aside)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(ROOT).as_posix()
+    for p in (ROOT / "src" / "passivekey").glob("*.py")
+    if p.name != "__init__.py"
+))
+def test_every_import_is_used(path):
+    # an import kept for nothing, or only so that an outside patch of the
+    # name still resolves, is dead code in the module that holds it
+    assert imported_but_unused((ROOT / path).read_text()) == set()
+
+
+def test_unused_import_check_sees_a_dead_import():
+    assert imported_but_unused(
+        "import math, os.path\nfrom .photonics import delta_n as d, x\nmath.pi\nx\n"
+    ) == {"os", "d"}

@@ -178,5 +178,10 @@ class TestReferenceChain:
             )
             assert float(b.zeta) == pytest.approx(float(z_r), rel=1e-10)
             assert float(b.q1_t_lb) == pytest.approx(float(q1_r), rel=1e-9)
+            # the other two gains ell credits: delta0 Q_nt x - chi0 and Q_nt zeta
+            Q_nt = ref.observables()[1]
+            q0_r = ref.delta(0) * Q_nt * x - ref.chi_i(1e9, 0.5, 1e-11, 0)
+            assert float(b.q0_t_lb) == pytest.approx(float(q0_r), rel=1e-9)
+            assert float(b.q1_nt_lb) == pytest.approx(float(Q_nt * z_r), rel=1e-10)
             assert float(b.w_t) == pytest.approx(float(wt_r), rel=1e-9)
             assert float(b.w_nt) == pytest.approx(float(wnt_r), rel=1e-9)

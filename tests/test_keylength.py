@@ -20,14 +20,17 @@ from passivekey import (
     phase_error_bound,
     simulate_observables,
 )
+from passivekey import keylength
 from passivekey.decoy_bounds import x_range
 from passivekey.keylength import (
     X_GRID_POINTS,
+    _ell,
     _ell_curve,
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
 )
+from passivekey.phase_error import _phase_error_arrays
 
 from conftest import make_channel
 
@@ -167,7 +170,7 @@ class TestKeyLength:
         budget = SampleBudget(N=1e9, p_pe=0.5, eps_pe=1e-11)
         b = evaluate_bounds(np.array([0.0]), src, budget, obs,
                             chi=chi_low_orders(src, budget, obs))
-        for q1, w in ((b.q1_t_lb, b.w_t), (obs.Q_nt * b.zeta, b.w_nt)):
+        for q1, w in ((b.q1_t_lb, b.w_t), (b.q1_nt_lb, b.w_nt)):
             got = _phase_error_for_class(q1, w, 1e9, 0.5, sec.eps_sec)
             count = 1e9 * 0.5 * float(q1[0])
             want = phase_error_bound(PhaseErrorInputs(
@@ -189,6 +192,40 @@ class TestKeyLength:
         assert res.ell_B == at_zero["B"]
         assert res.ell == max(float(int(max(at_zero.values()))), 0.0)
         assert asymptotic_rate(src, ch) > 0.0
+
+
+class TestEpsilonLedger:
+    """The shares the finite key passes are the ones the module docstring lists."""
+
+    @pytest.mark.parametrize("which, split, penalty", [
+        ("T", 10.0, lambda e, c: 6 * math.log2(10 / e) + math.log2(2 / c)),
+        ("B", 15.0, lambda e, c: 12 * math.log2(15 / e) + 1 + math.log2(4 / c)),
+    ])
+    def test_shares_and_penalty(self, monkeypatch, src, obs, sec, which, split,
+                                penalty):
+        seen = {"eps_pe": [], "eps_sec": [], "penalty": []}
+
+        def budget(**kwargs):
+            seen["eps_pe"].append(kwargs["eps_pe"])
+            return SampleBudget(**kwargs)
+
+        def phase_error(n, l, e_ob, eps_sec):
+            seen["eps_sec"].append(eps_sec)
+            return _phase_error_arrays(n, l, e_ob, eps_sec)
+
+        def ell(*args):
+            seen["penalty"].append(args[-1])
+            return _ell(*args)
+
+        monkeypatch.setattr(keylength, "SampleBudget", budget)
+        monkeypatch.setattr(keylength, "_phase_error_arrays", phase_error)
+        monkeypatch.setattr(keylength, "_ell", ell)
+        _ell_curve(np.linspace(*x_range(src, obs), 5), which, src, obs, 1e9, 0.5, sec)
+        # chi, chi0 and chi1 at one share each; e_p per class at the full eps_sec
+        assert seen["eps_pe"] == [sec.eps_sec / split]
+        assert seen["eps_sec"] == [sec.eps_sec] * (1 if which == "T" else 2)
+        assert seen["penalty"] == [pytest.approx(penalty(sec.eps_sec, sec.eps_cor),
+                                                 rel=1e-15)]
 
 
 def ref_asymptotic_rate(ref, f_EC, grid_points=400):

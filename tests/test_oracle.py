@@ -118,6 +118,34 @@ def test_seed_must_be_a_nonnegative_integer(check, args, seed):
         check(*args, trials=10, seed=seed)
 
 
+@pytest.mark.parametrize("check, args, name", [
+    (check_lemma3, (2.5, 500, 0.03, 1e-3), "n"),
+    (check_lemma3, (-1, 500, 0.03, 1e-3), "n"),
+    (check_lemma3, (500, 0, 0.03, 1e-3), "l"),
+    (check_lemma3, (500, 2.5, 0.03, 1e-3), "l"),
+    (check_lemma3, (500, 500, 1.5, 1e-3), "true_error_fraction"),
+    (check_lemma3, (500, 500, -0.1, 1e-3), "true_error_fraction"),
+    (check_lemma3, (500, 500, float("nan"), 1e-3), "true_error_fraction"),
+    (check_lemma4, (2.5, 100, 0.1, 0.1), "n1"),
+    (check_lemma4, (0, 100, 0.1, 0.1), "n1"),
+    (check_lemma4, (100, 0, 0.1, 0.1), "n2"),
+    (check_lemma4, (100, True, 0.1, 0.1), "n2"),
+    (check_lemma4, (100, 100, 1.5, 0.1), "outcome_rate"),
+    (check_lemma4, (100, 100, -0.1, 0.1), "outcome_rate"),
+])
+def test_bad_sizes_and_fractions_rejected_by_name(check, args, name):
+    # a size that is no count, or a fraction outside [0, 1], is named before
+    # the RNG or the bound sees it
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        check(*args, trials=10, seed=1)
+
+
+def test_lemma3_with_nothing_hidden_reports_no_violation():
+    # n = 0 is a valid size: every bit is sampled and nothing is predicted
+    report = check_lemma3(0, 500, 0.03, 1e-3, trials=10, seed=1)
+    assert (report.violations, report.rate) == (0, 0.0)
+
+
 @CHECKS
 def test_numpy_integer_counts_replay(check, args):
     # integer-like counts are converted, not rejected, and give the same report

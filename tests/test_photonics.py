@@ -137,3 +137,29 @@ class TestSqrtDeltaPSum:
         # terms grow like (mu (1+delta ratio)); at mu=1, eta_A=0.5 the ratio is 1
         with pytest.raises(DivergentSeries):
             sqrt_delta_p_sum(SourceModel(mu=1.0, eta_A=0.5, d_A=1e-6))
+
+    @pytest.mark.parametrize("mu, eta_A, d_A", [
+        # the optimizer's mu range at eta_A = 0.5 reaches 0.99, where
+        # (1 - eta_A)^k underflows long before the terms are negligible
+        *((mu, 0.5, 1e-6) for mu in (0.01, 0.1, 0.5, 0.9, 0.95, 0.99)),
+        (0.3, 1e-3, 1e-6),   # many terms with gamma_k < 1/2
+        (0.3, 0.0, 1e-6),    # every gamma_k = d_A
+        (0.05, 0.9, 1e-3),
+    ])
+    def test_matches_extended_precision(self, mu, eta_A, d_A):
+        import mpmath as mp
+
+        with mp.workdps(50):
+            m, e, d = mp.mpf(mu), mp.mpf(eta_A), mp.mpf(d_A)
+
+            def term(k):
+                q = (1 - d) * (1 - e) ** k
+                return mp.sqrt((1 - q) / q * m**k / (1 + m) ** (k + 1))
+
+            want = float(mp.nsum(term, [0, mp.inf]))
+        got = sqrt_delta_p_sum(SourceModel(mu=mu, eta_A=eta_A, d_A=d_A))
+        assert got == pytest.approx(want, rel=2e-14)
+
+    def test_zero_where_every_delta_is_zero(self):
+        # eta_A = d_A = 0: the detector never triggers
+        assert sqrt_delta_p_sum(SourceModel(mu=0.3, eta_A=0.0, d_A=0.0)) == 0.0
