@@ -8,9 +8,9 @@ phase-error bound:
   correction separate, privacy amplification joint).
 
 ``_ell`` is the one key-length expression ell(x) of either strategy on an
-array of the free vacuum ratio x.  ``_ell_curve`` feeds it the finite-size
-terms (chi, the phase-error bound, the epsilon penalty) and
-``_minimize_over_x`` takes its worst case, together with the bound values
+array of the free vacuum ratio x.  ``_ell_curves`` feeds it the finite-size
+terms (chi, the phase-error bound, the epsilon penalty) of both strategies,
+and ``_minimize_over_x`` takes the worst case of each, with the bound values
 there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
 zero) and the rate is ``R = ell / (2 N)``.  The asymptotic rate is the same
 expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
@@ -56,7 +56,8 @@ from .decoy_bounds import (
     evaluate_bounds,
     x_range,
 )
-from .phase_error import _phase_error_arrays
+from .oracle import _count
+from .phase_error import _phase_error_arrays, _tail_target
 from .photonics import SourceModel
 
 X_GRID_POINTS = 200
@@ -77,6 +78,8 @@ class SecurityBudget:
     def __post_init__(self):
         if not 0 < self.eps_sec < 1:
             raise ValueError("eps_sec must be in (0, 1)")
+        if _tail_target(self.eps_sec) is None:
+            raise ValueError("eps_sec too small: tail target eps_sec^2/16 underflows")
         if not 0 < self.eps_cor < 1:
             raise ValueError("eps_cor must be in (0, 1)")
         if not 1 <= self.f_EC < math.inf:
@@ -126,61 +129,75 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
     return ep
 
 
-def _ell(x, which, obs, b, e_p_t, e_p_nt, N, f_EC, penalty):
-    """ell_T(x) or ell_B(x) from the gain bounds in b and the e_p of each class.
+def _leakage(obs, N, f_EC):
+    """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class."""
+    return (N * obs.Q_t * f_EC * binary_entropy(obs.E_t),
+            N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt))
+
+
+def _ell(x, which, obs, b, h_t, h_nt, N, lam, penalty):
+    """ell_T(x) or ell_B(x) from the gain bounds in b and h(e_p) of each class.
 
     The one key-length expression: the finite key passes its chi terms in b,
-    its pulse count and its epsilon penalty; the asymptotic rate passes
-    chi = 0, N = 1 and no penalty.  e_p_nt is unused for "T".
+    its pulse count, its leakage and its epsilon penalty; the asymptotic rate
+    passes chi = 0, N = 1 and no penalty.  h_nt is unused for "T".
     """
-    gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - binary_entropy(e_p_t))
-    lam_t = N * obs.Q_t * f_EC * binary_entropy(obs.E_t)
+    lam_t, lam_nt = lam
+    gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
     if which == "T":
         return N * (np.maximum(b.q0_t_lb, 0.0) + gain) - lam_t - penalty
     vac = np.maximum(b.q0_t_lb + obs.Q_nt * x, 0.0)
-    gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - binary_entropy(e_p_nt))
-    lam_nt = N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt)
+    gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt)
     return N * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
 
 
-def _ell_curve(x, which, src, obs, N, p_pe, sec):
-    """(ell, bounds, e_p_t, e_p_nt) of strategy "T" or "B" on an array of x.
+def _ell_curves(xs, src, obs, N, p_pe, sec, lam):
+    """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
 
-    e_p_nt is None for "T".
+    x_T and x_B are arrays of one length.  Each strategy takes chi at its own
+    eps_sec share; e_p of T's triggered class and of B's two classes comes
+    from one phase-error solve.  e_p_nt is None for "T".
     """
-    s, a, b, c = _EPS_LEDGER[which]
-    budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
-    penalty = a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor)
-    bounds = evaluate_bounds(x, src, budget, obs, chi=chi_low_orders(src, budget, obs))
-    e_p_t = _phase_error_for_class(bounds.q1_t_lb, bounds.w_t, N, p_pe, sec.eps_sec)
-    e_p_nt = None if which == "T" else _phase_error_for_class(
-        bounds.q1_nt_lb, bounds.w_nt, N, p_pe, sec.eps_sec)
-    ell = _ell(x, which, obs, bounds, e_p_t, e_p_nt, N, sec.f_EC, penalty)
-    return ell, bounds, e_p_t, e_p_nt
+    bounds, penalty = [], []
+    for which, x in zip("TB", xs):
+        s, a, b, c = _EPS_LEDGER[which]
+        budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
+        penalty.append(a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor))
+        bounds.append(evaluate_bounds(x, src, budget, obs,
+                                      chi=chi_low_orders(src, budget, obs)))
+    bt, bb = bounds
+    e_p = _phase_error_for_class(np.concatenate([bt.q1_t_lb, bb.q1_t_lb, bb.q1_nt_lb]),
+                                 np.concatenate([bt.w_t, bb.w_t, bb.w_nt]),
+                                 N, p_pe, sec.eps_sec).reshape(3, -1)
+    h = binary_entropy(e_p)
+    return ((_ell(xs[0], "T", obs, bt, h[0], None, N, lam, penalty[0]), bt, e_p[0], None),
+            (_ell(xs[1], "B", obs, bb, h[1], h[2], N, lam, penalty[1]), bb, e_p[1], e_p[2]))
 
 
-def _minimize_over_x(which, src, obs, N, p_pe, sec, grid_points):
-    """(min over x of ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there).
+def _minimize_over_x(src, obs, N, p_pe, sec, lam, grid_points):
+    """Per strategy T, B: (min over x of ell(x), minimizing x, (zeta, W_t, W_nt,
+    e_p_t, e_p_nt) there); e_p_nt is nan for "T".
 
-    A grid_points grid on x_range, refined X_REFINE_ROUNDS times with
-    X_REFINE_POINTS points around its minimum; e_p_nt is nan for "T".
+    Both strategies are searched together, one ``_ell_curves`` call a round:
+    a grid_points grid on x_range, then X_REFINE_ROUNDS rounds of
+    X_REFINE_POINTS points around each strategy's own minimum.
     """
     lo, hi = x_range(src, obs)
-    best_val, best_x, best_diag = math.inf, lo, None
+    windows, best = [(lo, hi)] * 2, [(math.inf, lo, None)] * 2
     points = grid_points
     for _ in range(X_REFINE_ROUNDS + 1):
-        xs = np.linspace(lo, hi, points)
-        vals, b, e_p_t, e_p_nt = _ell_curve(xs, which, src, obs, N, p_pe, sec)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_x = float(vals[i]), float(xs[i])
-            best_diag = (
-                float(b.zeta[i]), float(b.w_t[i]), float(b.w_nt[i]), float(e_p_t[i]),
-                float(e_p_nt[i]) if e_p_nt is not None else math.nan,
-            )
-        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+        xs = [np.linspace(*window, points) for window in windows]
+        curves = _ell_curves(xs, src, obs, N, p_pe, sec, lam)
+        for k, (x, (vals, b, e_p_t, e_p_nt)) in enumerate(zip(xs, curves)):
+            i = int(np.argmin(vals))
+            if vals[i] < best[k][0]:
+                best[k] = float(vals[i]), float(x[i]), (
+                    float(b.zeta[i]), float(b.w_t[i]), float(b.w_nt[i]), float(e_p_t[i]),
+                    float(e_p_nt[i]) if e_p_nt is not None else math.nan,
+                )
+            windows[k] = float(x[max(i - 1, 0)]), float(x[min(i + 1, points - 1)])
         points = X_REFINE_POINTS
-    return best_val, best_x, best_diag
+    return best
 
 
 def key_length(
@@ -192,14 +209,12 @@ def key_length(
     grid_points: int = X_GRID_POINTS,
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N)."""
-    ell_t, x_t, diag_t = _minimize_over_x("T", src, obs, N, p_pe, sec, grid_points)
-    ell_b, x_b, diag_b = _minimize_over_x("B", src, obs, N, p_pe, sec, grid_points)
+    grid_points = _count("grid_points", grid_points, 1)
+    lam = _leakage(obs, N, sec.f_EC)
+    (ell_t, x_t, diag_t), (ell_b, x_b, diag_b) = _minimize_over_x(
+        src, obs, N, p_pe, sec, lam, grid_points)
     ell = max(math.floor(max(ell_t, ell_b)), 0)
-    diag = Diagnostics(
-        *(diag_t if ell_t >= ell_b else diag_b),
-        lambda_ec_t=N * obs.Q_t * sec.f_EC * binary_entropy(obs.E_t),
-        lambda_ec_nt=N * obs.Q_nt * sec.f_EC * binary_entropy(obs.E_nt),
-    )
+    diag = Diagnostics(*(diag_t if ell_t >= ell_b else diag_b), *lam)
     return KeyLengthResult(
         ell_T=ell_t,
         ell_B=ell_b,
@@ -225,7 +240,8 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     obs = simulate_observables(src, ch)
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
-    e_p_t, e_p_nt = np.clip(b.w_t, 0.0, 0.5), np.clip(b.w_nt, 0.0, 0.5)
-    ell_t = float(np.min(_ell(xs, "T", obs, b, e_p_t, None, 1.0, f_EC, 0.0)))
-    ell_b = float(np.min(_ell(xs, "B", obs, b, e_p_t, e_p_nt, 1.0, f_EC, 0.0)))
+    h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
+    lam = _leakage(obs, 1.0, f_EC)
+    ell_t = float(np.min(_ell(xs, "T", obs, b, h_t, None, 1.0, lam, 0.0)))
+    ell_b = float(np.min(_ell(xs, "B", obs, b, h_t, h_nt, 1.0, lam, 0.0)))
     return max(ell_t, ell_b, 0.0) / 2.0

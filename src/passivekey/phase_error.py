@@ -85,6 +85,14 @@ def _tail_condition_lhs(omega, n, l):
     )
 
 
+def _tail_target(eps_sec):
+    """The tail target eps_sec^2/16, or None where it is below the smallest
+    normal double: there Phi is subnormal at every point near the crossing,
+    so no float LHS can certify one."""
+    target = eps_sec**2 / 16.0
+    return target if target >= sys.float_info.min else None
+
+
 def _solve_omega_arrays(n, l, eps_sec):
     """First point of the OMEGA_MAX 2^-46 grid where the float tail LHS meets
     eps_sec^2/16, elementwise; inf where the condition is unmet at OMEGA_MAX
@@ -101,13 +109,9 @@ def _solve_omega_arrays(n, l, eps_sec):
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
     shape = np.broadcast(n, l).shape
-    target = eps_sec**2 / 16.0
-    # Below the smallest normal double Phi is subnormal at every point near
-    # the crossing, so no float LHS there can certify one.
-    if target < sys.float_info.min:
-        raise NoSolution(
-            f"tail target eps_sec^2/16 = {target:.3g} underflows for eps_sec={eps_sec}"
-        )
+    target = _tail_target(eps_sec)
+    if target is None:
+        raise NoSolution(f"tail target eps_sec^2/16 underflows for eps_sec={eps_sec}")
     step = OMEGA_MAX / 2.0 ** math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))
     # e^nu overflows for n below about 2.4e-4, and then inf * Phi = nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

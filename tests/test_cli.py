@@ -151,13 +151,14 @@ class TestRunCommand:
         ("run", "[source]\neta_A = 1e-320\n", []),
         ("run", "[sweep]\np_pe = 0.7\n", []),
         ("run", "[security]\nf_EC = inf\n", []),
+        ("run", "[security]\neps_sec = 1e-160\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
             "run_out_unwritable", "verify_out_unwritable", "source_mu",
             "channel_alpha", "section_optimiser", "section_Optimizer",
             "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal",
-            "sweep_p_pe", "f_EC_inf"])
+            "sweep_p_pe", "f_EC_inf", "eps_sec_underflow"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"

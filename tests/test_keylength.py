@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passivekey import (
+    NoSolution,
     PhaseErrorInputs,
     SampleBudget,
     SecurityBudget,
@@ -24,13 +25,15 @@ from passivekey import keylength
 from passivekey.decoy_bounds import x_range
 from passivekey.keylength import (
     X_GRID_POINTS,
+    X_REFINE_ROUNDS,
     _ell,
-    _ell_curve,
+    _ell_curves,
+    _leakage,
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
 )
-from passivekey.phase_error import _phase_error_arrays
+from passivekey.phase_error import _phase_error_arrays, solve_omega
 
 from conftest import make_channel
 
@@ -64,14 +67,28 @@ class TestBinaryEntropy:
         assert out == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
 
+STRATEGY = {"T": 0, "B": 1}  # index into _ell_curves' and _minimize_over_x's pairs
+
+
+# the x path of key_length at p_pe = 0.5: both strategies' curves on one
+# array of x, and both minima over x_range
+def curves_at(xs, src, obs, N, sec):
+    xs = np.asarray(xs, dtype=float)
+    return _ell_curves((xs, xs), src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC))
+
+
+def minimize(src, obs, N, sec):
+    return _minimize_over_x(src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC),
+                            X_GRID_POINTS)
+
+
 # the ell(x) path of key_length at N = 1e9, p_pe = 0.5, on an array of x
 def ell_at(xs, which, src, obs, sec):
-    ell, *_ = _ell_curve(np.asarray(xs, dtype=float), which, src, obs, 1e9, 0.5, sec)
-    return ell
+    return curves_at(xs, src, obs, 1e9, sec)[STRATEGY[which]][0]
 
 
 def ell_min(which, src, obs, sec):
-    val, x_opt, _ = _minimize_over_x(which, src, obs, 1e9, 0.5, sec, X_GRID_POINTS)
+    val, x_opt, _ = minimize(src, obs, 1e9, sec)[STRATEGY[which]]
     return val, x_opt
 
 
@@ -137,6 +154,21 @@ class TestKeyLength:
         with pytest.raises(ValueError, match="f_EC"):
             SecurityBudget(eps_sec=1e-10, eps_cor=1e-12, f_EC=f_EC)
 
+    @pytest.mark.parametrize("eps_sec, solvable",
+                             [(6e-154, True), (5.9e-154, False), (1e-160, False)])
+    def test_security_budget_needs_a_normal_tail_target(self, eps_sec, solvable):
+        # eps_sec^2/16 crosses the smallest normal double near 5.97e-154; the
+        # budget refuses exactly the eps_sec the omega solve cannot serve
+        inputs = PhaseErrorInputs(n=1e6, l=1e6, e_ob=0.0, eps_sec=eps_sec)
+        if solvable:
+            SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+            assert solve_omega(inputs) > 0.0
+        else:
+            with pytest.raises(ValueError, match="eps_sec"):
+                SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+            with pytest.raises(NoSolution):
+                solve_omega(inputs)
+
     def test_diagnostics_populated(self, src, obs, sec):
         d = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec).diagnostics
         assert 0.0 < d.e_p_t <= 0.5
@@ -149,8 +181,7 @@ class TestKeyLength:
         obs = simulate_observables(src, make_channel(L))
         res = key_length(src, obs, N=N, p_pe=0.5, sec=sec)
         assert res.ell_B > res.ell_T
-        _, b, e_p_t, e_p_nt = _ell_curve(np.array([res.x_opt_B]), "B", src, obs, N, 0.5,
-                                         sec)
+        _, b, e_p_t, e_p_nt = curves_at([res.x_opt_B], src, obs, N, sec)[1]
         d = res.diagnostics
         assert d.zeta == pytest.approx(float(b.zeta[0]), rel=1e-12)
         assert d.w_t == pytest.approx(float(b.w_t[0]), rel=1e-12)
@@ -158,8 +189,8 @@ class TestKeyLength:
         assert d.e_p_t == pytest.approx(float(e_p_t[0]), rel=1e-12)
         assert d.e_p_nt == pytest.approx(float(e_p_nt[0]), rel=1e-12)
         # the losing strategy's minimiser reports its own bound values too
-        _, x_t, diag_t = _minimize_over_x("T", src, obs, N, 0.5, sec, X_GRID_POINTS)
-        _, b, e_p_t, _ = _ell_curve(np.array([x_t]), "T", src, obs, N, 0.5, sec)
+        _, x_t, diag_t = minimize(src, obs, N, sec)[0]
+        _, b, e_p_t, _ = curves_at([x_t], src, obs, N, sec)[0]
         assert diag_t[:4] == pytest.approx(
             [float(b.zeta[0]), float(b.w_t[0]), float(b.w_nt[0]), float(e_p_t[0])],
             rel=1e-12)
@@ -186,12 +217,63 @@ class TestKeyLength:
         assert x_range(src, obs) == (0.0, 0.0)
         res = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec)
         assert res.x_opt_T == res.x_opt_B == 0.0
-        at_zero = {w: float(_ell_curve(np.array([0.0]), w, src, obs, 1e9, 0.5, sec)[0][0])
-                   for w in "TB"}
+        at_zero = {w: float(ell_at([0.0], w, src, obs, sec)[0]) for w in "TB"}
         assert res.ell_T == at_zero["T"]
         assert res.ell_B == at_zero["B"]
         assert res.ell == max(float(int(max(at_zero.values()))), 0.0)
         assert asymptotic_rate(src, ch) > 0.0
+
+    @pytest.mark.parametrize("grid_points", [0, -1, 2.5, True])
+    def test_grid_points_must_be_a_positive_integer(self, src, obs, sec, grid_points):
+        with pytest.raises(ValueError, match="grid_points"):
+            key_length(src, obs, 1e9, 0.5, sec, grid_points=grid_points)
+
+    def test_calls_per_layer(self, monkeypatch, src, obs, sec):
+        # the names the benchmark's tracer wraps on keylength: both strategies'
+        # bounds in each of the three x rounds, one phase-error solve a round
+        calls = dict.fromkeys(["evaluate_bounds", "chi_low_orders",
+                               "_phase_error_arrays"], 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(keylength, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(keylength, name, counted)
+        assert key_length(src, obs, 1e9, 0.5, sec).ell > 0
+        assert calls == {"evaluate_bounds": 6, "chi_low_orders": 6,
+                         "_phase_error_arrays": 3}
+
+    # every field of the result, Diagnostics included, bit for bit; e_p_nt is
+    # NaN where T wins, the vacuous point included
+    @pytest.mark.parametrize("mu, channel, N, p_pe, want", [
+        (0.05, make_channel(150.0), 1e13, 0.1, [  # T wins
+            "0x1.20130a826eeacp+22", "0x1.0325f4f7a1a67p+22", "0x1.2013080000000p+22",
+            "0x1.58895a4235414p-2", "0x1.e7312eb365f69p-3", "0x1.fac9263ee7608p-23",
+            "0x1.e5f6c6c29d94ap-2", "0x1.0471e987f37cfp-5", "0x0.0p+0",
+            "0x1.143bebb256966p-5", "nan", "0x1.3ab6048fac06fp+21",
+            "0x1.9abfe6e70147ep+24"]),
+        (0.5, make_channel(50.0), 1e9, 0.5, [  # B wins
+            "0x1.c34ab57d5b426p+17", "0x1.5ff7885b04fadp+19", "0x1.5ff7800000000p+19",
+            "0x1.5b271184c34cfp-7", "0x0.0p+0", "0x1.79ebe57d031c2p-12",
+            "0x1.94d7a924dd9fcp-2", "0x1.f724e6c0dc648p-6", "0x1.b70a50a90783ap-7",
+            "0x1.2220e533db7d7p-5", "0x1.0c9134ec24b01p-6", "0x1.5dab99cc4220cp+17",
+            "0x1.5922072eb2f21p+16"]),
+        (0.5, make_channel(100.0), 1e9, 0.5, [  # vacuous
+            "-0x1.2c460451be849p+14", "-0x1.f2f3502320f51p+14", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.797cb2596eb53p-6", "inf", "inf",
+            "0x1.0000000000000p-1", "nan", "0x1.283593474cfcbp+14",
+            "0x1.863875387dc66p+13"]),
+        (0.5, replace(make_channel(50.0), p_d=0.0, e_d=0.0), 1e9, 0.5, [  # x_range (0, 0)
+            "0x1.0d3e61a786c13p+19", "0x1.1f852e487ccd6p+20", "0x1.1f85200000000p+20",
+            "0x0.0p+0", "0x0.0p+0", "0x1.34b8e6b34a3c3p-11", "0x1.943d4845e90a5p-2",
+            "0x1.ef29223b4e142p-14", "0x0.0p+0", "0x1.4f717760db261p-11",
+            "0x1.52d8cc2b55784p-12", "0x0.0p+0", "0x0.0p+0"]),
+    ], ids=["T_wins", "B_wins", "vacuous", "single_point_x_range"])
+    def test_every_field_is_exact(self, src, sec, mu, channel, N, p_pe, want):
+        src = replace(src, mu=mu)
+        res = key_length(src, simulate_observables(src, channel), N, p_pe, sec)
+        got = [float(v) for v in astuple(res)[:-1] + astuple(res.diagnostics)]
+        for g, w in zip(got, map(float.fromhex, want), strict=True):
+            assert g == w or (math.isnan(g) and math.isnan(w))
 
 
 class TestEpsilonLedger:
@@ -203,29 +285,52 @@ class TestEpsilonLedger:
     ])
     def test_shares_and_penalty(self, monkeypatch, src, obs, sec, which, split,
                                 penalty):
-        seen = {"eps_pe": [], "eps_sec": [], "penalty": []}
+        seen = {"eps_pe": [], "penalty": []}
 
         def budget(**kwargs):
             seen["eps_pe"].append(kwargs["eps_pe"])
             return SampleBudget(**kwargs)
-
-        def phase_error(n, l, e_ob, eps_sec):
-            seen["eps_sec"].append(eps_sec)
-            return _phase_error_arrays(n, l, e_ob, eps_sec)
 
         def ell(*args):
             seen["penalty"].append(args[-1])
             return _ell(*args)
 
         monkeypatch.setattr(keylength, "SampleBudget", budget)
-        monkeypatch.setattr(keylength, "_phase_error_arrays", phase_error)
         monkeypatch.setattr(keylength, "_ell", ell)
-        _ell_curve(np.linspace(*x_range(src, obs), 5), which, src, obs, 1e9, 0.5, sec)
-        # chi, chi0 and chi1 at one share each; e_p per class at the full eps_sec
-        assert seen["eps_pe"] == [sec.eps_sec / split]
-        assert seen["eps_sec"] == [sec.eps_sec] * (1 if which == "T" else 2)
-        assert seen["penalty"] == [pytest.approx(penalty(sec.eps_sec, sec.eps_cor),
-                                                 rel=1e-15)]
+        minimize(src, obs, 1e9, sec)
+        # each round builds T's budget and curve, then B's: chi, chi0 and chi1
+        # at one share of this strategy's split, and its penalty
+        rounds = X_REFINE_ROUNDS + 1
+        k = STRATEGY[which]
+        assert len(seen["eps_pe"]) == len(seen["penalty"]) == 2 * rounds
+        assert seen["eps_pe"][k::2] == [sec.eps_sec / split] * rounds
+        assert seen["penalty"][k::2] == [
+            pytest.approx(penalty(sec.eps_sec, sec.eps_cor), rel=1e-15)] * rounds
+
+    def test_one_phase_error_solve_per_round(self, monkeypatch, src, obs, sec):
+        bounds, solves = [], []
+
+        def evaluate(*args, **kwargs):
+            bounds.append(evaluate_bounds(*args, **kwargs))
+            return bounds[-1]
+
+        def phase_error(n, l, e_ob, eps_sec):
+            solves.append((eps_sec, np.size(n)))
+            return _phase_error_arrays(n, l, e_ob, eps_sec)
+
+        monkeypatch.setattr(keylength, "evaluate_bounds", evaluate)
+        monkeypatch.setattr(keylength, "_phase_error_arrays", phase_error)
+        minimize(src, obs, 1e9, sec)
+        # e_p of T's triggered class and B's two classes, at the full eps_sec,
+        # over every admissible entry (q1 > 0 and a finite W) of the three
+        admissible = [
+            sum(int(np.sum((q1 > 0) & np.isfinite(w)))
+                for q1, w in ((t.q1_t_lb, t.w_t), (b.q1_t_lb, b.w_t), (b.q1_nt_lb, b.w_nt)))
+            for t, b in zip(bounds[0::2], bounds[1::2])
+        ]
+        assert len(bounds) == 2 * (X_REFINE_ROUNDS + 1)
+        assert solves == [(sec.eps_sec, count) for count in admissible]
+        assert all(count > 0 for count in admissible)
 
 
 def ref_asymptotic_rate(ref, f_EC, grid_points=400):
