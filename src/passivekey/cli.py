@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 from .channel import ChannelModel
-from .errors import ConfigError, PassiveKeyError
+from .errors import ConfigError, PassiveKeyError, _count
 from .keylength import SecurityBudget
 from .optimizer import OptimizationSpec, SweepRow, distance_grid, sweep_point
 from .oracle import RNG_ALGORITHM, check_lemma3, check_lemma4
@@ -153,8 +153,8 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             Ns=[float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()],
             mode=parser.get("sweep", "mode").strip(),
             out_path=parser.get("output", "path"),
-            verify_seed=fval("verify", "seed", int),
-            verify_trials=fval("verify", "trials", int),
+            verify_seed=_count("[verify] seed", fval("verify", "seed", int), 0),
+            verify_trials=_count("[verify] trials", fval("verify", "trials", int), 1),
             verify_path=parser.get("verify", "path"),
         )
     except ValueError as exc:
@@ -171,10 +171,6 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError("empty N list")
     if not all(1 <= N < math.inf for N in cfg.Ns):
         raise ConfigError("every N must be finite and >= 1")
-    if cfg.verify_trials < 1:
-        raise ConfigError(f"verify trials must be >= 1, got {cfg.verify_trials}")
-    if cfg.verify_seed < 0:
-        raise ConfigError(f"verify seed must be >= 0, got {cfg.verify_seed}")
     return cfg
 
 

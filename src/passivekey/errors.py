@@ -1,4 +1,20 @@
-"""Exception hierarchy for the passive decoy-state key-rate engine."""
+"""Exception hierarchy for the passive decoy-state key-rate engine, and the
+one integer-count check every layer shares."""
+
+import operator
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as a Python int >= least, else a ValueError naming the argument."""
+    try:
+        if isinstance(value, bool):  # an int to operator.index, but no count
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 class PassiveKeyError(Exception):

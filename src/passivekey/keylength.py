@@ -56,7 +56,7 @@ from .decoy_bounds import (
     evaluate_bounds,
     x_range,
 )
-from .oracle import _count
+from .errors import _count
 from .phase_error import _phase_error_arrays, _tail_target
 from .photonics import SourceModel
 
@@ -233,11 +233,13 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     (clipped to [0, 0.5], so a vacuous +inf bound credits nothing) and both
     strategies are minimized over x on a dense ASYMPTOTIC_GRID_POINTS grid;
     the result is an upper envelope of every finite-N rate for this source
-    and channel.
+    and channel.  No nontriggered gain (Q_nt = 0) gives rate 0.
     """
     if not 1 <= f_EC < math.inf:
         raise ValueError("f_EC must be finite and >= 1")
     obs = simulate_observables(src, ch)
+    if obs.Q_nt == 0:  # no gain ratio to bound: no key
+        return 0.0
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
     h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import ChannelModel, simulate_observables
-from .errors import AllVacuous
+from .errors import AllVacuous, ZeroGain, _count
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
                         asymptotic_rate, key_length)
 from .photonics import SourceModel
@@ -48,14 +48,12 @@ class OptimizationSpec:
     x_grid_points: int = X_GRID_POINTS
 
     def __post_init__(self):
-        counts = (*self.coarse_points, *self.refine_points, self.x_grid_points)
-        try:
-            if min(map(operator.index, counts)) < 1:
-                raise ValueError("every grid point count must be >= 1")
-            if operator.index(self.refine_rounds) < 0:
-                raise ValueError("refine_rounds must be >= 0")
-        except TypeError:
-            raise ValueError("grid counts and refine_rounds must be integers") from None
+        for name, counts in (("coarse_points", self.coarse_points),
+                             ("refine_points", self.refine_points),
+                             ("x_grid_points", (self.x_grid_points,))):
+            for count in counts:
+                _count(name, count, 1)
+        _count("refine_rounds", self.refine_rounds, 0)
         lo, hi = self.p_pe_bounds
         if not 0 < lo <= hi < 1:
             raise ValueError(
@@ -138,7 +136,10 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
 
 
 def _finite(L_km, N, src, ch, sec, spec):
-    """evaluate(mu) for _walk: the finite key at L_km km, N pulses, (mu, p_pe)."""
+    """evaluate(mu) for _walk: the finite key at L_km km, N pulses, (mu, p_pe).
+
+    Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0.
+    """
     ch_L = replace(ch, L_km=float(L_km))
 
     def evaluate(mu):
@@ -146,7 +147,10 @@ def _finite(L_km, N, src, ch, sec, spec):
         obs = simulate_observables(src_mu, ch_L)
 
         def at(p_pe):
-            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+            try:
+                res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+            except ZeroGain:  # no gain ratio to bound: no key
+                return 0.0, None
             return res.rate, res
 
         return at

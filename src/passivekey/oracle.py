@@ -1,9 +1,8 @@
 """Statistical ground-truth harness for the concentration bounds.
 
-Everything here is deliberately independent of the key-rate chain: exact
-hypergeometric tails summed in log space, and seeded Monte Carlo
-sampling-without-replacement experiments with true integer counts.  The
-experiments replay the two statistical claims the engine relies on:
+Everything here is deliberately independent of the key-rate chain: seeded
+Monte Carlo sampling-without-replacement experiments with true integer
+counts.  They replay the two statistical claims the engine relies on:
 
 * the phase-error bound: the unobserved code-part error fraction exceeds
   the bound computed from the sampled part with probability far below the
@@ -19,12 +18,12 @@ runs replay exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoy_bounds import serfling_xi
+from .errors import _count
 from .phase_error import PhaseErrorInputs, phase_error_bound
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -43,27 +42,6 @@ class TrialReport:
     rng: str = RNG_ALGORITHM
 
 
-def _log_binom(n: int, k) -> np.ndarray:
-    n_arr = np.asarray(n, dtype=float)
-    k_arr = np.asarray(k, dtype=float)
-    from scipy.special import gammaln
-
-    return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as a Python int >= least, else a ValueError naming the argument."""
-    try:
-        if isinstance(value, bool):  # an int to operator.index, but no count
-            raise TypeError
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
-    return n
-
-
 def _fraction(name: str, value) -> float:
     """value if it lies in [0, 1], else a ValueError naming the argument."""
     if not 0 <= value <= 1:
@@ -80,37 +58,6 @@ def _ci_upper_95(violations: int, trials: int) -> float:
     return float(beta.ppf(0.95, violations + 1, trials - violations))
 
 
-def hypergeom_tail(
-    pop_size: int, marked: int, draw: int, threshold: int, direction: str = "forward"
-) -> float:
-    """P[X >= threshold] for X ~ Hypergeometric(pop_size, marked, draw), exactly.
-
-    Terms are accumulated from log-space pmf values; direction selects
-    ascending ("forward") or descending ("backward") summation order, which
-    must agree to ~1e-12 and serves as a self-check.
-    """
-    if not 0 <= marked <= pop_size:
-        raise ValueError("marked must be in [0, pop_size]")
-    if not 0 <= draw <= pop_size:
-        raise ValueError("draw must be in [0, pop_size]")
-    k_lo = max(threshold, 0, draw - (pop_size - marked))
-    k_hi = min(draw, marked)
-    if k_lo > k_hi:
-        return 0.0
-    ks = np.arange(k_lo, k_hi + 1)
-    log_pmf = (
-        _log_binom(marked, ks)
-        + _log_binom(pop_size - marked, draw - ks)
-        - _log_binom(pop_size, draw)
-    )
-    terms = np.exp(log_pmf)
-    if direction == "backward":
-        terms = terms[::-1]
-    elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'backward'")
-    return float(min(np.sum(terms), 1.0))
-
-
 def check_lemma3(
     n: int, l: int, true_error_fraction: float, eps_sec: float,
     trials: int, seed: int,
@@ -125,6 +72,8 @@ def check_lemma3(
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n, l = _count("n", n, 0), _count("l", l, 1)
     true_error_fraction = _fraction("true_error_fraction", true_error_fraction)
+    if not 0 < eps_sec < 1:
+        raise ValueError(f"eps_sec must be in (0, 1), got {eps_sec!r}")
     total = n + l
     marked = int(math.floor(total * true_error_fraction))
     rng = np.random.default_rng(seed)

@@ -70,7 +70,38 @@ def test_every_import_is_used(path):
     assert imported_but_unused((ROOT / path).read_text()) == set()
 
 
+def imported_modules(source: str) -> set[str]:
+    """Dotted names source imports: each module, and module.name of a from-import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names |= {base, *(f"{base}.{alias.name}" for alias in node.names)}
+    return {name.strip(".") for name in names} - {""}
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(ROOT).as_posix()
+    for p in (ROOT / "src" / "passivekey").glob("*.py")
+    if p.name not in ("__init__.py", "cli.py")
+))
+def test_chain_does_not_import_the_oracle(path):
+    # the oracle checks the key-rate chain, so the chain must not depend on it;
+    # only the entry points (the CLI and the package namespace) import it
+    imported = imported_modules((ROOT / path).read_text())
+    assert not [name for name in imported if "oracle" in name.split(".")]
+
+
 def test_unused_import_check_sees_a_dead_import():
     assert imported_but_unused(
         "import math, os.path\nfrom .photonics import delta_n as d, x\nmath.pi\nx\n"
     ) == {"os", "d"}
+
+
+def test_oracle_import_check_sees_every_form():
+    for source in ("from .oracle import _count", "from . import oracle",
+                   "import passivekey.oracle", "from passivekey.oracle import x"):
+        assert "oracle" in {part for name in imported_modules(source)
+                            for part in name.split(".")}, source

@@ -310,6 +310,18 @@ x_grid_points = 60
                      "--N", "1e6", "--mode", "finite", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith("vacuous")
 
+    @pytest.mark.parametrize("L", ["763", "20000"])
+    def test_zero_nontriggered_gain_is_vacuous(self, tmp_path, L):
+        # with no dark counts the gains underflow to exactly 0 far out: no
+        # gain ratio to bound, so no key, in both modes
+        path = write_config(tmp_path, FAST_OPTIMIZER + "[channel]\np_d = 0\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", L, "--N", "1e9",
+                     "--mode", "both", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[2], r[9], r[-1]) for r in rows] == [
+            ("finite", "0", "vacuous"), ("asymptotic", "0", "vacuous")]
+
     def test_p_pe_pin(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER)
         out = tmp_path / "sweep.csv"

@@ -62,6 +62,10 @@ class TestOptimizationSpec:
         {"coarse_points": (2.5, 8)},
         {"x_grid_points": 60.0},
         {"refine_rounds": 1.5},
+        {"coarse_points": (True, 8)},
+        {"refine_points": (5, False)},
+        {"x_grid_points": True},
+        {"refine_rounds": True},
     ])
     def test_validation(self, fields):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Exact hypergeometric tails and the Monte Carlo bound-checking harness."""
+"""The Monte Carlo bound-checking harness."""
 
 import numpy as np
 import pytest
@@ -6,38 +6,6 @@ import scipy.stats
 
 from passivekey import check_lemma3, check_lemma4
 from passivekey.decoy_bounds import serfling_xi
-from passivekey.oracle import hypergeom_tail
-
-
-class TestHypergeomTail:
-    def test_against_scipy(self):
-        for pop, marked, draw in ((100, 30, 20), (1000, 50, 100), (50, 25, 25)):
-            for threshold in (0, 1, 5, min(marked, draw)):
-                got = hypergeom_tail(pop, marked, draw, threshold)
-                want = float(scipy.stats.hypergeom.sf(threshold - 1, pop,
-                                                      marked, draw))
-                assert got == pytest.approx(want, rel=1e-10)
-
-    def test_forward_backward_consistent(self):
-        # ascending and descending accumulation orders must agree
-        pop, marked, draw = 200, 40, 60
-        for t in (1, 10, 20):
-            fwd = hypergeom_tail(pop, marked, draw, t, direction="forward")
-            bwd = hypergeom_tail(pop, marked, draw, t, direction="backward")
-            assert fwd == pytest.approx(bwd, rel=1e-12)
-
-    def test_edge_cases(self):
-        assert hypergeom_tail(100, 30, 20, 0) == pytest.approx(1.0, abs=1e-14)
-        assert hypergeom_tail(100, 30, 20, 21) == 0.0
-        # support floor: can't draw fewer marked than draw - unmarked
-        assert hypergeom_tail(10, 8, 9, 7) == pytest.approx(1.0, abs=1e-12)
-
-    def test_deep_tail_log_space(self):
-        # far tail where naive summation underflows
-        got = hypergeom_tail(10**6, 1000, 1000, 50)
-        want = float(scipy.stats.hypergeom.sf(49, 10**6, 1000, 1000))
-        assert got == pytest.approx(want, rel=1e-8)
-        assert 0.0 < got < 1e-50
 
 
 class TestCheckLemma4:
@@ -132,6 +100,7 @@ def test_seed_must_be_a_nonnegative_integer(check, args, seed):
     (check_lemma4, (100, True, 0.1, 0.1), "n2"),
     (check_lemma4, (100, 100, 1.5, 0.1), "outcome_rate"),
     (check_lemma4, (100, 100, -0.1, 0.1), "outcome_rate"),
+    (check_lemma3, (0, 500, 0.03, 2.0), "eps_sec"),
 ])
 def test_bad_sizes_and_fractions_rejected_by_name(check, args, name):
     # a size that is no count, or a fraction outside [0, 1], is named before
@@ -161,5 +130,5 @@ class TestRandomizedHypergeomAgreement:
         rng = np.random.default_rng(123)
         draws = rng.hypergeometric(marked, pop - marked, draw, size=200000)
         emp = float(np.mean(draws >= t))
-        exact = hypergeom_tail(pop, marked, draw, t)
+        exact = float(scipy.stats.hypergeom.sf(t - 1, pop, marked, draw))
         assert emp == pytest.approx(exact, abs=4 * np.sqrt(exact / 200000) + 1e-4)
