@@ -28,7 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 from .channel import ChannelModel
-from .errors import ConfigError, PassiveKeyError, _count
+from .decoy_bounds import _deltas
+from .errors import ConfigError, DegenerateDetector, PassiveKeyError, _count
 from .keylength import SecurityBudget
 from .optimizer import OptimizationSpec, SweepRow, distance_grid, sweep_point
 from .oracle import RNG_ALGORITHM, check_lemma3, check_lemma4
@@ -59,6 +60,20 @@ FLAG_KEYS = {
     "verify": {"seed": [("verify", "seed")], "trials": [("verify", "trials")],
                "out": [("verify", "path")]},
 }
+
+
+# The oracle suite, one check a row: (CSV name, check, its (size, size,
+# fraction, eps) arguments, report line template for its TrialReport r).
+_CHECKS = [
+    ("lemma3", check_lemma3, (500, 500, 0.03, 1e-3),
+     "phase-error sampling bound  n=500 l=500 fraction=0.03 eps=1e-03: "
+     "{r.violations}/{r.trials} violations (rate {r.rate:.2e}, allowed {r.bound:.0e})"),
+] + [
+    ("lemma4", check_lemma4, (n1, n2, 0.1, eps),
+     f"two-sample split width     n1={n1:<5} n2={n2:<5} eps={eps:g}: "
+     "{r.violations}/{r.trials} exceedances (rate {r.rate:.2e})")
+    for n1 in (100, 1000, 10000) for n2 in (100, 1000, 10000) for eps in (0.1, 0.01)
+]
 
 
 @dataclass
@@ -142,6 +157,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             x_grid_points=fval("optimizer", "x_grid_points", int),
         )
         source = fields_of("source")
+        try:  # delta_2 > delta_1 or no decoy bound at any mu; delta_n reads no mu
+            _deltas(SourceModel(mu=1.0, **source))
+        except DegenerateDetector as exc:
+            raise ConfigError(f"[source] eta_A = {source['eta_A']!r}: the heralding "
+                              f"detector cannot tell photon numbers apart: {exc}") from exc
         cfg = RunConfig(
             # a template like L_km=0.0: mu is the first value each row searches
             source=SourceModel(mu=spec.resolved_mu_bounds(source["eta_A"])[0],
@@ -216,51 +236,22 @@ def run(cfg: RunConfig, workers: int = 1) -> int:
     return 0
 
 
-def run_verify(cfg: RunConfig, report_stream=None) -> int:
+def run_verify(cfg: RunConfig) -> int:
+    """Print the oracle report and write its CSV; a check passes when r.rate <= r.bound."""
     _check_writable(cfg.verify_path)
-    stream = report_stream if report_stream is not None else sys.stdout
-    seed = cfg.verify_seed
-    trials = cfg.verify_trials
-    lines = []
+    seed, trials = cfg.verify_seed, cfg.verify_trials
     csv_rows = ["check,n_or_n1,l_or_n2,rate_or_fraction,eps,violations,trials,"
                 "observed_rate,ci_upper_95,seed,rng"]
-
     ok = True
-    r3 = check_lemma3(n=500, l=500, true_error_fraction=0.03, eps_sec=1e-3,
-                      trials=trials, seed=seed)
-    passed = r3.rate <= r3.bound
-    ok &= passed
-    lines.append(
-        f"phase-error sampling bound  n=500 l=500 fraction=0.03 eps=1e-03: "
-        f"{r3.violations}/{r3.trials} violations "
-        f"(rate {r3.rate:.2e}, allowed {r3.bound:.0e}) "
-        f"{'PASS' if passed else 'FAIL'}"
-    )
-    csv_rows.append(f"lemma3,500,500,0.03,0.001,{r3.violations},{r3.trials},"
-                    f"{_fmt(r3.rate)},{_fmt(r3.ci_upper_95)},{seed},{r3.rng}")
-
-    for n1 in (100, 1000, 10000):
-        for n2 in (100, 1000, 10000):
-            for eps in (0.1, 0.01):
-                r4 = check_lemma4(n1, n2, outcome_rate=0.1, eps=eps,
-                                  trials=trials, seed=seed)
-                passed = r4.rate <= eps
-                ok &= passed
-                lines.append(
-                    f"two-sample split width     n1={n1:<5} n2={n2:<5} "
-                    f"eps={eps:g}: {r4.violations}/{r4.trials} exceedances "
-                    f"(rate {r4.rate:.2e}) {'PASS' if passed else 'FAIL'}"
-                )
-                csv_rows.append(
-                    f"lemma4,{n1},{n2},0.1,{_fmt(eps)},{r4.violations},"
-                    f"{r4.trials},{_fmt(r4.rate)},{_fmt(r4.ci_upper_95)},"
-                    f"{seed},{r4.rng}"
-                )
-
-    stream.write(f"oracle verification  seed={seed} trials={trials} rng={RNG_ALGORITHM}\n")
-    for line in lines:
-        stream.write(line + "\n")
-    stream.write("RESULT: " + ("PASS" if ok else "FAIL") + "\n")
+    print(f"oracle verification  seed={seed} trials={trials} rng={RNG_ALGORITHM}")
+    for name, check, (size1, size2, fraction, eps), label in _CHECKS:
+        r = check(size1, size2, fraction, eps, trials=trials, seed=seed)
+        passed = r.rate <= r.bound
+        ok &= passed
+        print(label.format(r=r), "PASS" if passed else "FAIL")
+        csv_rows.append(f"{name},{size1},{size2},{fraction},{_fmt(eps)},{r.violations},"
+                        f"{r.trials},{_fmt(r.rate)},{_fmt(r.ci_upper_95)},{seed},{r.rng}")
+    print("RESULT:", "PASS" if ok else "FAIL")
     with open(cfg.verify_path, "w", newline="\n") as fh:
         fh.write("\n".join(csv_rows) + "\n")
     return 0 if ok else 3

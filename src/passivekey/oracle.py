@@ -1,12 +1,12 @@
 """Statistical ground-truth harness for the concentration bounds.
 
-Everything here is deliberately independent of the key-rate chain: seeded
-Monte Carlo sampling-without-replacement experiments with true integer
-counts.  They replay the two statistical claims the engine relies on:
+Seeded Monte Carlo sampling-without-replacement experiments with true
+integer counts, drawn independently of the key-rate chain.  They replay the
+two statistical claims the engine relies on:
 
 * the phase-error bound: the unobserved code-part error fraction exceeds
   the bound computed from the sampled part with probability far below the
-  secrecy target;
+  secrecy target (the bound is the chain's own `_phase_error_arrays`);
 * the two-sample yield concentration: the triggered/nontriggered split of a
   fixed population keeps the two empirical means within the Serfling width
   xi, except with probability at most eps.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .decoy_bounds import serfling_xi
 from .errors import _count
-from .phase_error import PhaseErrorInputs, phase_error_bound
+from .phase_error import _phase_error_arrays, _tail_target
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -74,22 +74,20 @@ def check_lemma3(
     true_error_fraction = _fraction("true_error_fraction", true_error_fraction)
     if not 0 < eps_sec < 1:
         raise ValueError(f"eps_sec must be in (0, 1), got {eps_sec!r}")
+    if _tail_target(eps_sec) is None:
+        raise ValueError(f"eps_sec must be large enough that the tail target "
+                         f"eps_sec^2/16 is a normal double, got {eps_sec!r}")
     total = n + l
     marked = int(math.floor(total * true_error_fraction))
-    rng = np.random.default_rng(seed)
     if n == 0:
         # everything sampled: nothing left to predict, no violations possible
         return TrialReport(0, trials, 0.0, eps_sec, 0.0, seed)
-    c = rng.hypergeometric(marked, total - marked, l, size=trials)
-
-    violations = 0
-    for c_val, count in zip(*np.unique(c, return_counts=True)):
-        e_ob = min(c_val / l, 0.5)
-        e_p = phase_error_bound(
-            PhaseErrorInputs(n=float(n), l=float(l), e_ob=e_ob, eps_sec=eps_sec)
-        )
-        if (marked - int(c_val)) / n > e_p:
-            violations += int(count)
+    draws = np.random.default_rng(seed).hypergeometric(
+        marked, total - marked, l, size=trials)
+    # one bound per distinct observed count c, in one call of the chain's bound
+    c, counts = np.unique(draws, return_counts=True)
+    e_p = _phase_error_arrays(n, l, np.minimum(c / l, 0.5), eps_sec)
+    violations = int(counts[(marked - c) / n > e_p].sum())
     rate = violations / trials
     return TrialReport(violations, trials, rate, eps_sec,
                        _ci_upper_95(violations, trials), seed)

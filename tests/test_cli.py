@@ -1,6 +1,5 @@
 """Configuration loading, CSV output determinism, and exit codes."""
 
-import io
 import math
 import os
 import re
@@ -152,13 +151,15 @@ class TestRunCommand:
         ("run", "[sweep]\np_pe = 0.7\n", []),
         ("run", "[security]\nf_EC = inf\n", []),
         ("run", "[security]\neps_sec = 1e-160\n", []),
+        ("run", "[source]\neta_A = 0\n[optimizer]\nmu_max = 0.5\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
             "run_out_unwritable", "verify_out_unwritable", "source_mu",
             "channel_alpha", "section_optimiser", "section_Optimizer",
             "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal",
-            "sweep_p_pe", "f_EC_inf", "eps_sec_underflow"])
+            "sweep_p_pe", "f_EC_inf", "eps_sec_underflow",
+            "eta_A_zero_mu_max"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
@@ -169,6 +170,18 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("optimizer", ["", "mu_max = 0.5\n"],
+                             ids=["no_mu_max", "mu_max"])
+    def test_blind_heralding_detector_named(self, tmp_path, capsys, optimizer):
+        # delta_2 <= delta_1 leaves no decoy bound at any mu: the error names
+        # eta_A and does not advise a mu_max that cannot help
+        path = write_config(tmp_path, "[source]\neta_A = 0\n[optimizer]\n" + optimizer)
+        assert main(["run", "--config", path, "--sweep", "50",
+                     "--out", str(tmp_path / "sweep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [source] eta_A")
+        assert "mu_max" not in err
 
     def test_mu_min_alone_sets_search_floor(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER + "mu_min = 0.6\n")
@@ -356,7 +369,7 @@ class TestVerifyCommand:
         assert lines[0].startswith("check,")
         assert len(lines) == 1 + 1 + 18  # header + lemma3 + 3x3x2 lemma4 grid
 
-    def test_verify_deterministic(self, tmp_path):
+    def test_verify_deterministic(self, tmp_path, capsys):
         cfg = load_config(None)
         cfg.verify_seed = 5
         cfg.verify_trials = 2000
@@ -365,8 +378,17 @@ class TestVerifyCommand:
         streams = []
         for out in ("v1.csv", "v2.csv"):
             cfg.verify_path = str(tmp_path / out)
-            buf = io.StringIO()
-            assert run_verify(cfg, report_stream=buf) == 0
-            streams.append(buf.getvalue())
+            assert run_verify(cfg) == 0
+            streams.append(capsys.readouterr().out)
         assert streams[0] == streams[1]
         assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
+
+    def test_frozen_verify_output(self, tmp_path, capsys):
+        # frozen_verify.txt and .csv hold this run's report and CSV as first
+        # written; both must replay byte for byte
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--seed", "3", "--trials", "2000",
+                     "--out", str(out)]) == 0
+        here = Path(__file__).parent
+        assert capsys.readouterr().out == (here / "frozen_verify.txt").read_text()
+        assert out.read_bytes() == (here / "frozen_verify.csv").read_bytes()

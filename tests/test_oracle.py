@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from passivekey import check_lemma3, check_lemma4
+from passivekey import check_lemma3, check_lemma4, oracle, phase_error
 from passivekey.decoy_bounds import serfling_xi
+from passivekey.phase_error import PhaseErrorInputs, phase_error_bound
 
 
 class TestCheckLemma4:
@@ -52,6 +53,24 @@ class TestCheckLemma3:
         # with P_fail <= eps and 2e4 trials, observing > 10 hits is absurd
         r = check_lemma3(500, 500, 0.03, 1e-3, trials=20000, seed=5)
         assert r.violations <= 10
+
+    def test_violation_count_matches_exact_failure_probability(self):
+        # at eps_sec = 0.9 the bound is loose enough to fail often: the
+        # observed rate must sit within 4 sigma of the exact probability,
+        # the hypergeometric mass of the counts c with (marked - c)/n > e_p(c)
+        n, l, fraction, eps, trials = 5, 5, 0.4, 0.9, 20000
+        r = check_lemma3(n, l, fraction, eps, trials=trials, seed=1)
+        marked = 4
+        c = np.arange(min(marked, l) + 1)
+        e_p = np.array([
+            phase_error_bound(PhaseErrorInputs(n, l, min(k / l, 0.5), eps))
+            for k in c
+        ])
+        fails = (marked - c) / n > e_p
+        p = float(scipy.stats.hypergeom.pmf(c[fails], n + l, marked, l).sum())
+        assert p == pytest.approx(0.2619, abs=1e-4)
+        assert r.violations == 5283
+        assert abs(r.rate - p) <= 4 * np.sqrt(p * (1 - p) / trials)
 
     def test_ci_upper_positive(self):
         r = check_lemma3(500, 500, 0.03, 1e-3, trials=2000, seed=9)
@@ -101,6 +120,8 @@ def test_seed_must_be_a_nonnegative_integer(check, args, seed):
     (check_lemma4, (100, 100, 1.5, 0.1), "outcome_rate"),
     (check_lemma4, (100, 100, -0.1, 0.1), "outcome_rate"),
     (check_lemma3, (0, 500, 0.03, 2.0), "eps_sec"),
+    (check_lemma3, (500, 500, 0.03, 1e-300), "eps_sec"),
+    (check_lemma3, (0, 500, 0.03, 1e-300), "eps_sec"),
 ])
 def test_bad_sizes_and_fractions_rejected_by_name(check, args, name):
     # a size that is no count, or a fraction outside [0, 1], is named before
@@ -113,6 +134,24 @@ def test_lemma3_with_nothing_hidden_reports_no_violation():
     # n = 0 is a valid size: every bit is sampled and nothing is predicted
     report = check_lemma3(0, 500, 0.03, 1e-3, trials=10, seed=1)
     assert (report.violations, report.rate) == (0, 0.0)
+
+
+def test_lemma3_bounds_all_counts_in_one_array_call(monkeypatch):
+    # the oracle replays the chain's array bound, once per report, over the
+    # distinct observed counts; with nothing hidden it needs no bound at all
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return phase_error._phase_error_arrays(*args)
+
+    monkeypatch.setattr(oracle, "_phase_error_arrays", counting)
+    check_lemma3(500, 500, 0.03, 1e-3, trials=2000, seed=3)
+    assert len(calls) == 1
+    check_lemma3(0, 500, 0.03, 1e-3, trials=2000, seed=3)
+    assert len(calls) == 1
+    assert not hasattr(oracle, "phase_error_bound")
+    assert not hasattr(oracle, "PhaseErrorInputs")
 
 
 @CHECKS
