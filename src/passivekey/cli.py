@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 from .channel import ChannelModel
-from .decoy_bounds import _deltas
 from .errors import ConfigError, DegenerateDetector, PassiveKeyError, _count
 from .keylength import SecurityBudget
 from .optimizer import OptimizationSpec, SweepRow, distance_grid, sweep_point
@@ -156,16 +155,15 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
                            fval("optimizer", "refine_p_pe", int)),
             x_grid_points=fval("optimizer", "x_grid_points", int),
         )
-        source = fields_of("source")
-        try:  # delta_2 > delta_1 or no decoy bound at any mu; delta_n reads no mu
-            _deltas(SourceModel(mu=1.0, **source))
+        # a template like L_km=0.0: mu is the first value each row searches
+        source = SourceModel(mu=spec.mu_bounds[0], **fields_of("source"))
+        try:
+            spec.resolved_mu_bounds(source)
         except DegenerateDetector as exc:
-            raise ConfigError(f"[source] eta_A = {source['eta_A']!r}: the heralding "
+            raise ConfigError(f"[source] eta_A = {source.eta_A!r}: the heralding "
                               f"detector cannot tell photon numbers apart: {exc}") from exc
         cfg = RunConfig(
-            # a template like L_km=0.0: mu is the first value each row searches
-            source=SourceModel(mu=spec.resolved_mu_bounds(source["eta_A"])[0],
-                               **source),
+            source=source,
             channel=ChannelModel(L_km=0.0, **fields_of("channel")),
             security=SecurityBudget(**fields_of("security")),
             spec=spec,

@@ -23,13 +23,7 @@ import numpy as np
 
 from .channel import Observables
 from .errors import DegenerateDetector, VacuousBound, ZeroGain
-from .photonics import (
-    SourceModel,
-    delta_n,
-    photon_prob,
-    sqrt_delta_p_low_orders,
-    sqrt_delta_p_sum,
-)
+from .photonics import SourceModel, delta_n, photon_prob, sqrt_delta_p_sum
 
 
 @dataclass(frozen=True)
@@ -119,11 +113,12 @@ def chi_total(src: SourceModel, budget: SampleBudget, obs: Observables) -> float
 def chi_low_orders(src: SourceModel, budget: SampleBudget, obs: Observables) -> float:
     """Aggregate fluctuation chi with the sqrt(delta_k p_k) sum cut at k = 2.
 
-    The reference key-rate curves are only reproduced with the first three
-    orders (``sqrt_delta_p_low_orders``) included; chi_total is the
-    conservative full-series variant.
+    The key-rate chain takes the k = 0, 1, 2 orders, the ones the yield
+    bound uses: the reference key-rate curves are only reproduced with these
+    (see keylength).  chi_total is the conservative full-series variant.
     """
-    return _chi_from_sum(budget, obs, sqrt_delta_p_low_orders(src))
+    s = sum(math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3))
+    return _chi_from_sum(budget, obs, s)
 
 
 def _deltas(src: SourceModel) -> tuple[float, float, float]:

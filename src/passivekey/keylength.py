@@ -82,6 +82,8 @@ class SecurityBudget:
             raise ValueError("eps_sec too small: tail target eps_sec^2/16 underflows")
         if not 0 < self.eps_cor < 1:
             raise ValueError("eps_cor must be in (0, 1)")
+        if not all(math.isfinite(c / self.eps_cor) for *_, c in _EPS_LEDGER.values()):
+            raise ValueError("eps_cor too small: a ledger penalty log2(c/eps_cor) overflows")
         if not 1 <= self.f_EC < math.inf:
             raise ValueError("f_EC must be finite and >= 1")
 
@@ -213,7 +215,7 @@ def key_length(
     lam = _leakage(obs, N, sec.f_EC)
     (ell_t, x_t, diag_t), (ell_b, x_b, diag_b) = _minimize_over_x(
         src, obs, N, p_pe, sec, lam, grid_points)
-    ell = max(math.floor(max(ell_t, ell_b)), 0)
+    ell = math.floor(max(ell_t, ell_b, 0.0))  # an infinite leakage is no key
     diag = Diagnostics(*(diag_t if ell_t >= ell_b else diag_b), *lam)
     return KeyLengthResult(
         ell_T=ell_t,
@@ -221,7 +223,7 @@ def key_length(
         ell=float(ell),
         x_opt_T=x_t,
         x_opt_B=x_b,
-        rate=float(ell) / (2.0 * N),
+        rate=0.5 * float(ell) / N,  # 2N overflows from N = 2^1023 on; 0.5 ell is exact
         diagnostics=diag,
     )
 

@@ -21,6 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import ChannelModel, simulate_observables
+from .decoy_bounds import _deltas
 from .errors import AllVacuous, ZeroGain, _count
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
                         asymptotic_rate, key_length)
@@ -36,8 +37,8 @@ class OptimizationSpec:
 
     mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
     (the series-divergence threshold); p_pe_bounds to [0.01, 0.99], and equal
-    p_pe bounds pin p_pe to that one value.  The cap is infinite when eta_A is
-    0 or subnormal, and then mu_bounds must give a finite upper end.
+    p_pe bounds pin p_pe to that one value.  A detector that passes the
+    delta_2 > delta_1 rule has eta_A > 0 and a finite cap.
     """
 
     mu_bounds: tuple[float, float] = (0.01, math.inf)
@@ -60,15 +61,13 @@ class OptimizationSpec:
                 f"p_pe bounds must satisfy 0 < min <= max < 1, got {lo}, {hi}"
             )
 
-    def resolved_mu_bounds(self, eta_A: float) -> tuple[float, float]:
+    def resolved_mu_bounds(self, src: SourceModel) -> tuple[float, float]:
+        """The searched mu interval; DegenerateDetector unless delta_2 > delta_1."""
+        _deltas(src)  # no decoy bound at any mu otherwise; delta_n reads no mu
         lo, hi = self.mu_bounds
-        cap = MU_SAFETY * (1.0 - eta_A) / eta_A if eta_A > 0 else math.inf
-        hi = min(hi, cap)
-        if not math.isfinite(hi):
-            raise ValueError(f"mu range [{lo}, {hi}] has no finite upper end "
-                             f"for eta_A={eta_A}: set mu_max")
+        hi = min(hi, MU_SAFETY * (1.0 - src.eta_A) / src.eta_A)
         if not hi > lo:
-            raise ValueError(f"empty mu range [{lo}, {hi}] for eta_A={eta_A}")
+            raise ValueError(f"empty mu range [{lo}, {hi}] for eta_A={src.eta_A}")
         return lo, hi
 
 
@@ -173,7 +172,7 @@ def optimize_rate(
     overwritten.  Raises AllVacuous when no grid point yields a positive key.
     """
     evaluate = _finite(L_km, N, src, ch, sec, spec)
-    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), spec)
+    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)
     if not rate > 0.0:
         raise AllVacuous(f"no positive key on the grid at L={L_km} km, N={N:g}")
     return OptimizeResult(rate=rate, mu=mu, p_pe=p_pe, result=res)
@@ -198,7 +197,7 @@ def max_distance(
     if not 0 <= L_max_km < math.inf:
         raise ValueError(f"L_max_km must be finite and >= 0, got {L_max_km}")
     grid = distance_grid(0.0, L_max_km, step_km)
-    mu_bounds = spec.resolved_mu_bounds(src.eta_A)
+    mu_bounds = spec.resolved_mu_bounds(src)
 
     def positive(L):
         walk = _walk(_finite(L, N, src, ch, sec, spec), mu_bounds,
@@ -267,7 +266,7 @@ def sweep_point(
             return lambda _p_pe: (rate, None)
 
         spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
-    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src.eta_A), spec)
+    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)
     if res is None:  # every asymptotic row, and a finite row with no key
         ell = 0.0 if mode == "finite" else math.nan
         return SweepRow(L_km, N, mode, mu, math.nan, math.nan, ell, ell, ell, rate,

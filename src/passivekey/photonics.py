@@ -158,11 +158,3 @@ def sqrt_delta_p_sum(src: SourceModel) -> float:
     return (series_sum(head).value
             + c * rho**K * (1.0 / (1.0 - rho) - series_sum(tail).value))
 
-
-def sqrt_delta_p_low_orders(src: SourceModel) -> float:
-    """Sum of sqrt(delta_k * p_k) over k = 0, 1, 2 only.
-
-    The key-rate chain uses the first three photon-number orders (the same
-    orders that appear in the yield bound); see keylength for rationale.
-    """
-    return sum(math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3))

@@ -36,6 +36,10 @@ class TestObservablesValidation:
             ChannelModel(alpha_db_per_km=0.2, L_km=10, eta_B=0.0, p_d=0, e_d=0)
         with pytest.raises(ValueError):
             ChannelModel(alpha_db_per_km=0.2, L_km=10, eta_B=0.1, p_d=1.0, e_d=0)
+        with pytest.raises(ValueError, match="L_km"):
+            ChannelModel(alpha_db_per_km=0.2, L_km=-1, eta_B=0.1, p_d=0, e_d=0)
+        with pytest.raises(ValueError, match="e_d"):
+            ChannelModel(alpha_db_per_km=0.2, L_km=10, eta_B=0.1, p_d=0, e_d=0.51)
 
 
 class TestSimulateObservables:

@@ -152,6 +152,14 @@ class TestRunCommand:
         ("run", "[security]\nf_EC = inf\n", []),
         ("run", "[security]\neps_sec = 1e-160\n", []),
         ("run", "[source]\neta_A = 0\n[optimizer]\nmu_max = 0.5\n", []),
+        ("run", "[source]\neta_A = 1\n", []),
+        ("run", "[security]\neps_cor = 1e-320\n", []),
+        ("run", "[security]\neps_cor = 0\n", []),
+        ("run", "[security]\neps_sec = 1\n", []),
+        ("run", "[channel]\ne_d = 0.6\n", []),
+        ("run", "", ["--sweep", "0:10"]),
+        ("run", "no section header\n", []),
+        ("run", "[sweep]\nNs = ,\n", []),
     ], ids=["coarse_mu", "mu_max", "N", "p_pe", "verify_trials_flag",
             "verify_seed_flag", "verify_trials_key", "verify_seed_key",
             "workers_0", "workers_negative", "N_inf", "sweep_nan", "alpha_nan",
@@ -159,7 +167,8 @@ class TestRunCommand:
             "channel_alpha", "section_optimiser", "section_Optimizer",
             "default_section", "mu_max_empty", "eta_A_zero", "eta_A_subnormal",
             "sweep_p_pe", "f_EC_inf", "eps_sec_underflow",
-            "eta_A_zero_mu_max"])
+            "eta_A_zero_mu_max", "eta_A_one", "eps_cor_overflow", "eps_cor_zero",
+            "eps_sec_one", "e_d", "sweep_two_parts", "unparsable", "N_empty"])
     def test_bad_input_exits_2(self, tmp_path, capsys, command, config, args):
         path = write_config(tmp_path, config)
         out = tmp_path / "sweep.csv"
@@ -182,6 +191,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [source] eta_A")
         assert "mu_max" not in err
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # at eta_A = 0.003 the mu cap reaches a mu whose thermal series needs
+        # more than SERIES_INDEX_CAP terms; a closed-form observable that
+        # mends this needs another input to reach the exit-3 branch
+        path = write_config(tmp_path, "[source]\neta_A = 0.003\n[optimizer]\n"
+                            "coarse_mu = 2\ncoarse_p_pe = 1\nrefine_rounds = 0\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "50", "--N", "1e9",
+                     "--mode", "asymptotic", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
 
     def test_mu_min_alone_sets_search_floor(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER + "mu_min = 0.6\n")

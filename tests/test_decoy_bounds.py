@@ -41,6 +41,14 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match="N must be finite"):
             SampleBudget(N=N, p_pe=0.5, eps_pe=1e-11)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_pe", 0.0), ("p_pe", 1.0), ("eps_pe", 0.0), ("eps_pe", 1.0),
+    ])
+    def test_p_pe_and_eps_pe_in_open_unit_interval(self, field, value):
+        kwargs = {"N": 1e9, "p_pe": 0.5, "eps_pe": 1e-11, field: value}
+        with pytest.raises(ValueError, match=field):
+            SampleBudget(**kwargs)
+
     def test_N_of_1_accepted(self):
         assert SampleBudget(N=1.0, p_pe=0.5, eps_pe=1e-11).N == 1.0
 
@@ -84,6 +92,14 @@ class TestChi:
             0.09399222046895718, rel=1e-11
         )
 
+    def test_low_orders_sum_frozen(self, src, budget, obs):
+        # the k = 0..2 sum of sqrt(delta_k p_k) at mu=0.5, eta_A=0.5, d_A=1e-6,
+        # read back from chi = width * sum / Q_nt
+        width = math.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
+        assert chi_low_orders(src, budget, obs) * obs.Q_nt / width == pytest.approx(
+            0.94362632424588622, rel=1e-12
+        )
+
     def test_frozen_total(self, src, budget, obs):
         assert chi_total(src, budget, obs) == pytest.approx(
             0.33045027486752231, rel=1e-11
@@ -96,6 +112,10 @@ class TestChi:
         assert chi_term(src, budget, 1) == pytest.approx(
             7.5023680231802968e-05, rel=1e-11
         )
+
+    def test_term_order_is_0_or_1(self, src, budget):
+        with pytest.raises(ValueError, match="i must be 0 or 1"):
+            chi_term(src, budget, 2)
 
     def test_low_orders_below_total(self, src, budget, obs):
         assert chi_low_orders(src, budget, obs) < chi_total(src, budget, obs)

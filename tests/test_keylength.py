@@ -169,6 +169,36 @@ class TestKeyLength:
             with pytest.raises(NoSolution):
                 solve_omega(inputs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps_sec", 0.0), ("eps_sec", 1.0), ("eps_cor", 0.0), ("eps_cor", 1.0),
+        ("eps_cor", math.ldexp(1.0, -1022)), ("eps_cor", 1e-320),
+    ])
+    def test_security_budget_refuses_eps(self, field, value):
+        # from eps_cor = 2^-1022 down, B's penalty log2(4/eps_cor) is no finite number
+        kwargs = {"eps_sec": 1e-10, "eps_cor": 1e-12, "f_EC": 1.16, field: value}
+        with pytest.raises(ValueError, match=field):
+            SecurityBudget(**kwargs)
+
+    def test_smallest_eps_cor_gives_a_finite_key(self, src, obs):
+        sec = SecurityBudget(eps_sec=1e-10, eps_cor=math.ldexp(1.0, -1021), f_EC=1.16)
+        res = key_length(src, obs, N=1e12, p_pe=0.5, sec=sec)
+        assert math.isfinite(res.ell_T) and math.isfinite(res.ell_B)
+        assert res.ell > 0.0
+
+    def test_infinite_leakage_is_no_key(self, src, obs):
+        # f_EC = 1e308 overflows lambda_EC: ell(x) is -inf, clamped to no key
+        sec = SecurityBudget(eps_sec=1e-10, eps_cor=1e-12, f_EC=1e308)
+        res = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec)
+        assert res.ell_T == res.ell_B == -math.inf
+        assert res.ell == res.rate == 0.0
+
+    def test_rate_where_2N_overflows(self, src, obs, sec):
+        # 2N is inf from N = 2^1023 on; the rate is 0.5 ell / N, not ell / inf
+        big = key_length(src, obs, N=1.7e308, p_pe=0.5, sec=sec)
+        ref = key_length(src, obs, N=1e306, p_pe=0.5, sec=sec)
+        assert big.ell > 0.0
+        assert big.rate == pytest.approx(ref.rate, rel=1e-6)
+
     def test_diagnostics_populated(self, src, obs, sec):
         d = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec).diagnostics
         assert 0.0 < d.e_p_t <= 0.5

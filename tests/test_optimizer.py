@@ -2,15 +2,18 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from passivekey import optimizer
+from passivekey import keylength, optimizer
 from passivekey import (
     AllVacuous,
+    DegenerateDetector,
     OptimizationSpec,
+    SourceModel,
     max_distance,
     optimize_rate,
     sweep_point,
@@ -27,28 +30,46 @@ FAST = OptimizationSpec(
 
 
 class TestOptimizationSpec:
-    def test_mu_cap(self):
+    def test_mu_cap(self, src):
         spec = OptimizationSpec()
-        lo, hi = spec.resolved_mu_bounds(0.5)
+        lo, hi = spec.resolved_mu_bounds(src)
         assert lo == 0.01
         assert hi == pytest.approx(0.99, rel=1e-12)
 
-    def test_explicit_bounds_still_capped(self):
+    def test_explicit_bounds_still_capped(self, src):
         spec = OptimizationSpec(mu_bounds=(0.1, 10.0))
-        _, hi = spec.resolved_mu_bounds(0.5)
+        _, hi = spec.resolved_mu_bounds(src)
         assert hi == pytest.approx(0.99, rel=1e-12)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            OptimizationSpec(mu_bounds=(5.0, 10.0)).resolved_mu_bounds(0.9)
+            OptimizationSpec(mu_bounds=(5.0, 10.0)).resolved_mu_bounds(
+                SourceModel(mu=0.5, eta_A=0.9, d_A=1e-6))
 
-    @pytest.mark.parametrize("eta_A", [0.0, 1e-320])
-    def test_infinite_cap_needs_finite_mu_max(self, eta_A):
-        # no divergence cap: the default (0.01, inf) would give a nan mu grid
-        with pytest.raises(ValueError, match="mu_max"):
-            OptimizationSpec().resolved_mu_bounds(eta_A)
-        spec = OptimizationSpec(mu_bounds=(0.01, 0.5))
-        assert spec.resolved_mu_bounds(eta_A) == (0.01, 0.5)
+    @pytest.mark.parametrize("mu_bounds", [(0.01, math.inf), (0.01, 0.5)],
+                             ids=["no_mu_max", "mu_max"])
+    @pytest.mark.parametrize("eta_A", [0.0, 1e-320, 1.0])
+    def test_blind_detector_refused(self, monkeypatch, sec, eta_A, mu_bounds):
+        # delta_2 <= delta_1 (or gamma_1 = 1) leaves no decoy bound at any mu:
+        # every search refuses the detector before it simulates one row
+        calls = []
+        for module in (optimizer, keylength):
+            monkeypatch.setattr(module, "simulate_observables",
+                                lambda *args: calls.append(args))
+        src = SourceModel(mu=0.5, eta_A=eta_A, d_A=1e-6)
+        spec = replace(FAST, mu_bounds=mu_bounds)
+        ch = make_channel(50.0)
+        searches = [
+            lambda: spec.resolved_mu_bounds(src),
+            lambda: optimize_rate(50.0, 1e9, src, ch, sec, spec),
+            lambda: max_distance(1e9, src, ch, sec, spec, step_km=50.0),
+            lambda: sweep_point(50.0, 1e9, "finite", src, ch, sec, spec),
+            lambda: sweep_point(50.0, 1e9, "asymptotic", src, ch, sec, spec),
+        ]
+        for search in searches:
+            with pytest.raises(DegenerateDetector):
+                search()
+        assert calls == []
 
     @pytest.mark.parametrize("fields", [
         {"coarse_points": (0, 8)},
@@ -156,7 +177,7 @@ class TestMaxDistance:
         # rate > 0 is settled by the first positive coarse point: a probe
         # with a key stops there, a vacuous one walks the coarse grid once,
         # and no probe refines
-        mus = np.linspace(*FAST.resolved_mu_bounds(src.eta_A), FAST.coarse_points[0])
+        mus = np.linspace(*FAST.resolved_mu_bounds(src), FAST.coarse_points[0])
         ppes = np.linspace(*FAST.p_pe_bounds, FAST.coarse_points[1])
         calls = []
 

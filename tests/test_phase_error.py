@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import hypergeom
 
 from passivekey import NoSolution, PhaseErrorInputs, phase_error_bound, solve_omega
-from passivekey.phase_error import (OMEGA_MAX, _solve_omega_arrays,
+from passivekey.phase_error import (OMEGA_MAX, _phase_error_arrays, _solve_omega_arrays,
                                     _tail_condition_lhs, e_hat, gaussian_tail)
 
 
@@ -214,8 +215,6 @@ class TestPhaseErrorBound:
     def test_exact_hypergeometric_soundness(self):
         # exact failure probability of the claim at n = l = 500:
         # P[ hidden errors/n > e_p(c) ] summed over observed counts c
-        from scipy.stats import hypergeom
-
         n, l, eps_sec = 500, 500, 1e-3
         frac = 0.03
         marked = int((n + l) * frac)
@@ -229,9 +228,26 @@ class TestPhaseErrorBound:
                 fail += hypergeom.pmf(c, n + l, marked, l)
         assert fail <= eps_sec
 
+    @pytest.mark.parametrize("fraction", [0.005, 0.015, 0.03, 0.1])
+    @pytest.mark.parametrize("n, l", [(96_000, 561_000), (10_000, 10_000), (1_000, 9_000)])
+    def test_exact_failure_probability_at_engine_scale(self, n, l, fraction):
+        # the same sum at the chain's eps_sec and counts (the triggered class
+        # at 50 km, N = 1e9 has n ~ 9.6e4, l ~ 5.6e5), where no Monte Carlo
+        # run can see a 1e-10 rate: the hypergeometric mass of every observed
+        # count c on the whole support with (marked - c)/n > e_p(c)
+        eps_sec = 1e-10
+        marked = int((n + l) * fraction)
+        c = np.arange(min(marked, l) + 1)
+        e_p = _phase_error_arrays(n, l, np.minimum(c / l, 0.5), eps_sec)
+        fails = (marked - c) / n > e_p
+        fail = np.exp(hypergeom.logpmf(c[fails], n + l, marked, l)).sum()
+        assert fail <= eps_sec
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseErrorInputs(n=-1.0, l=10.0, e_ob=0.0, eps_sec=1e-10)
+        with pytest.raises(ValueError, match="l must be > 0"):
+            PhaseErrorInputs(n=10.0, l=0.0, e_ob=0.0, eps_sec=1e-10)
         with pytest.raises(ValueError):
             PhaseErrorInputs(n=10.0, l=10.0, e_ob=0.7, eps_sec=1e-10)
         with pytest.raises(ValueError):

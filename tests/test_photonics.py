@@ -17,7 +17,6 @@ from passivekey.photonics import (
     nontrigger_prob,
     photon_prob,
     series_sum,
-    sqrt_delta_p_low_orders,
     sqrt_delta_p_sum,
     trigger_prob,
 )
@@ -55,6 +54,9 @@ class TestPhotonProb:
             SourceModel(mu=0.5, eta_A=1.5, d_A=1e-6)
         with pytest.raises(ValueError):
             SourceModel(mu=0.5, eta_A=0.5, d_A=-1e-6)
+        for prob in (photon_prob, nontrigger_prob):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                prob(SourceModel(mu=0.5, eta_A=0.5, d_A=1e-6), -1)
 
 
 class TestHeralding:
@@ -124,14 +126,6 @@ class TestSqrtDeltaPSum:
         assert sqrt_delta_p_sum(src) == pytest.approx(
             3.3175253937347738, rel=1e-12
         )
-
-    def test_low_orders_frozen(self, src):
-        assert sqrt_delta_p_low_orders(src) == pytest.approx(
-            0.94362632424588622, rel=1e-12
-        )
-
-    def test_low_orders_below_total(self, src):
-        assert sqrt_delta_p_low_orders(src) < sqrt_delta_p_sum(src)
 
     def test_divergent(self):
         # terms grow like (mu (1+delta ratio)); at mu=1, eta_A=0.5 the ratio is 1
