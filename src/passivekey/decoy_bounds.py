@@ -145,13 +145,14 @@ def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
     num_t = 2.0 * delta * obs.E_t - d0 * xa + chi0 / obs.Q_nt
     den_t = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
     num_nt = 2.0 * obs.E_nt - xa
+    ok_t, ok_nt = den_t > 0, z > 0
     return SinglePhotonBounds(
         zeta=z,
         q0_t_lb=d0 * obs.Q_nt * xa - chi0,
         q1_t_lb=d1 * obs.Q_nt * z - chi1,
         q1_nt_lb=obs.Q_nt * z,
-        w_t=np.where(den_t > 0, num_t / np.where(den_t > 0, den_t, 1.0), np.inf),
-        w_nt=np.where(z > 0, num_nt / np.where(z > 0, 2.0 * z, 1.0), np.inf),
+        w_t=np.where(ok_t, num_t / np.where(ok_t, den_t, 1.0), np.inf),
+        w_nt=np.where(ok_nt, num_nt / np.where(ok_nt, 2.0 * z, 1.0), np.inf),
     )
 
 

@@ -8,9 +8,10 @@ phase-error bound:
   correction separate, privacy amplification joint).
 
 ``_ell`` is the one key-length expression ell(x) of either strategy on an
-array of the free vacuum ratio x.  ``_ell_curves`` feeds it the finite-size
-terms (chi, the phase-error bound, the epsilon penalty) of both strategies,
-and ``_minimize_over_x`` takes the worst case of each, with the bound values
+array of the free vacuum ratio x.  ``_ledger`` builds the x-independent
+finite-size terms of both strategies (sample budget, chi, epsilon penalty)
+once a call, ``_ell_curves`` feeds them and the phase-error bound to it, and
+``_minimize_over_x`` takes the worst case of each, with the bound values
 there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
 zero) and the rate is ``R = ell / (2 N)``.  The asymptotic rate is the same
 expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
@@ -132,9 +133,9 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
 
 
 def _leakage(obs, N, f_EC):
-    """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class."""
-    return (N * obs.Q_t * f_EC * binary_entropy(obs.E_t),
-            N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt))
+    """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class, as floats."""
+    return (float(N * obs.Q_t * f_EC * binary_entropy(obs.E_t)),
+            float(N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt)))
 
 
 def _ell(x, which, obs, b, h_t, h_nt, N, lam, penalty):
@@ -153,27 +154,37 @@ def _ell(x, which, obs, b, h_t, h_nt, N, lam, penalty):
     return N * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
 
 
-def _ell_curves(xs, src, obs, N, p_pe, sec, lam):
-    """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
+def _ledger(src, obs, N, p_pe, sec):
+    """Per strategy T, B: (sample budget, chi, epsilon penalty) from ``_EPS_LEDGER``.
 
-    x_T and x_B are arrays of one length.  Each strategy takes chi at its own
-    eps_sec share; e_p of T's triggered class and of B's two classes comes
-    from one phase-error solve.  e_p_nt is None for "T".
+    The budget carries the strategy's share eps_sec/s, at which chi (and
+    chi0, chi1 in ``evaluate_bounds``) is taken; none of them depends on x.
     """
-    bounds, penalty = [], []
-    for which, x in zip("TB", xs):
+    terms = []
+    for which in "TB":
         s, a, b, c = _EPS_LEDGER[which]
         budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
-        penalty.append(a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor))
-        bounds.append(evaluate_bounds(x, src, budget, obs,
-                                      chi=chi_low_orders(src, budget, obs)))
-    bt, bb = bounds
+        terms.append((budget, chi_low_orders(src, budget, obs),
+                      a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor)))
+    return terms
+
+
+def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
+    """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
+
+    x_T and x_B are arrays of one length; ledger is ``_ledger``'s pair.  e_p
+    of T's triggered class and of B's two classes comes from one phase-error
+    solve.  e_p_nt is None for "T".
+    """
+    bt, bb = (evaluate_bounds(x, src, budget, obs, chi=chi)
+              for x, (budget, chi, _) in zip(xs, ledger))
     e_p = _phase_error_for_class(np.concatenate([bt.q1_t_lb, bb.q1_t_lb, bb.q1_nt_lb]),
                                  np.concatenate([bt.w_t, bb.w_t, bb.w_nt]),
                                  N, p_pe, sec.eps_sec).reshape(3, -1)
     h = binary_entropy(e_p)
-    return ((_ell(xs[0], "T", obs, bt, h[0], None, N, lam, penalty[0]), bt, e_p[0], None),
-            (_ell(xs[1], "B", obs, bb, h[1], h[2], N, lam, penalty[1]), bb, e_p[1], e_p[2]))
+    (_, _, pen_t), (_, _, pen_b) = ledger
+    return ((_ell(xs[0], "T", obs, bt, h[0], None, N, lam, pen_t), bt, e_p[0], None),
+            (_ell(xs[1], "B", obs, bb, h[1], h[2], N, lam, pen_b), bb, e_p[1], e_p[2]))
 
 
 def _minimize_over_x(src, obs, N, p_pe, sec, lam, grid_points):
@@ -182,14 +193,16 @@ def _minimize_over_x(src, obs, N, p_pe, sec, lam, grid_points):
 
     Both strategies are searched together, one ``_ell_curves`` call a round:
     a grid_points grid on x_range, then X_REFINE_ROUNDS rounds of
-    X_REFINE_POINTS points around each strategy's own minimum.
+    X_REFINE_POINTS points around each strategy's own minimum.  The ledger
+    terms are built once, before the first round.
     """
+    ledger = _ledger(src, obs, N, p_pe, sec)
     lo, hi = x_range(src, obs)
     windows, best = [(lo, hi)] * 2, [(math.inf, lo, None)] * 2
     points = grid_points
     for _ in range(X_REFINE_ROUNDS + 1):
         xs = [np.linspace(*window, points) for window in windows]
-        curves = _ell_curves(xs, src, obs, N, p_pe, sec, lam)
+        curves = _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger)
         for k, (x, (vals, b, e_p_t, e_p_nt)) in enumerate(zip(xs, curves)):
             i = int(np.argmin(vals))
             if vals[i] < best[k][0]:

@@ -15,8 +15,9 @@ the smallest value for which the Gaussian-tail condition
 holds, with nu = 1/(6n) + 1/12 and Phi the standard normal upper tail.
 omega is defined on a grid: the first point of the OMEGA_MAX 2^-46 grid
 (spacing below OMEGA_TOL) where the float LHS meets the condition.  A
-safeguarded Newton solve of the condition in logs, with log Phi from
-`log_ndtr`, finds it in about four steps, and one exact LHS evaluation
+Newton solve of the condition in logs, with log Phi from `log_ndtr`, finds
+it in two steps from a large-omega start (the log of the LHS is concave and
+decreasing, so Newton needs no bracket), and one exact LHS evaluation
 places it on the grid.  Where Phi is not a normal double the float LHS
 cannot judge a point, so omega there is the log-space crossing rounded up
 to the grid plus one step: it errs high, and e_p with it.
@@ -40,8 +41,14 @@ OMEGA_MAX = 40.0
 OMEGA_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-_LOG_SQRT_2PI = 0.5 * math.log(_TWO_PI)
-# bisection on [0, OMEGA_MAX] alone reaches OMEGA_TOL in 46 of these
+_LOG_TWO_PI = math.log(_TWO_PI)
+_HALF_LOG_2 = 0.5 * math.log(2.0)
+# log phi(w) - log Phi(w) = _LOG_PHI_SHIFT - (w^2 + 2 pi)/2 - log Phi(w)
+_LOG_PHI_SHIFT = math.pi - 0.5 * _LOG_TWO_PI
+# log g at OMEGA_MAX + 1: a crossing below this c lies past OMEGA_MAX
+_C_FLOOR = float(0.5 * math.log(0.5 * ((OMEGA_MAX + 1.0) ** 2 + _TWO_PI))
+                 + log_ndtr(-(OMEGA_MAX + 1.0)))
+# a guard only: from its large-omega start, Newton takes two steps
 _NEWTON_STEPS = 64
 
 
@@ -85,6 +92,19 @@ def _tail_condition_lhs(omega, n, l):
     )
 
 
+def _last_judged_point():
+    """The largest double whose Phi is a normal double (about 37.52), by
+    bisection on the floats: Phi is decreasing, so a point judges the float
+    LHS exactly when it is at most this one."""
+    lo, hi = 0.0, OMEGA_MAX
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if gaussian_tail(mid) >= sys.float_info.min else (lo, mid)
+    return lo
+
+
+_OMEGA_JUDGED = _last_judged_point()
+
+
 def _tail_target(eps_sec):
     """The tail target eps_sec^2/16, or None where it is below the smallest
     normal double: there Phi is subnormal at every point near the crossing,
@@ -98,51 +118,51 @@ def _solve_omega_arrays(n, l, eps_sec):
     eps_sec^2/16, elementwise; inf where the condition is unmet at OMEGA_MAX
     (a nan LHS included).
 
-    Newton steps solve log g(omega) = c, with g = sqrt((omega^2 + 2 pi)/2)
-    Phi(omega) and c = log(eps_sec^2/16) - log(sqrt((n+l)/n) e^nu), inside a
-    [lo, hi] bracket until every step is at most a quarter grid step.  The
+    Newton steps solve f(omega) = log g(omega) - c = 0, with
+    g = sqrt((omega^2 + 2 pi)/2) Phi(omega) and
+    c = log(eps_sec^2/16) - log(sqrt((n+l)/n) e^nu).  On [0, OMEGA_MAX] f is
+    decreasing and concave (f' <= -0.79, -1 < f'' < 0), so Newton needs no
+    bracket: from any start, every iterate after the first lies right of the
+    crossing and falls to it.  The start is the two-term large-omega inverse
+    of log g, omega^2 = a + (2 pi - 2)/a with a = max(-2c - log 4 pi, 1),
+    within 1e-4 of the crossing on the engine's inputs.  A step d leaves an
+    error below about 0.64 d^2, so the solve stops once every step is at most
+    sqrt(step/4), with the iterate within a quarter grid step.  The
     crossing is rounded up to the grid and moved at most one step either
     way by one exact `_tail_condition_lhs` evaluation.  A point whose Phi is
-    not a normal double is not judged: there omega is the rounded-up
-    crossing plus one step, which errs high.
+    not a normal double (past _OMEGA_JUDGED) is not judged: there omega is
+    the rounded-up crossing plus one step, which errs high, and which grid
+    point that is can follow the last ulp of the Newton iterate.
     """
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
-    shape = np.broadcast(n, l).shape
     target = _tail_target(eps_sec)
     if target is None:
         raise NoSolution(f"tail target eps_sec^2/16 underflows for eps_sec={eps_sec}")
     step = OMEGA_MAX / 2.0 ** math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))
+    done = math.sqrt(step / 4.0)
     # e^nu overflows for n below about 2.4e-4, and then inf * Phi = nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = math.log(target) - 0.5 * np.log1p(l / n) - (1.0 / (6.0 * n) + 1.0 / 12.0)
-        # c is not finite only where the LHS at OMEGA_MAX is inf or nan,
-        # which `met` rejects: give those elements any finite stand-in
-        c = np.broadcast_to(np.where(np.isfinite(c), c, -1.0), shape)
-        # log g is concave and decreasing, above every c at omega = 0, and
-        # below c at this start, so the Newton steps fall to the crossing
-        w = np.minimum(np.sqrt(np.maximum(-2.0 * c, 1.0)), OMEGA_MAX)
-        lo = np.zeros(shape)
-        hi = np.full(shape, OMEGA_MAX)
+        # a c below _C_FLOOR (or not finite) puts the crossing past
+        # OMEGA_MAX, where omega is inf whatever w is, and a far crossing
+        # would send Newton out of the float range: solve at _C_FLOOR there.
+        # c absorbs the (1/2) log(1/2) of log g: f = log(w^2 + 2 pi)/2 + log Phi - c
+        c = np.where(c >= _C_FLOOR, c, _C_FLOOR) + _HALF_LOG_2
+        a = np.maximum(-2.0 * c - _LOG_TWO_PI, 1.0)  # -2c - log 4 pi before the fold
+        w = np.sqrt(a + (_TWO_PI - 2.0) / a)
         for _ in range(_NEWTON_STEPS):
-            w2 = w * w
+            s = w * w + _TWO_PI
             log_tail = log_ndtr(-w)
-            f = 0.5 * np.log(0.5 * (w2 + _TWO_PI)) + log_tail - c
-            right = f > 0.0
-            lo = np.where(right, w, lo)
-            hi = np.where(right, hi, w)
-            slope = w / (w2 + _TWO_PI) - np.exp(-0.5 * w2 - _LOG_SQRT_2PI - log_tail)
-            newton = w - f / slope
-            # inclusive: a converged step may land on a bracket end
-            nxt = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-            converged = np.all(np.abs(nxt - w) <= step / 4.0)
-            w = nxt
-            if converged:
+            slope = w / s - np.exp(_LOG_PHI_SHIFT - 0.5 * s - log_tail)
+            dw = (0.5 * np.log(s) + log_tail - c) / slope
+            w = w - dw
+            if np.abs(dw).max() <= done:
                 break
         snapped = np.ceil(w / step) * step
-        points = np.stack([np.full(shape, OMEGA_MAX), snapped - step, snapped])
+        points = np.array([np.full_like(w, OMEGA_MAX), snapped - step, snapped])
         meets = _tail_condition_lhs(points, n, l) <= target
-        judged = gaussian_tail(points) >= sys.float_info.min
+        judged = points <= _OMEGA_JUDGED
     met = meets[0]
     omega = np.where(judged[1] & meets[1], snapped - step,
                      np.where(judged[2] & meets[2], snapped, snapped + step))
@@ -172,16 +192,17 @@ def _phase_error_arrays(n, l, e_ob, eps_sec):
     e_ob = np.asarray(e_ob, dtype=float)
     omega = _solve_omega_arrays(n, l, eps_sec)
     with np.errstate(over="ignore", invalid="ignore"):
+        total = n + l
         tau = omega**2 * n / (
-            4.0 * l * np.maximum(n + l - 1.0, np.finfo(float).tiny)
+            4.0 * l * np.maximum(total - 1.0, np.finfo(float).tiny)
         )
         # +2 error-count shift: the bound is stated for the count c+2.
         e_shift = np.minimum((e_ob * l + 2.0) / l, 1.0)
-        ep = ((n + l) * e_hat(e_shift, tau) - l * e_shift) / n
+        ep = (total * e_hat(e_shift, tau) - l * e_shift) / n
     # fewer than two bits in total carries no information, and an infinite
     # omega (no solution) or overflow of tau (vanishing sample side) means
     # the same: the bound is vacuous
-    ep = np.where((n + l > 1.0) & np.isfinite(ep), ep, 0.5)
+    ep = np.where((total > 1.0) & np.isfinite(ep), ep, 0.5)
     return np.clip(ep, 0.0, 0.5)
 
 

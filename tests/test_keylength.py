@@ -29,6 +29,7 @@ from passivekey.keylength import (
     _ell,
     _ell_curves,
     _leakage,
+    _ledger,
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
@@ -74,7 +75,8 @@ STRATEGY = {"T": 0, "B": 1}  # index into _ell_curves' and _minimize_over_x's pa
 # array of x, and both minima over x_range
 def curves_at(xs, src, obs, N, sec):
     xs = np.asarray(xs, dtype=float)
-    return _ell_curves((xs, xs), src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC))
+    return _ell_curves((xs, xs), src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC),
+                       _ledger(src, obs, N, 0.5, sec))
 
 
 def minimize(src, obs, N, sec):
@@ -205,6 +207,12 @@ class TestKeyLength:
         assert 0.0 < d.e_p_nt <= 0.5
         assert d.lambda_ec_t > 0.0
 
+    def test_every_field_is_a_float(self, src, obs, sec):
+        # the leakage terms too: binary_entropy's 0-d result is no field type
+        res = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec)
+        assert all(type(v) is float for v in astuple(res)[:-1] + astuple(res.diagnostics))
+        assert "np.float64" not in repr(res)
+
     # B wins at the x_range endpoint x* = 0 (50 km) and inside it (100 km)
     @pytest.mark.parametrize("L, N", [(50.0, 1e9), (100.0, 1e13)])
     def test_diagnostics_at_winning_x(self, src, sec, L, N):
@@ -260,7 +268,8 @@ class TestKeyLength:
 
     def test_calls_per_layer(self, monkeypatch, src, obs, sec):
         # the names the benchmark's tracer wraps on keylength: both strategies'
-        # bounds in each of the three x rounds, one phase-error solve a round
+        # bounds in each of the three x rounds, one phase-error solve a round,
+        # and each strategy's chi once a call
         calls = dict.fromkeys(["evaluate_bounds", "chi_low_orders",
                                "_phase_error_arrays"], 0)
         for name in calls:
@@ -269,7 +278,7 @@ class TestKeyLength:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(keylength, name, counted)
         assert key_length(src, obs, 1e9, 0.5, sec).ell > 0
-        assert calls == {"evaluate_bounds": 6, "chi_low_orders": 6,
+        assert calls == {"evaluate_bounds": 6, "chi_low_orders": 2,
                          "_phase_error_arrays": 3}
 
     # every field of the result, Diagnostics included, bit for bit; e_p_nt is
@@ -328,12 +337,13 @@ class TestEpsilonLedger:
         monkeypatch.setattr(keylength, "SampleBudget", budget)
         monkeypatch.setattr(keylength, "_ell", ell)
         minimize(src, obs, 1e9, sec)
-        # each round builds T's budget and curve, then B's: chi, chi0 and chi1
-        # at one share of this strategy's split, and its penalty
+        # one budget per strategy, T's then B's: chi, chi0 and chi1 at one
+        # share of this strategy's split; each round's curve pays its penalty
         rounds = X_REFINE_ROUNDS + 1
         k = STRATEGY[which]
-        assert len(seen["eps_pe"]) == len(seen["penalty"]) == 2 * rounds
-        assert seen["eps_pe"][k::2] == [sec.eps_sec / split] * rounds
+        assert seen["eps_pe"][k] == sec.eps_sec / split
+        assert len(seen["eps_pe"]) == 2
+        assert len(seen["penalty"]) == 2 * rounds
         assert seen["penalty"][k::2] == [
             pytest.approx(penalty(sec.eps_sec, sec.eps_cor), rel=1e-15)] * rounds
 

@@ -1,11 +1,15 @@
 """Random-sampling phase-error bound and its Gaussian-tail solver."""
 
+import hashlib
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 from scipy.stats import hypergeom
 
 from passivekey import NoSolution, PhaseErrorInputs, phase_error_bound, solve_omega
@@ -114,25 +118,84 @@ class TestSolveOmega:
         if np.isfinite(w):
             assert abs(w - float(ref_omega(n, l, eps))) <= 1e-9
 
-    def test_few_exact_evaluations(self, monkeypatch):
-        # the Newton solve leaves at most a few exact LHS evaluations; a
-        # 46-step bisection makes 47
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Solve a seeded 200-element draw; return how often phase_error.<name> ran."""
         import passivekey.phase_error as pe
 
         calls = []
-        original = pe._tail_condition_lhs
+        original = getattr(pe, name)
 
-        def counting(omega, n, l):
+        def counting(*args):
             calls.append(1)
-            return original(omega, n, l)
+            return original(*args)
 
-        monkeypatch.setattr(pe, "_tail_condition_lhs", counting)
+        monkeypatch.setattr(pe, name, counting)
         rng = np.random.default_rng(0)
         n = 10.0 ** rng.uniform(2.0, 9.0, 200)
         l = 10.0 ** rng.uniform(2.0, 9.0, 200)
-        w = pe._solve_omega_arrays(n, l, 1e-10)
-        assert np.all(np.isfinite(w))
-        assert len(calls) <= 4
+        assert np.all(np.isfinite(pe._solve_omega_arrays(n, l, 1e-10)))
+        return len(calls)
+
+    def test_few_exact_evaluations(self, monkeypatch):
+        # the Newton solve leaves at most a few exact LHS evaluations; a
+        # 46-step bisection makes 47
+        assert self._count_calls(monkeypatch, "_tail_condition_lhs") <= 4
+
+    def test_two_newton_steps(self, monkeypatch):
+        # one log Phi per Newton step: from the two-term large-omega start
+        # the second step is below sqrt(step/4) (a bracketed solve from
+        # sqrt(-2c) took 4)
+        assert self._count_calls(monkeypatch, "log_ndtr") <= 2
+
+    @given(w=st.floats(0.0, OMEGA_MAX))
+    @settings(max_examples=200)
+    def test_log_g_decreasing_and_concave(self, w):
+        # what the unguarded Newton solve rests on: f = log g, with
+        # g = sqrt((w^2 + 2 pi)/2) Phi(w), has f' <= -0.79 and -1 < f'' < 0,
+        # so every step after the first lands right of the crossing, and a
+        # step d leaves an error below d^2 / (2 * 0.79)
+        r = math.exp(-0.5 * w * w - 0.5 * math.log(2.0 * math.pi) - float(log_ndtr(-w)))
+        s = w * w + 2.0 * math.pi
+        assert w / s - r <= -0.79  # r = phi/Phi
+        assert -1.0 < (2.0 * math.pi - w * w) / s**2 + r * (w - r) < 0.0
+
+    def test_last_judged_point(self):
+        # the float Phi is a normal double up to _OMEGA_JUDGED and not past it
+        from passivekey.phase_error import _OMEGA_JUDGED
+
+        w = _OMEGA_JUDGED + np.arange(-2000, 2000) * math.ulp(_OMEGA_JUDGED)
+        judged = gaussian_tail(w) >= sys.float_info.min
+        assert np.array_equal(judged, w <= _OMEGA_JUDGED)
+        assert 37.5 < _OMEGA_JUDGED < 37.6
+
+    @staticmethod
+    def _frozen_draw():
+        """omega of a seeded draw and its 256-bit hashes where Phi(omega) is
+        a normal double (or omega is inf), and where it is subnormal."""
+        rng = np.random.default_rng(20100118)
+        n = 10.0 ** rng.uniform(-4.0, 13.0, 1000)
+        l = 10.0 ** rng.uniform(-4.0, 13.0, 1000)
+        omega = np.stack([_solve_omega_arrays(n, l, eps)
+                          for eps in (1e-6, 1e-10, 1e-14, 1e-153)])
+        unjudged = np.isfinite(omega) & (gaussian_tail(omega) < sys.float_info.min)
+        assert unjudged.sum(axis=1).tolist() == [2, 3, 4, 929]
+        return [hashlib.sha256(part.astype("<f8").tobytes()).hexdigest()
+                for part in (omega[~unjudged], omega[unjudged])]
+
+    def test_frozen_omega_bits(self):
+        # where the float LHS judges omega every bit is fixed by the grid and
+        # the LHS, whatever path the solve takes: frozen at the bracketed
+        # 4-step solve
+        assert self._frozen_draw()[0] == (
+            "9edc3f2c9b105b3c7bb540de3fde4cafd703dd52cadfe923b0b486d96cc8f0ff")
+
+    def test_frozen_unjudged_omega_bits(self):
+        # where Phi is subnormal omega is the crossing rounded up plus one
+        # step, and its bits follow the last ulp of the Newton iterate: frozen
+        # at the two-step solve, where 2 of these 938 moved by one grid step
+        assert self._frozen_draw()[1] == (
+            "a2002b381a098dd2d1dc74fa70384369dcefdf01728d3074e69d8a1890136e2d")
 
     def test_no_solution(self, monkeypatch):
         # a finite LHS never stays above the target up to omega = 40 (the
