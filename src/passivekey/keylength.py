@@ -54,6 +54,7 @@ from .decoy_bounds import (
     SampleBudget,
     _bounds,
     chi_low_orders,
+    chi_term,
     evaluate_bounds,
     x_range,
 )
@@ -134,8 +135,8 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
 
 def _leakage(obs, N, f_EC):
     """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class, as floats."""
-    return (float(N * obs.Q_t * f_EC * binary_entropy(obs.E_t)),
-            float(N * obs.Q_nt * f_EC * binary_entropy(obs.E_nt)))
+    h_t, h_nt = binary_entropy([obs.E_t, obs.E_nt])
+    return float(N * obs.Q_t * f_EC * h_t), float(N * obs.Q_nt * f_EC * h_nt)
 
 
 def _ell(x, which, obs, b, h_t, h_nt, N, lam, penalty):
@@ -239,6 +240,50 @@ def key_length(
         rate=0.5 * float(ell) / N,  # 2N overflows from N = 2^1023 on; 0.5 ell is exact
         diagnostics=diag,
     )
+
+
+def rate_ceiling(
+    src: SourceModel,
+    obs: Observables,
+    N: float,
+    p_pe: float,
+    sec: SecurityBudget,
+    grid_points: int = X_GRID_POINTS,
+) -> float:
+    """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate
+    that solves no phase error: ell_T and ell_B at the ends of x_range, with
+    h(clip(W, 0, 0.5)) in place of h(e_p).
+
+    Why it bounds the rate:
+
+    * e_p >= clip(W, 0, 0.5) in each class.  e_hat(e, tau) >= e on [0, 1]:
+      its numerator exceeds (1 + 4 tau) e by
+      2 tau + 2 sqrt(tau (e (1 - e) + tau)) - 4 tau e >= 4 tau (1 - e) >= 0.
+      So e_p = [(n + l) e_hat(e_shift) - l e_shift] / n >= e_shift, and the
+      +2 shift only raises e_shift above e_ob = clip(W, 0, 0.5); a vacuous
+      e_p is 0.5.
+    * h is increasing on [0, 0.5], and ell_T(x), ell_B(x) do not increase as
+      h(e_p) of a class rises (it enters as max(q1, 0) (1 - h)).
+    * key_length's first x round is a linspace of x_range, which holds both
+      ends exactly (only the lower one for grid_points = 1), and the later
+      rounds only lower its minimum.  So each strategy's ell is at most its
+      ell(x) at those ends, which is at most the value here.
+
+    The rate floor(max(ell_T, ell_B, 0)) / (2N) is thus at most the returned
+    max(ell_T, ell_B, 0) / (2N), up to float rounding, for which a caller
+    that prunes allows.  Both strategies' bounds, at their own chi, chi0 and
+    chi1, come from one ``_bounds`` call whose rows are T and B.
+    """
+    lam = _leakage(obs, N, sec.f_EC)
+    rows = [(chi, chi_term(src, budget, 0), chi_term(src, budget, 1), penalty)
+            for budget, chi, penalty in _ledger(src, obs, N, p_pe, sec)]
+    chi, chi0, chi1, penalty = np.array(rows).T[..., None]  # each (2, 1)
+    xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
+    b = _bounds(xs, src, obs, chi, chi0, chi1)
+    h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
+    ell_t = _ell(xs, "T", obs, b, h_t, None, N, lam, penalty)[0].min()
+    ell_b = _ell(xs, "B", obs, b, h_t, h_nt, N, lam, penalty)[1].min()
+    return 0.5 * float(max(ell_t, ell_b, 0.0)) / N
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

@@ -3,10 +3,15 @@
 The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
-optimum is the max over one lazy grid walk; reach asks only whether any
-coarse point has a key.  A sweep row, finite or asymptotic, is one search
-call (asymptotic and pinned-p_pe rows with equal p_pe bounds, an axis of one
-point); only optimize_rate raises AllVacuous, for outside callers.
+optimum is the best of grid walks that carry the incumbent.  Once a finite
+search holds a positive key, a point whose keylength.rate_ceiling (no
+phase-error solve) plus a float slack, one bit of ell and 1e-9 of the
+incumbent, is below the incumbent gets no key_length call: it could not
+replace the incumbent, so every result is the one the full walk gives.
+Reach asks only whether any coarse point has a key.  A sweep row, finite or
+asymptotic, is one search call (asymptotic and pinned-p_pe rows with equal
+p_pe bounds, an axis of one point); only optimize_rate raises AllVacuous,
+for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -14,9 +19,7 @@ sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -24,11 +27,14 @@ from .channel import ChannelModel, simulate_observables
 from .decoy_bounds import _deltas
 from .errors import AllVacuous, ZeroGain, _count
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
-                        asymptotic_rate, key_length)
+                        asymptotic_rate, key_length, rate_ceiling)
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
-_RATE = operator.itemgetter(0)  # max key over _walk's (rate, mu, p_pe, payload)
+_NO_KEY = (0.0, math.nan, math.nan, None)  # (rate, mu, p_pe, payload) before a key
+# relative float slack of the pruning rule, beside one bit of ell: rate_ceiling
+# bounds key_length's rate in exact arithmetic, not to the last ulp
+_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,34 +96,44 @@ class OptimizeResult:
     result: KeyLengthResult
 
 
-def _walk(evaluate, mu_ends, pp_ends, points):
-    """Yield (rate, mu, p_pe, payload) of evaluate(mu)(p_pe) on one grid, mu-major.
+def _walk(evaluate, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
+    """The best (rate, mu, p_pe, payload) of best and one grid of
+    evaluate(mu)(p_pe, incumbent) -> (rate, payload), walked mu-major.
 
     evaluate(mu) does a mu row's shared work (the observables) once and
-    returns the row's function of p_pe; an axis with equal ends is one point.
+    returns the row's function of p_pe, which is handed the incumbent rate
+    and may skip a point that cannot beat it; an axis with equal ends is one
+    point.  A point replaces best only with a higher rate, so ties keep the
+    earliest point.  first=True returns at the first point that does.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
     for mu in map(float, mus):
         at_mu = evaluate(mu)
         for pp in map(float, ppes):
-            rate, payload = at_mu(pp)
-            yield rate, mu, pp, payload
+            rate, payload = at_mu(pp, best[0])
+            if rate > best[0]:
+                best = rate, mu, pp, payload
+                if first:
+                    return best
+    return best
 
 
 def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
-    """Best (rate, mu, p_pe, payload) of evaluate(mu)(p_pe) -> (rate, payload).
+    """Best (rate, mu, p_pe, payload) of evaluate(mu)(p_pe, incumbent).
 
-    max over the _walk of the coarse grid, then of spec.refine_rounds
-    rectangles around the incumbent, half-widths one coarse step shrinking
-    threefold a round.  The incumbent goes first and max keeps the first of
-    equal rates, so ties keep the earliest point.  With no positive coarse
-    rate nothing is refined and (0.0, nan, nan, None) is returned.
+    The _walk of the coarse grid, then of spec.refine_rounds rectangles
+    around the incumbent, half-widths one coarse step shrinking threefold a
+    round; every walk starts from the incumbent, so ties keep the earliest
+    point.  A finite row skips a point whose rate_ceiling, plus a slack of
+    one bit of ell and _CEILING_SLACK of the incumbent, is below a positive
+    incumbent: such a point could not replace it, so the result is the one
+    the full walk gives.  With no positive coarse rate nothing is refined
+    and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
-    coarse = _walk(evaluate, mu_bounds, spec.p_pe_bounds, spec.coarse_points)
-    best = max(chain([(0.0, math.nan, math.nan, None)], coarse), key=_RATE)
+    best = _walk(evaluate, mu_bounds, spec.p_pe_bounds, spec.coarse_points)
     if not best[0] > 0.0:
         return best
 
@@ -125,10 +141,9 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
     for _ in range(spec.refine_rounds):
         _, mu0, pp0, _ = best
-        rect = _walk(evaluate, (max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
+        best = _walk(evaluate, (max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
                      (max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step)),
-                     spec.refine_points)
-        best = max(chain([best], rect), key=_RATE)
+                     spec.refine_points, best)
         mu_step /= 3.0
         pp_step /= 3.0
     return best
@@ -137,7 +152,8 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
 def _finite(L_km, N, src, ch, sec, spec):
     """evaluate(mu) for _walk: the finite key at L_km km, N pulses, (mu, p_pe).
 
-    Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0.
+    Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0,
+    and so does a point _grid_search's pruning rule skips.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
@@ -145,8 +161,12 @@ def _finite(L_km, N, src, ch, sec, spec):
         src_mu = replace(src, mu=mu)
         obs = simulate_observables(src_mu, ch_L)
 
-        def at(p_pe):
+        def at(p_pe, incumbent):
             try:
+                if incumbent > 0.0 and (
+                        rate_ceiling(src_mu, obs, N, p_pe, sec, spec.x_grid_points)
+                        + 0.5 / N < (1.0 - _CEILING_SLACK) * incumbent):
+                    return 0.0, None  # cannot beat the incumbent
                 res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
             except ZeroGain:  # no gain ratio to bound: no key
                 return 0.0, None
@@ -191,8 +211,8 @@ def max_distance(
 
     Scans distance_grid(0, L_max_km, step_km) to the first distance with no
     key; returns 0 when L = 0 yields none.  src.mu and ch.L_km are overwritten.
-    A probe is any() over the coarse _walk, stopping at the first key: exact,
-    as refinement never lowers the coarse best.
+    A probe is the coarse _walk up to its first key (nothing is skipped
+    before one): exact, as refinement never lowers the coarse best.
     """
     if not 0 <= L_max_km < math.inf:
         raise ValueError(f"L_max_km must be finite and >= 0, got {L_max_km}")
@@ -200,9 +220,9 @@ def max_distance(
     mu_bounds = spec.resolved_mu_bounds(src)
 
     def positive(L):
-        walk = _walk(_finite(L, N, src, ch, sec, spec), mu_bounds,
-                     spec.p_pe_bounds, spec.coarse_points)
-        return any(rate > 0.0 for rate, *_ in walk)
+        rate, *_ = _walk(_finite(L, N, src, ch, sec, spec), mu_bounds,
+                         spec.p_pe_bounds, spec.coarse_points, first=True)
+        return rate > 0.0
 
     # index of the first distance with no key, len(grid) if there is none
     i = next((i for i, L in enumerate(grid) if not positive(L)), len(grid))
@@ -263,7 +283,7 @@ def sweep_point(
 
         def evaluate(mu):
             rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
-            return lambda _p_pe: (rate, None)
+            return lambda _p_pe, _incumbent: (rate, None)
 
         spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
     rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)

@@ -33,6 +33,7 @@ from passivekey.keylength import (
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
+    rate_ceiling,
 )
 from passivekey.phase_error import _phase_error_arrays, solve_omega
 
@@ -313,6 +314,34 @@ class TestKeyLength:
         got = [float(v) for v in astuple(res)[:-1] + astuple(res.diagnostics)]
         for g, w in zip(got, map(float.fromhex, want), strict=True):
             assert g == w or (math.isnan(g) and math.isnan(w))
+
+
+class TestRateCeiling:
+    """rate_ceiling bounds key_length's rate without a phase-error solve."""
+
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0), p_pe=st.floats(0.01, 0.99),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
+                             grid_points):
+        # vacuous points included: at 250 km or N = 1e3 most points have no key
+        src = replace(src, mu=mu)
+        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        res = key_length(src, obs, N, p_pe, sec, grid_points)
+        assert res.rate <= rate_ceiling(src, obs, N, p_pe, sec, grid_points)
+
+    def test_solves_no_phase_error(self, monkeypatch, src, obs, sec):
+        def refuse(*args):
+            raise AssertionError("phase-error solve")
+
+        monkeypatch.setattr(keylength, "_phase_error_arrays", refuse)
+        ceiling = rate_ceiling(src, obs, 1e9, 0.5, sec)
+        monkeypatch.undo()
+        assert key_length(src, obs, 1e9, 0.5, sec).rate <= ceiling
 
 
 class TestEpsilonLedger:

@@ -289,21 +289,78 @@ class TestSweep:
         assert row.p_pe_opt == pytest.approx(0.7, rel=1e-12)
 
     def test_equal_p_pe_bounds_are_one_point(self, src, sec, monkeypatch):
-        # an axis whose ends are equal is searched once per mu, not once per
-        # grid point, and gives the row that p_pe_override gives
-        original = optimizer.key_length
-        calls = []
+        # an axis whose ends are equal is visited once per mu, not once per
+        # grid point, and gives the row that p_pe_override gives; a visit is
+        # a key_length call or a point the incumbent prunes
+        original = optimizer._finite
+        visits = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return original(*args, **kwargs)
+        def finite(*args):
+            evaluate = original(*args)
 
-        monkeypatch.setattr(optimizer, "key_length", counting)
+            def visiting(mu):
+                at = evaluate(mu)
+
+                def visit(p_pe, incumbent):
+                    visits.append(p_pe)
+                    return at(p_pe, incumbent)
+
+                return visit
+
+            return visiting
+
+        monkeypatch.setattr(optimizer, "_finite", finite)
         grid = dict(coarse_points=(4, 24), refine_rounds=1, refine_points=(3, 7))
         opt = optimize_rate(50.0, 1e9, src, make_channel(0.0), sec,
                             OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
-        assert len(calls) == 4 + 3
-        assert set(calls) == {0.7}
+        assert len(visits) == 4 + 3
+        assert set(visits) == {0.7}
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
                           OptimizationSpec(**grid), p_pe_override=0.7)
         assert (opt.rate, opt.mu, opt.p_pe) == (row.rate, row.mu_opt, row.p_pe_opt)
+
+
+def counting(monkeypatch, *names):
+    """Patch each optimizer.<name> with a wrapper that counts its calls."""
+    calls = Counter()
+    for name in names:
+        def wrapper(*args, _name=name, _f=getattr(optimizer, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, wrapper)
+    return calls
+
+
+class TestPruning:
+    """Points that rate_ceiling shows cannot beat the incumbent are skipped."""
+
+    @pytest.mark.parametrize("spec, L_km, N", [
+        (FAST, 0.0, 1e8), (FAST, 50.0, 1e9), (FAST, 100.0, 1e13),
+        (FAST, 120.0, 1e10), (FAST, 200.0, 1e6), (OptimizationSpec(), 50.0, 1e9),
+    ], ids=["fast_0km", "fast_50km", "fast_100km", "fast_120km_near_reach",
+            "fast_vacuous", "default_50km"])
+    def test_results_match_the_unpruned_walk(self, monkeypatch, src, sec, spec,
+                                             L_km, N):
+        def search():
+            calls = counting(monkeypatch, "key_length")
+            row = sweep_point(L_km, N, "finite", src, make_channel(0.0), sec, spec)
+            try:
+                opt = optimize_rate(L_km, N, src, make_channel(0.0), sec, spec)
+            except AllVacuous:
+                opt = None
+            monkeypatch.undo()
+            return row, opt, calls["key_length"]
+
+        *pruned, pruned_calls = search()
+        monkeypatch.setattr(optimizer, "rate_ceiling", lambda *args: math.inf)
+        *full, full_calls = search()
+        assert repr(pruned) == repr(full)  # every field, nan included
+        assert pruned_calls < full_calls if full[0].status == "ok" else pruned_calls == full_calls
+
+    def test_nothing_pruned_before_the_first_key(self, monkeypatch, src, sec):
+        calls = counting(monkeypatch, "key_length", "rate_ceiling")
+        with pytest.raises(AllVacuous):
+            optimize_rate(400.0, 1e9, src, make_channel(0.0), sec,
+                          OptimizationSpec(coarse_points=(2, 2)))
+        assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
