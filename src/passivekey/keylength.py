@@ -54,7 +54,6 @@ from .decoy_bounds import (
     SampleBudget,
     _bounds,
     chi_low_orders,
-    chi_term,
     evaluate_bounds,
     x_range,
 )
@@ -67,6 +66,9 @@ X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
 ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = {"T": (10.0, 6.0, 0.0, 2.0), "B": (15.0, 12.0, 1.0, 4.0)}
+# relative float slack of rate_ceiling, beside one bit of ell: its bound holds
+# in exact arithmetic, not to the last ulp
+_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ def rate_ceiling(
 ) -> float:
     """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate
     that solves no phase error: ell_T and ell_B at the ends of x_range, with
-    h(clip(W, 0, 0.5)) in place of h(e_p).
+    h(clip(W, 0, 0.5)) in place of h(e_p), plus a float slack.
 
     Why it bounds the rate:
 
@@ -269,21 +271,20 @@ def rate_ceiling(
       rounds only lower its minimum.  So each strategy's ell is at most its
       ell(x) at those ends, which is at most the value here.
 
-    The rate floor(max(ell_T, ell_B, 0)) / (2N) is thus at most the returned
-    max(ell_T, ell_B, 0) / (2N), up to float rounding, for which a caller
-    that prunes allows.  Both strategies' bounds, at their own chi, chi0 and
-    chi1, come from one ``_bounds`` call whose rows are T and B.
+    So floor(max(ell_T, ell_B, 0)) / (2N) <= max(ell_T, ell_B, 0) / (2N) in
+    exact arithmetic.  In floats the computed e_p may fall an ulp below
+    clip(W), so the returned ceiling adds one bit of ell and _CEILING_SLACK
+    of itself; the rate is then <= it as computed, and a point whose ceiling
+    is below a rate cannot beat that rate.
     """
     lam = _leakage(obs, N, sec.f_EC)
-    rows = [(chi, chi_term(src, budget, 0), chi_term(src, budget, 1), penalty)
-            for budget, chi, penalty in _ledger(src, obs, N, p_pe, sec)]
-    chi, chi0, chi1, penalty = np.array(rows).T[..., None]  # each (2, 1)
     xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
-    b = _bounds(xs, src, obs, chi, chi0, chi1)
-    h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
-    ell_t = _ell(xs, "T", obs, b, h_t, None, N, lam, penalty)[0].min()
-    ell_b = _ell(xs, "B", obs, b, h_t, h_nt, N, lam, penalty)[1].min()
-    return 0.5 * float(max(ell_t, ell_b, 0.0)) / N
+    ells = []
+    for which, (budget, chi, penalty) in zip("TB", _ledger(src, obs, N, p_pe, sec)):
+        b = evaluate_bounds(xs, src, budget, obs, chi=chi)
+        h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
+        ells.append(float(_ell(xs, which, obs, b, h_t, h_nt, N, lam, penalty).min()))
+    return 0.5 * (max(*ells, 0.0) + 1.0) / N * (1.0 + _CEILING_SLACK)
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

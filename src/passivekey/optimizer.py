@@ -5,8 +5,8 @@ so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the best of grid walks that carry the incumbent.  Once a finite
 search holds a positive key, a point whose keylength.rate_ceiling (no
-phase-error solve) plus a float slack, one bit of ell and 1e-9 of the
-incumbent, is below the incumbent gets no key_length call: it could not
+phase-error solve, with its own float slack of one bit of ell and 1e-9 of
+itself) is below the incumbent gets no key_length call: it could not
 replace the incumbent, so every result is the one the full walk gives.
 Reach asks only whether any coarse point has a key.  A sweep row, finite or
 asymptotic, is one search call (asymptotic and pinned-p_pe rows with equal
@@ -32,9 +32,6 @@ from .photonics import SourceModel
 
 MU_SAFETY = 0.99
 _NO_KEY = (0.0, math.nan, math.nan, None)  # (rate, mu, p_pe, payload) before a key
-# relative float slack of the pruning rule, beside one bit of ell: rate_ceiling
-# bounds key_length's rate in exact arithmetic, not to the last ulp
-_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,10 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     The _walk of the coarse grid, then of spec.refine_rounds rectangles
     around the incumbent, half-widths one coarse step shrinking threefold a
     round; every walk starts from the incumbent, so ties keep the earliest
-    point.  A finite row skips a point whose rate_ceiling, plus a slack of
-    one bit of ell and _CEILING_SLACK of the incumbent, is below a positive
-    incumbent: such a point could not replace it, so the result is the one
-    the full walk gives.  With no positive coarse rate nothing is refined
+    point.  A finite row skips a point whose rate_ceiling (float slack
+    included) is below a positive incumbent: such a point could not replace
+    it, so the result is the one the full walk gives.  With no positive
+    coarse rate nothing is refined
     and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
@@ -163,9 +160,8 @@ def _finite(L_km, N, src, ch, sec, spec):
 
         def at(p_pe, incumbent):
             try:
-                if incumbent > 0.0 and (
-                        rate_ceiling(src_mu, obs, N, p_pe, sec, spec.x_grid_points)
-                        + 0.5 / N < (1.0 - _CEILING_SLACK) * incumbent):
+                if incumbent > 0.0 and rate_ceiling(
+                        src_mu, obs, N, p_pe, sec, spec.x_grid_points) < incumbent:
                     return 0.0, None  # cannot beat the incumbent
                 res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
             except ZeroGain:  # no gain ratio to bound: no key
