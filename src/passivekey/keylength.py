@@ -66,8 +66,8 @@ X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
 ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = {"T": (10.0, 6.0, 0.0, 2.0), "B": (15.0, 12.0, 1.0, 4.0)}
-# relative float slack of rate_ceiling, beside one bit of ell: its bound holds
-# in exact arithmetic, not to the last ulp
+# relative float slack of rate_ceiling, beside one bit of ell: its own solve of
+# the x_range ends may differ from key_length's in the last bits
 _CEILING_SLACK = 1e-9
 
 
@@ -252,39 +252,25 @@ def rate_ceiling(
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
 ) -> float:
-    """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate
-    that solves no phase error: ell_T and ell_B at the ends of x_range, with
-    h(clip(W, 0, 0.5)) in place of h(e_p), plus a float slack.
+    """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate:
+    the key's own ell_T and ell_B (``_ell_curves``) at the ends of x_range,
+    plus a float slack.
 
-    Why it bounds the rate:
-
-    * e_p >= clip(W, 0, 0.5) in each class.  e_hat(e, tau) >= e on [0, 1]:
-      its numerator exceeds (1 + 4 tau) e by
-      2 tau + 2 sqrt(tau (e (1 - e) + tau)) - 4 tau e >= 4 tau (1 - e) >= 0.
-      So e_p = [(n + l) e_hat(e_shift) - l e_shift] / n >= e_shift, and the
-      +2 shift only raises e_shift above e_ob = clip(W, 0, 0.5); a vacuous
-      e_p is 0.5.
-    * h is increasing on [0, 0.5], and ell_T(x), ell_B(x) do not increase as
-      h(e_p) of a class rises (it enters as max(q1, 0) (1 - h)).
-    * key_length's first x round is a linspace of x_range, which holds both
-      ends exactly (only the lower one for grid_points = 1), and the later
-      rounds only lower its minimum.  So each strategy's ell is at most its
-      ell(x) at those ends, which is at most the value here.
-
-    So floor(max(ell_T, ell_B, 0)) / (2N) <= max(ell_T, ell_B, 0) / (2N) in
-    exact arithmetic.  In floats the computed e_p may fall an ulp below
-    clip(W), so the returned ceiling adds one bit of ell and _CEILING_SLACK
-    of itself; the rate is then <= it as computed, and a point whose ceiling
-    is below a rate cannot beat that rate.
+    key_length's first x round is a linspace of x_range, which holds both
+    ends exactly (only the lower one for grid_points = 1), and the later
+    rounds only lower its minimum; so each strategy's ell is at most its
+    ell(x) at those ends.  The ends are solved in a call of their own, so
+    e_p may differ from key_length's in the last bits (and omega by one grid
+    step where Phi is subnormal): the ceiling adds one bit of ell and
+    _CEILING_SLACK of itself, and a point whose ceiling is below a rate
+    cannot beat that rate.
     """
-    lam = _leakage(obs, N, sec.f_EC)
     xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
-    ells = []
-    for which, (budget, chi, penalty) in zip("TB", _ledger(src, obs, N, p_pe, sec)):
-        b = evaluate_bounds(xs, src, budget, obs, chi=chi)
-        h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
-        ells.append(float(_ell(xs, which, obs, b, h_t, h_nt, N, lam, penalty).min()))
-    return 0.5 * (max(*ells, 0.0) + 1.0) / N * (1.0 + _CEILING_SLACK)
+    (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, p_pe, sec,
+                                           _leakage(obs, N, sec.f_EC),
+                                           _ledger(src, obs, N, p_pe, sec))
+    ell = max(float(ell_t.min()), float(ell_b.min()), 0.0)
+    return 0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK)
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

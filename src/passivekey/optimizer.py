@@ -4,10 +4,11 @@ The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the best of grid walks that carry the incumbent.  Once a finite
-search holds a positive key, a point whose keylength.rate_ceiling (no
-phase-error solve, with its own float slack of one bit of ell and 1e-9 of
-itself) is below the incumbent gets no key_length call: it could not
-replace the incumbent, so every result is the one the full walk gives.
+search holds a positive key, a point whose keylength.rate_ceiling (the
+key's own ell at the two ends of x_range, with a float slack of one bit of
+ell and 1e-9 of itself) is below the incumbent gets no key_length call: it
+could not replace the incumbent, so every result is the one the full walk
+gives.
 Reach asks only whether any coarse point has a key.  A sweep row, finite or
 asymptotic, is one search call (asymptotic and pinned-p_pe rows with equal
 p_pe bounds, an axis of one point); only optimize_rate raises AllVacuous,
@@ -122,10 +123,10 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     The _walk of the coarse grid, then of spec.refine_rounds rectangles
     around the incumbent, half-widths one coarse step shrinking threefold a
     round; every walk starts from the incumbent, so ties keep the earliest
-    point.  A finite row skips a point whose rate_ceiling (float slack
-    included) is below a positive incumbent: such a point could not replace
-    it, so the result is the one the full walk gives.  With no positive
-    coarse rate nothing is refined
+    point.  A finite row skips a point whose rate_ceiling (the key's ell at
+    the ends of x_range, float slack included) is below a positive
+    incumbent: such a point could not replace it, so the result is the one
+    the full walk gives.  With no positive coarse rate nothing is refined
     and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds

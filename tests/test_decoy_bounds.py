@@ -1,6 +1,7 @@
 """Finite-sample single-photon bounds from the triggered/non-triggered split."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from passivekey import (
     Observables,
     SampleBudget,
+    VacuousBound,
+    ZeroGain,
     chi_low_orders,
     evaluate_bounds,
     simulate_observables,
@@ -184,6 +187,15 @@ class TestZetaAndBounds:
     def test_overall_delta(self, obs):
         assert overall_delta(obs) == pytest.approx(obs.Q_t / obs.Q_nt, rel=1e-15)
         assert overall_delta(obs) > 1.0
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda src, obs: overall_delta(replace(obs, Q_nt=0.0)), ZeroGain),
+        # x = 1: every nontriggered click a vacuum one leaves no single photons
+        (lambda src, obs: asymptotic_e1(1.0, src, obs), VacuousBound),
+    ], ids=["overall_delta_of_zero_gain", "asymptotic_e1_with_no_yield"])
+    def test_undefined_bound_raises(self, src, obs, call, error):
+        with pytest.raises(error):
+            call(src, obs)
 
 
 class TestReferenceChain:

@@ -14,6 +14,7 @@ from passivekey import (
     PhaseErrorInputs,
     SampleBudget,
     SecurityBudget,
+    ZeroGain,
     asymptotic_rate,
     chi_low_orders,
     evaluate_bounds,
@@ -195,6 +196,12 @@ class TestKeyLength:
         assert res.ell_T == res.ell_B == -math.inf
         assert res.ell == res.rate == 0.0
 
+    @pytest.mark.parametrize("fn", [key_length, rate_ceiling])
+    def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
+        # the optimizer reads ZeroGain from either call as a point with no key
+        with pytest.raises(ZeroGain):
+            fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
+
     def test_rate_where_2N_overflows(self, src, obs, sec):
         # 2N is inf from N = 2^1023 on; the rate is 0.5 ell / N, not ell / inf
         big = key_length(src, obs, N=1.7e308, p_pe=0.5, sec=sec)
@@ -317,11 +324,13 @@ class TestKeyLength:
 
 
 class TestRateCeiling:
-    """rate_ceiling bounds key_length's rate without a phase-error solve."""
+    """rate_ceiling is the key's own ell at the ends of x_range, plus a slack."""
 
+    # eps_sec = 1e-150: Phi(omega) is subnormal, so the ceiling's own solve of
+    # the ends may land omega one grid step from key_length's
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
            log_N=st.floats(3.0, 18.0), p_pe=st.floats(0.01, 0.99),
-           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
            p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
     @settings(max_examples=150, deadline=None)
     def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
@@ -334,14 +343,16 @@ class TestRateCeiling:
         res = key_length(src, obs, N, p_pe, sec, grid_points)
         assert res.rate <= rate_ceiling(src, obs, N, p_pe, sec, grid_points)
 
-    def test_solves_no_phase_error(self, monkeypatch, src, obs, sec):
-        def refuse(*args):
-            raise AssertionError("phase-error solve")
-
-        monkeypatch.setattr(keylength, "_phase_error_arrays", refuse)
-        ceiling = rate_ceiling(src, obs, 1e9, 0.5, sec)
-        monkeypatch.undo()
-        assert key_length(src, obs, 1e9, 0.5, sec).rate <= ceiling
+    @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
+                                                (250.0, 1e9, 0.5)])
+    def test_is_the_keys_own_ell(self, src, sec, L_km, N, p_pe):
+        # with grid_points = 1 key_length evaluates x = lo only, as the ceiling
+        # does; 250 km has no key
+        obs = simulate_observables(src, make_channel(L_km))
+        res = key_length(src, obs, N, p_pe, sec, grid_points=1)
+        want = 0.5 * (max(res.ell_T, res.ell_B, 0.0) + 1.0) / N * (
+            1.0 + keylength._CEILING_SLACK)
+        assert rate_ceiling(src, obs, N, p_pe, sec, 1) == pytest.approx(want, rel=1e-12)
 
 
 class TestEpsilonLedger:

@@ -27,6 +27,8 @@ FAST = OptimizationSpec(
     coarse_points=(8, 8), refine_rounds=2, refine_points=(5, 5),
     x_grid_points=60,
 )
+# the grid of the perfbench sweep workload: FAST's, with the default x grid
+SWEEP = OptimizationSpec(coarse_points=(8, 8), refine_rounds=2, refine_points=(5, 5))
 
 
 class TestOptimizationSpec:
@@ -338,8 +340,9 @@ class TestPruning:
     @pytest.mark.parametrize("spec, L_km, N", [
         (FAST, 0.0, 1e8), (FAST, 50.0, 1e9), (FAST, 100.0, 1e13),
         (FAST, 120.0, 1e10), (FAST, 200.0, 1e6), (OptimizationSpec(), 50.0, 1e9),
+        (SWEEP, 160.0, 1e13), (SWEEP, 175.0, 1e13),
     ], ids=["fast_0km", "fast_50km", "fast_100km", "fast_120km_near_reach",
-            "fast_vacuous", "default_50km"])
+            "fast_vacuous", "default_50km", "sweep_160km", "sweep_175km_near_reach"])
     def test_results_match_the_unpruned_walk(self, monkeypatch, src, sec, spec,
                                              L_km, N):
         def search():

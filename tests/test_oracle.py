@@ -81,6 +81,9 @@ class TestCheckLemma3:
             rel=1e-12,
         )
 
+    def test_ci_upper_is_1_when_every_trial_fails(self):
+        assert oracle._ci_upper_95(7, 7) == 1.0
+
 
 CHECKS = pytest.mark.parametrize("check, args", [
     (check_lemma3, (500, 500, 0.03, 1e-3)),
