@@ -35,8 +35,9 @@ class SampleBudget:
     N : float
         Total pulses emitted by the source (accepted as a real number; the
         engine works with expected counts).
-    p_pe : float
-        Probability that a pulse is assigned to parameter estimation.
+    p_pe : float or array
+        Probability that a pulse is assigned to parameter estimation; an
+        array of them gives every chi term that array's shape.
     eps_pe : float
         Failure probability of the yield/error estimation, shared across
         photon numbers.
@@ -49,7 +50,7 @@ class SampleBudget:
     def __post_init__(self):
         if not 1 <= self.N < math.inf:
             raise ValueError("N must be finite and >= 1")
-        if not 0 < self.p_pe < 1:
+        if not np.all((0 < self.p_pe) & (self.p_pe < 1)):
             raise ValueError("p_pe must be in (0, 1)")
         if not 0 < self.eps_pe < 1:
             raise ValueError("eps_pe must be in (0, 1)")
@@ -87,9 +88,10 @@ def overall_delta(obs: Observables) -> float:
     return obs.Q_t / obs.Q_nt
 
 
-def _chi_scale(budget: SampleBudget) -> float:
-    """The width sqrt(ln(1/eps_pe) / (2 N p_pe)) that every chi multiplies."""
-    return math.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
+def _chi_scale(budget: SampleBudget):
+    """The width sqrt(ln(1/eps_pe) / (2 N p_pe)) that every chi multiplies,
+    of p_pe's shape (np.sqrt is correctly rounded, as math.sqrt is)."""
+    return np.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
 
 
 def chi_term(src: SourceModel, budget: SampleBudget, i: int) -> float:

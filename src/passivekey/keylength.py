@@ -125,12 +125,13 @@ def binary_entropy(x):
 
 
 def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
-    """e_p per class on arrays of lower-bound single-photon gains; 0.5 where vacuous."""
+    """e_p per class on arrays of lower-bound single-photon gains; 0.5 where
+    vacuous.  p_pe is a scalar or an array that broadcasts to their shape."""
     ep = np.full(np.shape(q1_lb), 0.5)
     ok = (q1_lb > 0) & np.isfinite(w)
     if np.any(ok):
-        n = N * (1.0 - p_pe) * q1_lb[ok]
-        l = N * p_pe * q1_lb[ok]
+        n = (N * (1.0 - p_pe) * q1_lb)[ok]
+        l = (N * p_pe * q1_lb)[ok]
         ep[ok] = _phase_error_arrays(n, l, np.clip(w[ok], 0.0, 0.5), eps_sec)
     return ep
 
@@ -161,7 +162,8 @@ def _ledger(src, obs, N, p_pe, sec):
     """Per strategy T, B: (sample budget, chi, epsilon penalty) from ``_EPS_LEDGER``.
 
     The budget carries the strategy's share eps_sec/s, at which chi (and
-    chi0, chi1 in ``evaluate_bounds``) is taken; none of them depends on x.
+    chi0, chi1 in ``evaluate_bounds``) is taken; none of them depends on x,
+    and chi has p_pe's shape.
     """
     terms = []
     for which in "TB":
@@ -175,15 +177,19 @@ def _ledger(src, obs, N, p_pe, sec):
 def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
     """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
 
-    x_T and x_B are arrays of one length; ledger is ``_ledger``'s pair.  e_p
-    of T's triggered class and of B's two classes comes from one phase-error
+    x_T and x_B are arrays of one length X; ledger is ``_ledger``'s pair at
+    the same p_pe.  A scalar p_pe gives curves of shape (X,); a column of P
+    values, shape (P, 1), gives a (P, X) tensor, one row per p_pe.  e_p of
+    T's triggered class and of B's two classes comes from one phase-error
     solve.  e_p_nt is None for "T".
     """
     bt, bb = (evaluate_bounds(x, src, budget, obs, chi=chi)
               for x, (budget, chi, _) in zip(xs, ledger))
-    e_p = _phase_error_for_class(np.concatenate([bt.q1_t_lb, bb.q1_t_lb, bb.q1_nt_lb]),
-                                 np.concatenate([bt.w_t, bb.w_t, bb.w_nt]),
-                                 N, p_pe, sec.eps_sec).reshape(3, -1)
+    shape = (3,) + np.shape(bt.zeta)  # one e_p array per class
+    e_p = _phase_error_for_class(
+        np.concatenate([bt.q1_t_lb, bb.q1_t_lb, bb.q1_nt_lb]).reshape(shape),
+        np.concatenate([bt.w_t, bb.w_t, bb.w_nt]).reshape(shape),
+        N, p_pe, sec.eps_sec)
     h = binary_entropy(e_p)
     (_, _, pen_t), (_, _, pen_b) = ledger
     return ((_ell(xs[0], "T", obs, bt, h[0], None, N, lam, pen_t), bt, e_p[0], None),
@@ -248,13 +254,15 @@ def rate_ceiling(
     src: SourceModel,
     obs: Observables,
     N: float,
-    p_pe: float,
+    p_pe,
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
-) -> float:
+):
     """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate:
     the key's own ell_T and ell_B (``_ell_curves``) at the ends of x_range,
-    plus a float slack.
+    plus a float slack.  p_pe is a scalar or a 1-D array, and the ceiling
+    has its shape: a (p_pe, x) tensor of one ``_ell_curves`` call bounds
+    every p_pe of a mu row, as x_range depends on mu only.
 
     key_length's first x round is a linspace of x_range, which holds both
     ends exactly (only the lower one for grid_points = 1), and the later
@@ -265,12 +273,13 @@ def rate_ceiling(
     _CEILING_SLACK of itself, and a point whose ceiling is below a rate
     cannot beat that rate.
     """
+    pp = np.asarray(p_pe, dtype=float)[..., None]  # a column against the x row
     xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
-    (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, p_pe, sec,
+    (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, pp, sec,
                                            _leakage(obs, N, sec.f_EC),
-                                           _ledger(src, obs, N, p_pe, sec))
-    ell = max(float(ell_t.min()), float(ell_b.min()), 0.0)
-    return 0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK)
+                                           _ledger(src, obs, N, pp, sec))
+    ell = np.maximum(np.maximum(ell_t.min(axis=-1), ell_b.min(axis=-1)), 0.0)
+    return (0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK))[()]
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

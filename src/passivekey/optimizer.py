@@ -8,11 +8,12 @@ search holds a positive key, a point whose keylength.rate_ceiling (the
 key's own ell at the two ends of x_range, with a float slack of one bit of
 ell and 1e-9 of itself) is below the incumbent gets no key_length call: it
 could not replace the incumbent, so every result is the one the full walk
-gives.
+gives.  A mu row takes the ceilings of all its p_pe values from one
+rate_ceiling call, made when its first point meets a positive incumbent.
 Reach asks only whether any coarse point has a key.  A sweep row, finite or
-asymptotic, is one search call (asymptotic and pinned-p_pe rows with equal
-p_pe bounds, an axis of one point); only optimize_rate raises AllVacuous,
-for outside callers.
+asymptotic, is one search call (asymptotic rows and rows whose spec pins
+p_pe have equal p_pe bounds, an axis of one point); only optimize_rate
+raises AllVacuous, for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -96,20 +97,23 @@ class OptimizeResult:
 
 def _walk(evaluate, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
     """The best (rate, mu, p_pe, payload) of best and one grid of
-    evaluate(mu)(p_pe, incumbent) -> (rate, payload), walked mu-major.
+    evaluate(mu, ppes)(j, incumbent) -> (rate, payload) at (mu, ppes[j]),
+    walked mu-major.
 
-    evaluate(mu) does a mu row's shared work (the observables) once and
-    returns the row's function of p_pe, which is handed the incumbent rate
-    and may skip a point that cannot beat it; an axis with equal ends is one
-    point.  A point replaces best only with a higher rate, so ties keep the
-    earliest point.  first=True returns at the first point that does.
+    evaluate(mu, ppes) is handed a mu row's p_pe axis, does the row's shared
+    work (the observables, and at most one ceiling vector) once, and returns
+    the row's function of the point index j, which is handed the incumbent
+    rate and may skip a point that cannot beat it; an axis with equal ends
+    is one point.  A point replaces best only with a higher rate, so ties
+    keep the earliest point.  first=True returns at the first point that
+    does.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
     for mu in map(float, mus):
-        at_mu = evaluate(mu)
-        for pp in map(float, ppes):
-            rate, payload = at_mu(pp, best[0])
+        at_mu = evaluate(mu, ppes)
+        for j, pp in enumerate(map(float, ppes)):
+            rate, payload = at_mu(j, best[0])
             if rate > best[0]:
                 best = rate, mu, pp, payload
                 if first:
@@ -118,7 +122,7 @@ def _walk(evaluate, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
 
 
 def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
-    """Best (rate, mu, p_pe, payload) of evaluate(mu)(p_pe, incumbent).
+    """Best (rate, mu, p_pe, payload) of evaluate(mu, ppes)(j, incumbent).
 
     The _walk of the coarse grid, then of spec.refine_rounds rectangles
     around the incumbent, half-widths one coarse step shrinking threefold a
@@ -126,8 +130,10 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     point.  A finite row skips a point whose rate_ceiling (the key's ell at
     the ends of x_range, float slack included) is below a positive
     incumbent: such a point could not replace it, so the result is the one
-    the full walk gives.  With no positive coarse rate nothing is refined
-    and (0.0, nan, nan, None) is returned.
+    the full walk gives.  The row's ceilings come from one rate_ceiling call
+    over its p_pe axis, so a walk makes at most one a mu row.  With no
+    positive coarse rate nothing is refined and (0.0, nan, nan, None) is
+    returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
@@ -148,23 +154,32 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
 
 
 def _finite(L_km, N, src, ch, sec, spec):
-    """evaluate(mu) for _walk: the finite key at L_km km, N pulses, (mu, p_pe).
+    """evaluate(mu, ppes) for _walk: the finite key at L_km km, N pulses,
+    (mu, ppes[j]).
 
     Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0,
-    and so does a point _grid_search's pruning rule skips.
+    and so does a point _grid_search's pruning rule skips.  The row's
+    rate_ceiling vector over ppes is computed when its first point meets a
+    positive incumbent, and not at all if none does.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
-    def evaluate(mu):
+    def evaluate(mu, ppes):
         src_mu = replace(src, mu=mu)
         obs = simulate_observables(src_mu, ch_L)
+        ceiling = None
 
-        def at(p_pe, incumbent):
+        def at(j, incumbent):
+            nonlocal ceiling
             try:
-                if incumbent > 0.0 and rate_ceiling(
-                        src_mu, obs, N, p_pe, sec, spec.x_grid_points) < incumbent:
-                    return 0.0, None  # cannot beat the incumbent
-                res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+                if incumbent > 0.0:
+                    if ceiling is None:
+                        ceiling = rate_ceiling(src_mu, obs, N, ppes, sec,
+                                               spec.x_grid_points)
+                    if ceiling[j] < incumbent:
+                        return 0.0, None  # cannot beat the incumbent
+                res = key_length(src_mu, obs, N, float(ppes[j]), sec,
+                                 grid_points=spec.x_grid_points)
             except ZeroGain:  # no gain ratio to bound: no key
                 return 0.0, None
             return res.rate, res
@@ -259,28 +274,25 @@ def sweep_point(
     ch: ChannelModel,
     sec: SecurityBudget,
     spec: OptimizationSpec = OptimizationSpec(),
-    p_pe_override: float | None = None,
 ) -> SweepRow:
     """One (L, N) row from one _grid_search, no key reported as "vacuous".
 
-    Asymptotic rows search mu only, p_pe pinned to its lower bound, and
-    p_pe_override is equal p_pe bounds (p, p), checked in both modes.
-    src.mu and ch.L_km are overwritten.
+    Asymptotic rows search mu only, p_pe pinned to its lower bound; equal
+    spec.p_pe_bounds (p, p) pin p_pe in a finite row.  src.mu and ch.L_km
+    are overwritten.
     """
     if mode not in ("finite", "asymptotic"):
         raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
     if not 1 <= N < math.inf:
         raise ValueError("N must be finite and >= 1")
-    if p_pe_override is not None:
-        spec = replace(spec, p_pe_bounds=(p_pe_override, p_pe_override))
     if mode == "finite":
         evaluate = _finite(L_km, N, src, ch, sec, spec)
     else:
         ch_L = replace(ch, L_km=float(L_km))
 
-        def evaluate(mu):
+        def evaluate(mu, _ppes):
             rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
-            return lambda _p_pe, _incumbent: (rate, None)
+            return lambda _j, _incumbent: (rate, None)
 
         spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
     rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)

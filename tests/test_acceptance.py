@@ -7,6 +7,7 @@ headline accuracy uses the full default grid.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ def optimized_rate(L_km: float, N: float, src, sec,
                    p_pe: float | None = None) -> float:
     from passivekey import sweep_point
 
-    row = sweep_point(L_km, N, "finite", src, make_channel(L_km), sec, spec,
-                      p_pe_override=p_pe)
+    if p_pe is not None:  # equal bounds pin p_pe
+        spec = replace(spec, p_pe_bounds=(p_pe, p_pe))
+    row = sweep_point(L_km, N, "finite", src, make_channel(L_km), sec, spec)
     return row.rate
 
 

@@ -52,6 +52,23 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match=field):
             SampleBudget(**kwargs)
 
+    @pytest.mark.parametrize("p_pe", [[0.5, 1.0], [0.0, 0.5], [0.5, math.nan],
+                                      [[0.5], [-0.1]]])
+    def test_array_p_pe_outside_open_unit_interval(self, p_pe):
+        # one bad element is enough, and the error names p_pe, not numpy's
+        # ambiguous truth value
+        with pytest.raises(ValueError, match="p_pe must be in"):
+            SampleBudget(N=1e9, p_pe=np.array(p_pe), eps_pe=1e-11)
+
+    def test_array_p_pe_gives_chi_of_its_shape(self, src, obs):
+        p_pe = np.array([[0.1], [0.5], [0.9]])
+        budget = SampleBudget(N=1e9, p_pe=p_pe, eps_pe=1e-11)
+        chi = chi_low_orders(src, budget, obs)
+        assert chi.shape == p_pe.shape
+        for p, c in zip(p_pe.ravel(), chi.ravel()):
+            assert c == chi_low_orders(src, SampleBudget(N=1e9, p_pe=float(p),
+                                                         eps_pe=1e-11), obs)
+
     def test_N_of_1_accepted(self):
         assert SampleBudget(N=1.0, p_pe=0.5, eps_pe=1e-11).N == 1.0
 

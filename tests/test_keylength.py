@@ -329,19 +329,45 @@ class TestRateCeiling:
     # eps_sec = 1e-150: Phi(omega) is subnormal, so the ceiling's own solve of
     # the ends may land omega one grid step from key_length's
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
-           log_N=st.floats(3.0, 18.0), p_pe=st.floats(0.01, 0.99),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.floats(0.01, 0.99) | st.lists(st.floats(0.01, 0.99), min_size=1,
+                                                 max_size=3),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
            p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
     @settings(max_examples=150, deadline=None)
     def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
                              grid_points):
-        # vacuous points included: at 250 km or N = 1e3 most points have no key
+        # vacuous points included: at 250 km or N = 1e3 most points have no key;
+        # a vector of p_pe is bounded elementwise
         src = replace(src, mu=mu)
         obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
-        res = key_length(src, obs, N, p_pe, sec, grid_points)
-        assert res.rate <= rate_ceiling(src, obs, N, p_pe, sec, grid_points)
+        ceiling = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
+        assert np.shape(ceiling) == np.shape(p_pe)
+        rates = [key_length(src, obs, N, p, sec, grid_points).rate
+                 for p in np.atleast_1d(p_pe)]
+        assert np.all(np.array(rates) <= np.atleast_1d(ceiling))
+
+    # eps_sec >= 1e-30 keeps Phi(omega) a normal double, where omega is a
+    # function of the tail condition alone
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
+                                        p_d, grid_points):
+        # a mu row's ceiling vector is each point's own ceiling, bit for bit
+        src = replace(src, mu=mu)
+        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        row = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
+        assert row.shape == (len(p_pe),)
+        assert row.tolist() == [rate_ceiling(src, obs, N, p, sec, grid_points)
+                                for p in p_pe]
 
     @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
                                                 (250.0, 1e9, 0.5)])

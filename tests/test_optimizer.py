@@ -257,11 +257,11 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
     @pytest.mark.parametrize("p_pe", [1.5, 0.0])
     def test_bad_p_pe_override_raises(self, src, sec, mode, p_pe):
-        # the override is checked as p_pe bounds in both modes, although the
+        # a pinned p_pe is checked as p_pe bounds in both modes, although the
         # asymptotic rate does not depend on p_pe
         with pytest.raises(ValueError):
-            sweep_point(50.0, 1e9, mode, src, make_channel(0.0), sec, FAST,
-                        p_pe_override=p_pe)
+            sweep_point(50.0, 1e9, mode, src, make_channel(0.0), sec,
+                        replace(FAST, p_pe_bounds=(p_pe, p_pe)))
 
     def test_asymptotic_row_searches_mu_only(self, src, sec, monkeypatch):
         # coarse mu grid, then refine_rounds x refine_points[0] mu values;
@@ -286,26 +286,26 @@ class TestSweep:
         assert row.mu_opt == next(mu for mu, rate in seen if rate == best)
 
     def test_p_pe_override(self, src, sec):
-        row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec, FAST,
-                          p_pe_override=0.7)
+        row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
+                          replace(FAST, p_pe_bounds=(0.7, 0.7)))
         assert row.p_pe_opt == pytest.approx(0.7, rel=1e-12)
 
     def test_equal_p_pe_bounds_are_one_point(self, src, sec, monkeypatch):
         # an axis whose ends are equal is visited once per mu, not once per
-        # grid point, and gives the row that p_pe_override gives; a visit is
-        # a key_length call or a point the incumbent prunes
+        # grid point, and gives the row sweep_point gives; a visit is a
+        # key_length call or a point the incumbent prunes
         original = optimizer._finite
         visits = []
 
         def finite(*args):
             evaluate = original(*args)
 
-            def visiting(mu):
-                at = evaluate(mu)
+            def visiting(mu, ppes):
+                at = evaluate(mu, ppes)
 
-                def visit(p_pe, incumbent):
-                    visits.append(p_pe)
-                    return at(p_pe, incumbent)
+                def visit(j, incumbent):
+                    visits.append(float(ppes[j]))
+                    return at(j, incumbent)
 
                 return visit
 
@@ -318,7 +318,7 @@ class TestSweep:
         assert len(visits) == 4 + 3
         assert set(visits) == {0.7}
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
-                          OptimizationSpec(**grid), p_pe_override=0.7)
+                          OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
         assert (opt.rate, opt.mu, opt.p_pe) == (row.rate, row.mu_opt, row.p_pe_opt)
 
 
@@ -356,7 +356,9 @@ class TestPruning:
             return row, opt, calls["key_length"]
 
         *pruned, pruned_calls = search()
-        monkeypatch.setattr(optimizer, "rate_ceiling", lambda *args: math.inf)
+        # no pruning: an all-inf ceiling over the row's p_pe axis
+        monkeypatch.setattr(optimizer, "rate_ceiling",
+                            lambda src, obs, N, ppes, *args: np.full(len(ppes), math.inf))
         *full, full_calls = search()
         assert repr(pruned) == repr(full)  # every field, nan included
         assert pruned_calls < full_calls if full[0].status == "ok" else pruned_calls == full_calls
@@ -367,3 +369,12 @@ class TestPruning:
             optimize_rate(400.0, 1e9, src, make_channel(0.0), sec,
                           OptimizationSpec(coarse_points=(2, 2)))
         assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
+
+    def test_one_ceiling_call_per_mu_row(self, monkeypatch, src, sec):
+        # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
+        # of 7 refinement rows, each with one ceiling vector over its p_pe axis
+        calls = counting(monkeypatch, "key_length", "rate_ceiling")
+        optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
+        spec = OptimizationSpec()
+        assert spec.coarse_points[0] + spec.refine_rounds * spec.refine_points[0] == 45
+        assert (calls["rate_ceiling"], calls["key_length"]) == (45, 134)
