@@ -13,7 +13,9 @@ finite-size terms of both strategies (sample budget, chi, epsilon penalty)
 once a call, ``_ell_curves`` feeds them and the phase-error bound to it, and
 ``_minimize_over_x`` takes the worst case of each, with the bound values
 there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
-zero) and the rate is ``R = ell / (2 N)``.  The asymptotic rate is the same
+zero) and the rate is ``R = ell / (2 N)``.  ``key_lengths`` runs that search
+for every p_pe of a mu row at once, as one (p_pe, x) tensor a round, and
+``key_length`` is its one-p_pe case.  The asymptotic rate is the same
 expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
 
 Epsilon ledger (``_EPS_LEDGER``), after the uncertainty-principle analysis
@@ -64,6 +66,7 @@ from .photonics import SourceModel
 X_GRID_POINTS = 200
 X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
+_REFINE_T = np.arange(X_REFINE_POINTS, dtype=float)  # the steps of a refinement window
 ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = {"T": (10.0, 6.0, 0.0, 2.0), "B": (15.0, 12.0, 1.0, 4.0)}
 # relative float slack of rate_ceiling, beside one bit of ell: its own solve of
@@ -196,47 +199,66 @@ def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
             (_ell(xs[1], "B", obs, bb, h[1], h[2], N, lam, pen_b), bb, e_p[1], e_p[2]))
 
 
+def _windows(lo, hi):
+    """np.linspace(lo, hi, X_REFINE_POINTS) bit for bit, for floats lo and hi
+    or one row per entry of (P, 1) columns: t * step + lo with the last point
+    hi, and t / div * delta + lo where the step underflows to zero, as
+    np.linspace has it."""
+    delta = hi - lo
+    step = delta / (X_REFINE_POINTS - 1)
+    x = _REFINE_T * step + lo
+    if np.count_nonzero(step) < np.size(step):
+        x = np.where(step == 0, _REFINE_T / (X_REFINE_POINTS - 1) * delta + lo, x)
+    x[..., -1:] = hi
+    return x
+
+
 def _minimize_over_x(src, obs, N, p_pe, sec, lam, grid_points):
     """Per strategy T, B: (min over x of ell(x), minimizing x, (zeta, W_t, W_nt,
-    e_p_t, e_p_nt) there); e_p_nt is nan for "T".
+    e_p_t, e_p_nt) there); e_p_nt is nan for "T".  A scalar p_pe gives that
+    pair, a 1-D array of P values a list of P pairs, one per p_pe.
 
     Both strategies are searched together, one ``_ell_curves`` call a round:
     a grid_points grid on x_range, then X_REFINE_ROUNDS rounds of
     X_REFINE_POINTS points around each strategy's own minimum.  The ledger
-    terms are built once, before the first round.
+    terms are built once, before the first round.  A scalar p_pe is passed
+    through, so its curves are 1-D; an array is held as a (P, 1) column
+    against the x row, so a round is one (p_pe, x) tensor: the first round's
+    x is the shared linspace of x_range, and each refinement round has one
+    window per (p_pe, strategy) row.  Each row keeps its own minimum, the
+    first of equal values, so every pair is the one a scalar p_pe gives.
     """
-    ledger = _ledger(src, obs, N, p_pe, sec)
+    shape = np.shape(p_pe)
+    rows = math.prod(shape)
+    pp = np.asarray(p_pe, dtype=float)[:, None] if shape else p_pe
+    ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
-    windows, best = [(lo, hi)] * 2, [(math.inf, lo, None)] * 2
-    points = grid_points
-    for _ in range(X_REFINE_ROUNDS + 1):
-        xs = [np.linspace(*window, points) for window in windows]
-        curves = _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger)
+    best = [[(math.inf, lo, None)] * 2 for _ in range(rows)]
+    xs = [np.linspace(lo, hi, grid_points)] * 2
+    for last in [False] * X_REFINE_ROUNDS + [True]:
+        curves = _ell_curves(xs, src, obs, N, pp, sec, lam, ledger)
         for k, (x, (vals, b, e_p_t, e_p_nt)) in enumerate(zip(xs, curves)):
-            i = int(np.argmin(vals))
-            if vals[i] < best[k][0]:
-                best[k] = float(vals[i]), float(x[i]), (
-                    float(b.zeta[i]), float(b.w_t[i]), float(b.w_nt[i]), float(e_p_t[i]),
-                    float(e_p_nt[i]) if e_p_nt is not None else math.nan,
-                )
-            windows[k] = float(x[max(i - 1, 0)]), float(x[min(i + 1, points - 1)])
-        points = X_REFINE_POINTS
-    return best
+            points = vals.shape[-1]
+            lows, highs = [], []
+            for r, i in enumerate(vals.reshape(rows, points).argmin(axis=-1).tolist()):
+                f = r * points + i  # (r, i) as a flat index of the curves
+                row = r * points if x.ndim > 1 else 0  # a 1-D x is every row's
+                if vals.item(f) < best[r][k][0]:
+                    best[r][k] = vals.item(f), x.item(row + i), (
+                        b.zeta.item(f), b.w_t.item(f), b.w_nt.item(f), e_p_t.item(f),
+                        e_p_nt.item(f) if e_p_nt is not None else math.nan,
+                    )
+                lows.append(x.item(row + max(i - 1, 0)))
+                highs.append(x.item(row + min(i + 1, points - 1)))
+            if not last:
+                xs[k] = (_windows(np.array(lows)[:, None], np.array(highs)[:, None])
+                         if shape else _windows(lows[0], highs[0]))
+    return best if shape else best[0]
 
 
-def key_length(
-    src: SourceModel,
-    obs: Observables,
-    N: float,
-    p_pe: float,
-    sec: SecurityBudget,
-    grid_points: int = X_GRID_POINTS,
-) -> KeyLengthResult:
-    """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N)."""
-    grid_points = _count("grid_points", grid_points, 1)
-    lam = _leakage(obs, N, sec.f_EC)
-    (ell_t, x_t, diag_t), (ell_b, x_b, diag_b) = _minimize_over_x(
-        src, obs, N, p_pe, sec, lam, grid_points)
+def _result(pair, lam, N):
+    """KeyLengthResult of one p_pe's ``_minimize_over_x`` pair."""
+    (ell_t, x_t, diag_t), (ell_b, x_b, diag_b) = pair
     ell = math.floor(max(ell_t, ell_b, 0.0))  # an infinite leakage is no key
     diag = Diagnostics(*(diag_t if ell_t >= ell_b else diag_b), *lam)
     return KeyLengthResult(
@@ -248,6 +270,38 @@ def key_length(
         rate=0.5 * float(ell) / N,  # 2N overflows from N = 2^1023 on; 0.5 ell is exact
         diagnostics=diag,
     )
+
+
+def key_lengths(
+    src: SourceModel,
+    obs: Observables,
+    N: float,
+    ppes,
+    sec: SecurityBudget,
+    grid_points: int = X_GRID_POINTS,
+) -> tuple[KeyLengthResult, ...]:
+    """key_length at each p_pe of the 1-D array ppes, one result each, from
+    one ``_minimize_over_x`` pass over the (p_pe, x) tensor of a mu row (the
+    observables, and so x_range, are the row's).  Every result is the one
+    key_length gives at that p_pe; a scalar ppes gives one result, which is
+    key_length."""
+    grid_points = _count("grid_points", grid_points, 1)
+    lam = _leakage(obs, N, sec.f_EC)
+    pairs = _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points)
+    return tuple(_result(pair, lam, N) for pair in (pairs if np.ndim(ppes) else [pairs]))
+
+
+def key_length(
+    src: SourceModel,
+    obs: Observables,
+    N: float,
+    p_pe: float,
+    sec: SecurityBudget,
+    grid_points: int = X_GRID_POINTS,
+) -> KeyLengthResult:
+    """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N):
+    key_lengths at one p_pe."""
+    return key_lengths(src, obs, N, p_pe, sec, grid_points)[0]
 
 
 def rate_ceiling(

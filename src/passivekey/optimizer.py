@@ -6,11 +6,13 @@ shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the best of grid walks that carry the incumbent.  Once a finite
 search holds a positive key, a point whose keylength.rate_ceiling (the
 key's own ell at the two ends of x_range, with a float slack of one bit of
-ell and 1e-9 of itself) is below the incumbent gets no key_length call: it
-could not replace the incumbent, so every result is the one the full walk
-gives.  A mu row takes the ceilings of all its p_pe values from one
-rate_ceiling call, made when its first point meets a positive incumbent.
-Reach asks only whether any coarse point has a key.  A sweep row, finite or
+ell and 1e-9 of itself) is below the incumbent is not evaluated: it could
+not replace the incumbent, so every result is the one the full walk gives.
+When a mu row's first point meets a positive incumbent, the row takes the
+ceilings of all its p_pe values from one rate_ceiling call and evaluates
+the points it keeps with one keylength.key_lengths call, one (p_pe, x)
+tensor; points before the first key get a key_length call each.  Reach
+asks only whether any coarse point has a key.  A sweep row, finite or
 asymptotic, is one search call (asymptotic rows and rows whose spec pins
 p_pe have equal p_pe bounds, an axis of one point); only optimize_rate
 raises AllVacuous, for outside callers.
@@ -29,7 +31,7 @@ from .channel import ChannelModel, simulate_observables
 from .decoy_bounds import _deltas
 from .errors import AllVacuous, ZeroGain, _count
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
-                        asymptotic_rate, key_length, rate_ceiling)
+                        asymptotic_rate, key_length, key_lengths, rate_ceiling)
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
@@ -131,7 +133,8 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     the ends of x_range, float slack included) is below a positive
     incumbent: such a point could not replace it, so the result is the one
     the full walk gives.  The row's ceilings come from one rate_ceiling call
-    over its p_pe axis, so a walk makes at most one a mu row.  With no
+    over its p_pe axis, and the points it keeps from one key_lengths call,
+    so a walk makes at most one of each a mu row (see _finite).  With no
     positive coarse rate nothing is refined and (0.0, nan, nan, None) is
     returned.
     """
@@ -158,31 +161,41 @@ def _finite(L_km, N, src, ch, sec, spec):
     (mu, ppes[j]).
 
     Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0,
-    and so does a point _grid_search's pruning rule skips.  The row's
-    rate_ceiling vector over ppes is computed when its first point meets a
-    positive incumbent, and not at all if none does.
+    and so does a point _grid_search's pruning rule skips.  Up to the first
+    point that meets a positive incumbent, a row makes one key_length call a
+    point.  At that point j the row takes its rate_ceiling vector over ppes,
+    keeps the points k >= j whose ceiling is not below that incumbent, and
+    makes one key_lengths call over them; their results are served in walk
+    order.  Judging against the incumbent the row started its batch with
+    keeps points the point-by-point rule might prune later in the row, but
+    such a point's rate is below the incumbent at its turn, so it replaces
+    nothing and the walk's result is unchanged.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
     def evaluate(mu, ppes):
         src_mu = replace(src, mu=mu)
         obs = simulate_observables(src_mu, ch_L)
-        ceiling = None
+        batch = None  # {k: KeyLengthResult} of the row's kept points
 
         def at(j, incumbent):
-            nonlocal ceiling
+            nonlocal batch
             try:
-                if incumbent > 0.0:
-                    if ceiling is None:
-                        ceiling = rate_ceiling(src_mu, obs, N, ppes, sec,
-                                               spec.x_grid_points)
-                    if ceiling[j] < incumbent:
-                        return 0.0, None  # cannot beat the incumbent
-                res = key_length(src_mu, obs, N, float(ppes[j]), sec,
-                                 grid_points=spec.x_grid_points)
+                if batch is None and incumbent > 0.0:
+                    batch = {}  # stays empty in a ZeroGain row: no key anywhere
+                    ceiling = rate_ceiling(src_mu, obs, N, ppes, sec,
+                                           spec.x_grid_points)
+                    keep = [k for k in range(j, len(ppes))
+                            if not ceiling[k] < incumbent]
+                    if keep:
+                        batch = dict(zip(keep, key_lengths(
+                            src_mu, obs, N, ppes[keep], sec, spec.x_grid_points)))
+                # a kept point's result, or None: it cannot beat the incumbent
+                res = batch.get(j) if batch is not None else key_length(
+                    src_mu, obs, N, float(ppes[j]), sec, grid_points=spec.x_grid_points)
             except ZeroGain:  # no gain ratio to bound: no key
-                return 0.0, None
-            return res.rate, res
+                res = None
+            return (0.0, None) if res is None else (res.rate, res)
 
         return at
 

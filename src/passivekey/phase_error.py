@@ -48,6 +48,8 @@ _LOG_PHI_SHIFT = math.pi - 0.5 * _LOG_TWO_PI
 # log g at OMEGA_MAX + 1: a crossing below this c lies past OMEGA_MAX
 _C_FLOOR = float(0.5 * math.log(0.5 * ((OMEGA_MAX + 1.0) ** 2 + _TWO_PI))
                  + log_ndtr(-(OMEGA_MAX + 1.0)))
+# sqrt((omega^2 + 2 pi)/2) at OMEGA_MAX, as _tail_condition_lhs computes it
+_ROOT_G_MAX = math.sqrt((OMEGA_MAX**2 + 2.0 * math.pi) / 2.0)
 # a guard only: from its large-omega start, Newton takes two steps
 _NEWTON_STEPS = 64
 
@@ -82,14 +84,16 @@ def gaussian_tail(omega):
     return 0.5 * erfc(np.asarray(omega, dtype=float) / _SQRT2)
 
 
-def _tail_condition_lhs(omega, n, l):
+def _tail_factors(n, l):
+    """sqrt((n+l)/n) and e^nu, the factors of the tail LHS that omega leaves out."""
     nu = 1.0 / (6.0 * np.asarray(n, dtype=float)) + 1.0 / 12.0
-    return (
-        np.sqrt((n + l) / n)
-        * np.sqrt((omega**2 + 2.0 * math.pi) / 2.0)
-        * np.exp(nu)
-        * gaussian_tail(omega)
-    )
+    return np.sqrt((n + l) / n), np.exp(nu)
+
+
+def _tail_condition_lhs(omega, n, l, factors=None):
+    """The tail LHS at omega; factors is _tail_factors(n, l), if already at hand."""
+    root, e_nu = _tail_factors(n, l) if factors is None else factors
+    return root * np.sqrt((omega**2 + 2.0 * math.pi) / 2.0) * e_nu * gaussian_tail(omega)
 
 
 def _last_judged_point():
@@ -160,12 +164,16 @@ def _solve_omega_arrays(n, l, eps_sec):
             if np.abs(dw).max() <= done:
                 break
         snapped = np.ceil(w / step) * step
-        points = np.array([np.full_like(w, OMEGA_MAX), snapped - step, snapped])
-        meets = _tail_condition_lhs(points, n, l) <= target
+        points = np.array([snapped - step, snapped])
+        root, e_nu = factors = _tail_factors(n, l)
+        meets = _tail_condition_lhs(points, n, l, factors) <= target
         judged = points <= _OMEGA_JUDGED
-    met = meets[0]
-    omega = np.where(judged[1] & meets[1], snapped - step,
-                     np.where(judged[2] & meets[2], snapped, snapped + step))
+        # Phi(OMEGA_MAX) is 0.0 in doubles, so the LHS there is 0, which
+        # meets the condition, unless its other factors (multiplied in
+        # _tail_condition_lhs' order) are not finite and make it nan
+        met = np.isfinite(root * _ROOT_G_MAX * e_nu)
+    omega = np.where(judged[0] & meets[0], snapped - step,
+                     np.where(judged[1] & meets[1], snapped, snapped + step))
     # past OMEGA_MAX: the float LHS there read 0, but the crossing is beyond
     return np.where(met & (omega <= OMEGA_MAX), omega, math.inf)
 

@@ -34,6 +34,7 @@ from passivekey.keylength import (
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
+    key_lengths,
     rate_ceiling,
 )
 from passivekey.phase_error import _phase_error_arrays, solve_omega
@@ -379,6 +380,43 @@ class TestRateCeiling:
         want = 0.5 * (max(res.ell_T, res.ell_B, 0.0) + 1.0) / N * (
             1.0 + keylength._CEILING_SLACK)
         assert rate_ceiling(src, obs, N, p_pe, sec, 1) == pytest.approx(want, rel=1e-12)
+
+
+class TestKeyLengths:
+    """key_lengths is key_length at each p_pe of a mu row, from one x search."""
+
+    # eps_sec >= 1e-30 keeps Phi(omega) a normal double, where omega is a
+    # function of the tail condition alone
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+    @settings(max_examples=100, deadline=None)
+    def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
+                                        p_d, grid_points):
+        # every field of every result, bit for bit, vacuous points included
+        src = replace(src, mu=mu)
+        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        row = key_lengths(src, obs, N, np.array(p_pe), sec, grid_points)
+        assert repr(row) == repr(tuple(key_length(src, obs, N, p, sec, grid_points)
+                                       for p in p_pe))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 0.0), (0.0, 1e-3), (2.5e-3, 2.75e-3), (0.1, 0.1 + 1e-300),
+        (0.0, 5e-324), (0.0, 2e-322), (1e-3, 1e-3 + 4 * math.ulp(1e-3)),
+    ])
+    def test_windows_are_linspace(self, lo, hi):
+        # a refinement window is np.linspace bit for bit, one row per p_pe;
+        # at (0, 5e-324) the step underflows to zero and np.linspace scales
+        # t / div by the width instead
+        want = np.linspace(lo, hi, keylength.X_REFINE_POINTS)
+        assert keylength._windows(lo, hi).tobytes() == want.tobytes()
+        column = keylength._windows(np.array([[lo], [0.0]]), np.array([[hi], [1.0]]))
+        assert column[0].tobytes() == want.tobytes()
+        assert column[1].tobytes() == np.linspace(0.0, 1.0, 50).tobytes()
 
 
 class TestEpsilonLedger:

@@ -323,45 +323,72 @@ class TestSweep:
 
 
 def counting(monkeypatch, *names):
-    """Patch each optimizer.<name> with a wrapper that counts its calls."""
+    """Patch each optimizer.<name> with a wrapper that counts its calls.
+
+    calls["points"] counts the points evaluated: one for a key_length call,
+    one per p_pe handed to key_lengths.
+    """
     calls = Counter()
     for name in names:
         def wrapper(*args, _name=name, _f=getattr(optimizer, name), **kwargs):
             calls[_name] += 1
+            if _name in ("key_length", "key_lengths"):
+                calls["points"] += np.size(args[3])  # (src, obs, N, p_pe, ...)
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, name, wrapper)
     return calls
 
 
+# (spec, L_km, N) of the pruning tests: keyed and vacuous rows, near reach
+WALKS = pytest.mark.parametrize("spec, L_km, N", [
+    (FAST, 0.0, 1e8), (FAST, 50.0, 1e9), (FAST, 100.0, 1e13),
+    (FAST, 120.0, 1e10), (FAST, 200.0, 1e6), (OptimizationSpec(), 50.0, 1e9),
+    (SWEEP, 160.0, 1e13), (SWEEP, 175.0, 1e13),
+], ids=["fast_0km", "fast_50km", "fast_100km", "fast_120km_near_reach",
+        "fast_vacuous", "default_50km", "sweep_160km", "sweep_175km_near_reach"])
+
+
+def searched(monkeypatch, src, sec, spec, L_km, N):
+    """(sweep_point row, optimize_rate result or None, points evaluated), with
+    every patch made before the call undone after it."""
+    calls = counting(monkeypatch, "key_length", "key_lengths")
+    row = sweep_point(L_km, N, "finite", src, make_channel(0.0), sec, spec)
+    try:
+        opt = optimize_rate(L_km, N, src, make_channel(0.0), sec, spec)
+    except AllVacuous:
+        opt = None
+    monkeypatch.undo()
+    return row, opt, calls["points"]
+
+
 class TestPruning:
     """Points that rate_ceiling shows cannot beat the incumbent are skipped."""
 
-    @pytest.mark.parametrize("spec, L_km, N", [
-        (FAST, 0.0, 1e8), (FAST, 50.0, 1e9), (FAST, 100.0, 1e13),
-        (FAST, 120.0, 1e10), (FAST, 200.0, 1e6), (OptimizationSpec(), 50.0, 1e9),
-        (SWEEP, 160.0, 1e13), (SWEEP, 175.0, 1e13),
-    ], ids=["fast_0km", "fast_50km", "fast_100km", "fast_120km_near_reach",
-            "fast_vacuous", "default_50km", "sweep_160km", "sweep_175km_near_reach"])
+    @WALKS
     def test_results_match_the_unpruned_walk(self, monkeypatch, src, sec, spec,
                                              L_km, N):
-        def search():
-            calls = counting(monkeypatch, "key_length")
-            row = sweep_point(L_km, N, "finite", src, make_channel(0.0), sec, spec)
-            try:
-                opt = optimize_rate(L_km, N, src, make_channel(0.0), sec, spec)
-            except AllVacuous:
-                opt = None
-            monkeypatch.undo()
-            return row, opt, calls["key_length"]
-
-        *pruned, pruned_calls = search()
+        *pruned, pruned_points = searched(monkeypatch, src, sec, spec, L_km, N)
         # no pruning: an all-inf ceiling over the row's p_pe axis
         monkeypatch.setattr(optimizer, "rate_ceiling",
                             lambda src, obs, N, ppes, *args: np.full(len(ppes), math.inf))
-        *full, full_calls = search()
+        *full, full_points = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(pruned) == repr(full)  # every field, nan included
-        assert pruned_calls < full_calls if full[0].status == "ok" else pruned_calls == full_calls
+        if full[0].status == "ok":
+            assert pruned_points < full_points
+        else:
+            assert pruned_points == full_points
+
+    @WALKS
+    def test_results_match_a_per_point_walk(self, monkeypatch, src, sec, spec,
+                                            L_km, N):
+        # a row's one key_lengths call gives what a key_length call per
+        # kept point gives
+        *rows, _ = searched(monkeypatch, src, sec, spec, L_km, N)
+        monkeypatch.setattr(optimizer, "key_lengths", lambda src, obs, N, ppes, *args: tuple(
+            optimizer.key_length(src, obs, N, float(p), *args) for p in ppes))
+        *per_point, _ = searched(monkeypatch, src, sec, spec, L_km, N)
+        assert repr(rows) == repr(per_point)
 
     def test_nothing_pruned_before_the_first_key(self, monkeypatch, src, sec):
         calls = counting(monkeypatch, "key_length", "rate_ceiling")
@@ -372,9 +399,22 @@ class TestPruning:
 
     def test_one_ceiling_call_per_mu_row(self, monkeypatch, src, sec):
         # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
-        # of 7 refinement rows, each with one ceiling vector over its p_pe axis
-        calls = counting(monkeypatch, "key_length", "rate_ceiling")
+        # of 7 refinement rows, each with one ceiling vector over its p_pe
+        # axis and at most one key_lengths call over the points it keeps;
+        # points before the first key get a key_length call each
+        calls = counting(monkeypatch, "key_length", "key_lengths", "rate_ceiling")
+        order = []
+        for name in ("key_lengths", "rate_ceiling"):
+            def logged(*args, _name=name, _f=getattr(optimizer, name)):
+                order.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(optimizer, name, logged)
         optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
         spec = OptimizationSpec()
         assert spec.coarse_points[0] + spec.refine_rounds * spec.refine_points[0] == 45
-        assert (calls["rate_ceiling"], calls["key_length"]) == (45, 134)
+        # a row's key_lengths call follows its ceiling call
+        assert all(order[i - 1] == "rate_ceiling"
+                   for i, name in enumerate(order) if name == "key_lengths")
+        assert (calls["rate_ceiling"], calls["key_length"], calls["key_lengths"],
+                calls["points"]) == (45, 3, 11, 160)

@@ -92,6 +92,16 @@ class TestSolveOmega:
         with pytest.raises(NoSolution):
             solve_omega(PhaseErrorInputs(n=1e-4, l=1e6, e_ob=0.0, eps_sec=1e-10))
 
+    def test_phi_at_omega_max_is_zero(self):
+        # the solve judges OMEGA_MAX without evaluating Phi there: it is 0.0
+        # in doubles, so the LHS at OMEGA_MAX is 0 where its other factors
+        # are finite and nan where they are not
+        assert gaussian_tail(OMEGA_MAX) == 0.0
+        assert gaussian_tail(np.full(3, OMEGA_MAX)).tolist() == [0.0] * 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = _tail_condition_lhs(OMEGA_MAX, np.array([1e-4, 1e4]), 1e6)
+        assert math.isnan(lhs[0]) and lhs[1] == 0.0
+
     @pytest.mark.parametrize("n, l, eps", [
         (7612.48155, 9.52973625e10, 1e-153),
         (1e6, 1e13, 1e-153),
