@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sweep", metavar="L0:L1:STEP",
                        help="distance grid in km (or comma list)")
     p_run.add_argument("--N", action="append",
-                       help="total pulse count; repeatable")
+                       help="basis-matched pulse count (the source emits 2N); repeatable")
     p_run.add_argument("--p-pe", dest="p_pe",
                        help="pin p_pe: sets both p_pe_min and p_pe_max")
     p_run.add_argument("--out", help="output CSV path")

@@ -33,8 +33,9 @@ class SampleBudget:
     Attributes
     ----------
     N : float
-        Total pulses emitted by the source (accepted as a real number; the
-        engine works with expected counts).
+        Basis-matched pulses, left after basis sifting and before the p_pe
+        split: the source emits 2N, and the rate ell / (2N) is key per
+        emitted pulse (a real number; the engine works with expected counts).
     p_pe : float or array
         Probability that a pulse is assigned to parameter estimation; an
         array of them gives every chi term that array's shape.

@@ -38,7 +38,7 @@ acceptance suite pins them):
 * the aggregate fluctuation chi uses only the k = 0..2 orders of the
   sqrt(delta_k p_k) series (``chi_low_orders``); the full series is kept
   available as ``chi_total`` for conservative analyses;
-* the key and leakage terms scale with the full pulse count N.  The
+* the key and leakage terms scale with all N basis-matched pulses.  The
   parameter-estimation fraction p_pe enters through the fluctuation terms
   and through the code/sample split of the phase-error estimate
   (n = N (1 - p_pe) Q1, l = N p_pe Q1).
@@ -180,11 +180,10 @@ def _ledger(src, obs, N, p_pe, sec):
 def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
     """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
 
-    x_T and x_B are arrays of one length X; ledger is ``_ledger``'s pair at
-    the same p_pe.  A scalar p_pe gives curves of shape (X,); a column of P
-    values, shape (P, 1), gives a (P, X) tensor, one row per p_pe.  e_p of
-    T's triggered class and of B's two classes comes from one phase-error
-    solve.  e_p_nt is None for "T".
+    x_T and x_B are arrays of one shape that broadcast with p_pe (a float or
+    a (P, 1) column) to the curves' shape, one row per p_pe; ledger is
+    ``_ledger``'s pair at the same p_pe.  e_p of T's triggered class and of
+    B's two classes comes from one phase-error solve.  e_p_nt is None for "T".
     """
     bt, bb = (evaluate_bounds(x, src, budget, obs, chi=chi)
               for x, (budget, chi, _) in zip(xs, ledger))
@@ -200,60 +199,56 @@ def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
 
 
 def _windows(lo, hi):
-    """np.linspace(lo, hi, X_REFINE_POINTS) bit for bit, for floats lo and hi
-    or one row per entry of (P, 1) columns: t * step + lo with the last point
-    hi, and t / div * delta + lo where the step underflows to zero, as
-    np.linspace has it."""
+    """np.linspace(lo, hi, X_REFINE_POINTS) bit for bit, one row per entry of
+    (P, 1) columns lo and hi: t * step + lo with the last point hi, and
+    t / div * delta + lo where the step underflows to zero, as np.linspace
+    has it."""
     delta = hi - lo
     step = delta / (X_REFINE_POINTS - 1)
     x = _REFINE_T * step + lo
     if np.count_nonzero(step) < np.size(step):
         x = np.where(step == 0, _REFINE_T / (X_REFINE_POINTS - 1) * delta + lo, x)
-    x[..., -1:] = hi
+    x[:, -1:] = hi
     return x
 
 
-def _minimize_over_x(src, obs, N, p_pe, sec, lam, grid_points):
-    """Per strategy T, B: (min over x of ell(x), minimizing x, (zeta, W_t, W_nt,
-    e_p_t, e_p_nt) there); e_p_nt is nan for "T".  A scalar p_pe gives that
-    pair, a 1-D array of P values a list of P pairs, one per p_pe.
+def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
+    """Per p_pe of the 1-D array ppes, per strategy T, B: (min over x of
+    ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there); e_p_nt is
+    nan for "T".
 
-    Both strategies are searched together, one ``_ell_curves`` call a round:
-    a grid_points grid on x_range, then X_REFINE_ROUNDS rounds of
-    X_REFINE_POINTS points around each strategy's own minimum.  The ledger
-    terms are built once, before the first round.  A scalar p_pe is passed
-    through, so its curves are 1-D; an array is held as a (P, 1) column
-    against the x row, so a round is one (p_pe, x) tensor: the first round's
-    x is the shared linspace of x_range, and each refinement round has one
-    window per (p_pe, strategy) row.  Each row keeps its own minimum, the
-    first of equal values, so every pair is the one a scalar p_pe gives.
+    Both strategies are searched together, one ``_ell_curves`` call a round,
+    and a round is one (p_pe, x) tensor: the grid_points linspace of x_range
+    in every row, then X_REFINE_ROUNDS rounds of X_REFINE_POINTS points, one
+    window per (p_pe, strategy) row around that row's own minimum.  The
+    ledger terms are built once, before the first round.  Each row keeps its
+    own minimum, the first of equal values, as a single p_pe would.
     """
-    shape = np.shape(p_pe)
-    rows = math.prod(shape)
-    pp = np.asarray(p_pe, dtype=float)[:, None] if shape else p_pe
+    rows = len(ppes)
+    # one p_pe as a float: a (1, 1) column makes _bounds and chi 7-10 % slower
+    pp = float(ppes[0]) if rows == 1 else np.asarray(ppes, dtype=float)[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
     best = [[(math.inf, lo, None)] * 2 for _ in range(rows)]
-    xs = [np.linspace(lo, hi, grid_points)] * 2
+    xs = [np.repeat(np.linspace(lo, hi, grid_points)[None], rows, axis=0)] * 2
     for last in [False] * X_REFINE_ROUNDS + [True]:
         curves = _ell_curves(xs, src, obs, N, pp, sec, lam, ledger)
         for k, (x, (vals, b, e_p_t, e_p_nt)) in enumerate(zip(xs, curves)):
-            points = vals.shape[-1]
+            points = x.shape[1]
             lows, highs = [], []
-            for r, i in enumerate(vals.reshape(rows, points).argmin(axis=-1).tolist()):
-                f = r * points + i  # (r, i) as a flat index of the curves
-                row = r * points if x.ndim > 1 else 0  # a 1-D x is every row's
+            for r, i in enumerate(vals.argmin(axis=1).tolist()):
+                row = r * points  # x and the curves share this flat index
+                f = row + i
                 if vals.item(f) < best[r][k][0]:
-                    best[r][k] = vals.item(f), x.item(row + i), (
+                    best[r][k] = vals.item(f), x.item(f), (
                         b.zeta.item(f), b.w_t.item(f), b.w_nt.item(f), e_p_t.item(f),
                         e_p_nt.item(f) if e_p_nt is not None else math.nan,
                     )
                 lows.append(x.item(row + max(i - 1, 0)))
                 highs.append(x.item(row + min(i + 1, points - 1)))
             if not last:
-                xs[k] = (_windows(np.array(lows)[:, None], np.array(highs)[:, None])
-                         if shape else _windows(lows[0], highs[0]))
-    return best if shape else best[0]
+                xs[k] = _windows(np.array(lows)[:, None], np.array(highs)[:, None])
+    return best
 
 
 def _result(pair, lam, N):
@@ -283,12 +278,11 @@ def key_lengths(
     """key_length at each p_pe of the 1-D array ppes, one result each, from
     one ``_minimize_over_x`` pass over the (p_pe, x) tensor of a mu row (the
     observables, and so x_range, are the row's).  Every result is the one
-    key_length gives at that p_pe; a scalar ppes gives one result, which is
-    key_length."""
+    key_length gives at that p_pe."""
     grid_points = _count("grid_points", grid_points, 1)
     lam = _leakage(obs, N, sec.f_EC)
-    pairs = _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points)
-    return tuple(_result(pair, lam, N) for pair in (pairs if np.ndim(ppes) else [pairs]))
+    return tuple(_result(pair, lam, N)
+                 for pair in _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points))
 
 
 def key_length(
@@ -301,22 +295,23 @@ def key_length(
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N):
     key_lengths at one p_pe."""
-    return key_lengths(src, obs, N, p_pe, sec, grid_points)[0]
+    if np.ndim(p_pe):
+        raise ValueError("p_pe must be a single value; key_lengths takes an array of them")
+    return key_lengths(src, obs, N, [p_pe], sec, grid_points)[0]
 
 
 def rate_ceiling(
     src: SourceModel,
     obs: Observables,
     N: float,
-    p_pe,
+    ppes,
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
 ):
-    """An upper bound on key_length(src, obs, N, p_pe, sec, grid_points).rate:
-    the key's own ell_T and ell_B (``_ell_curves``) at the ends of x_range,
-    plus a float slack.  p_pe is a scalar or a 1-D array, and the ceiling
-    has its shape: a (p_pe, x) tensor of one ``_ell_curves`` call bounds
-    every p_pe of a mu row, as x_range depends on mu only.
+    """Upper bounds on the rates key_lengths gives at the 1-D array ppes, one
+    each: the key's own ell_T and ell_B (``_ell_curves``) at the ends of
+    x_range, plus a float slack.  One (p_pe, x) tensor of one ``_ell_curves``
+    call bounds every p_pe of a mu row, as x_range depends on mu only.
 
     key_length's first x round is a linspace of x_range, which holds both
     ends exactly (only the lower one for grid_points = 1), and the later
@@ -327,13 +322,13 @@ def rate_ceiling(
     _CEILING_SLACK of itself, and a point whose ceiling is below a rate
     cannot beat that rate.
     """
-    pp = np.asarray(p_pe, dtype=float)[..., None]  # a column against the x row
     xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
+    pp = np.asarray(ppes, dtype=float)[:, None]  # a column against the x row
     (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, pp, sec,
                                            _leakage(obs, N, sec.f_EC),
                                            _ledger(src, obs, N, pp, sec))
-    ell = np.maximum(np.maximum(ell_t.min(axis=-1), ell_b.min(axis=-1)), 0.0)
-    return (0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK))[()]
+    ell = np.maximum(np.maximum(ell_t.min(axis=1), ell_b.min(axis=1)), 0.0)
+    return 0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK)
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

@@ -83,8 +83,8 @@ def curves_at(xs, src, obs, N, sec):
 
 
 def minimize(src, obs, N, sec):
-    return _minimize_over_x(src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC),
-                            X_GRID_POINTS)
+    return _minimize_over_x(src, obs, N, np.array([0.5]), sec,
+                            _leakage(obs, N, sec.f_EC), X_GRID_POINTS)[0]
 
 
 # the ell(x) path of key_length at N = 1e9, p_pe = 0.5, on an array of x
@@ -124,6 +124,34 @@ class TestEllCurves:
         at_lo, at_hi = ell_at(x_range(src, obs), "T", src, obs, sec)
         assert val <= float(at_lo) + 1e-6
         assert val <= float(at_hi) + 1e-6
+
+
+# every field of the result, Diagnostics included, bit for bit; e_p_nt is
+# NaN where T wins, the vacuous point included
+EXACT_POINTS = pytest.mark.parametrize("mu, channel, N, p_pe, want", [
+    (0.05, make_channel(150.0), 1e13, 0.1, [  # T wins
+        "0x1.20130a826eeacp+22", "0x1.0325f4f7a1a67p+22", "0x1.2013080000000p+22",
+        "0x1.58895a4235414p-2", "0x1.e7312eb365f69p-3", "0x1.fac9263ee7608p-23",
+        "0x1.e5f6c6c29d94ap-2", "0x1.0471e987f37cfp-5", "0x0.0p+0",
+        "0x1.143bebb256966p-5", "nan", "0x1.3ab6048fac06fp+21",
+        "0x1.9abfe6e70147ep+24"]),
+    (0.5, make_channel(50.0), 1e9, 0.5, [  # B wins
+        "0x1.c34ab57d5b426p+17", "0x1.5ff7885b04fadp+19", "0x1.5ff7800000000p+19",
+        "0x1.5b271184c34cfp-7", "0x0.0p+0", "0x1.79ebe57d031c2p-12",
+        "0x1.94d7a924dd9fcp-2", "0x1.f724e6c0dc648p-6", "0x1.b70a50a90783ap-7",
+        "0x1.2220e533db7d7p-5", "0x1.0c9134ec24b01p-6", "0x1.5dab99cc4220cp+17",
+        "0x1.5922072eb2f21p+16"]),
+    (0.5, make_channel(100.0), 1e9, 0.5, [  # vacuous
+        "-0x1.2c460451be849p+14", "-0x1.f2f3502320f51p+14", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.797cb2596eb53p-6", "inf", "inf",
+        "0x1.0000000000000p-1", "nan", "0x1.283593474cfcbp+14",
+        "0x1.863875387dc66p+13"]),
+    (0.5, replace(make_channel(50.0), p_d=0.0, e_d=0.0), 1e9, 0.5, [  # x_range (0, 0)
+        "0x1.0d3e61a786c13p+19", "0x1.1f852e487ccd6p+20", "0x1.1f85200000000p+20",
+        "0x0.0p+0", "0x0.0p+0", "0x1.34b8e6b34a3c3p-11", "0x1.943d4845e90a5p-2",
+        "0x1.ef29223b4e142p-14", "0x0.0p+0", "0x1.4f717760db261p-11",
+        "0x1.52d8cc2b55784p-12", "0x0.0p+0", "0x0.0p+0"]),
+], ids=["T_wins", "B_wins", "vacuous", "single_point_x_range"])
 
 
 class TestKeyLength:
@@ -270,6 +298,11 @@ class TestKeyLength:
         assert res.ell == max(float(int(max(at_zero.values()))), 0.0)
         assert asymptotic_rate(src, ch) > 0.0
 
+    def test_p_pe_must_be_a_single_value(self, src, obs, sec):
+        # an array would be searched as a row and all but its first result lost
+        with pytest.raises(ValueError, match="p_pe"):
+            key_length(src, obs, 1e9, np.array([0.3, 0.5]), sec)
+
     @pytest.mark.parametrize("grid_points", [0, -1, 2.5, True])
     def test_grid_points_must_be_a_positive_integer(self, src, obs, sec, grid_points):
         with pytest.raises(ValueError, match="grid_points"):
@@ -290,38 +323,24 @@ class TestKeyLength:
         assert calls == {"evaluate_bounds": 6, "chi_low_orders": 2,
                          "_phase_error_arrays": 3}
 
-    # every field of the result, Diagnostics included, bit for bit; e_p_nt is
-    # NaN where T wins, the vacuous point included
-    @pytest.mark.parametrize("mu, channel, N, p_pe, want", [
-        (0.05, make_channel(150.0), 1e13, 0.1, [  # T wins
-            "0x1.20130a826eeacp+22", "0x1.0325f4f7a1a67p+22", "0x1.2013080000000p+22",
-            "0x1.58895a4235414p-2", "0x1.e7312eb365f69p-3", "0x1.fac9263ee7608p-23",
-            "0x1.e5f6c6c29d94ap-2", "0x1.0471e987f37cfp-5", "0x0.0p+0",
-            "0x1.143bebb256966p-5", "nan", "0x1.3ab6048fac06fp+21",
-            "0x1.9abfe6e70147ep+24"]),
-        (0.5, make_channel(50.0), 1e9, 0.5, [  # B wins
-            "0x1.c34ab57d5b426p+17", "0x1.5ff7885b04fadp+19", "0x1.5ff7800000000p+19",
-            "0x1.5b271184c34cfp-7", "0x0.0p+0", "0x1.79ebe57d031c2p-12",
-            "0x1.94d7a924dd9fcp-2", "0x1.f724e6c0dc648p-6", "0x1.b70a50a90783ap-7",
-            "0x1.2220e533db7d7p-5", "0x1.0c9134ec24b01p-6", "0x1.5dab99cc4220cp+17",
-            "0x1.5922072eb2f21p+16"]),
-        (0.5, make_channel(100.0), 1e9, 0.5, [  # vacuous
-            "-0x1.2c460451be849p+14", "-0x1.f2f3502320f51p+14", "0x0.0p+0",
-            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.797cb2596eb53p-6", "inf", "inf",
-            "0x1.0000000000000p-1", "nan", "0x1.283593474cfcbp+14",
-            "0x1.863875387dc66p+13"]),
-        (0.5, replace(make_channel(50.0), p_d=0.0, e_d=0.0), 1e9, 0.5, [  # x_range (0, 0)
-            "0x1.0d3e61a786c13p+19", "0x1.1f852e487ccd6p+20", "0x1.1f85200000000p+20",
-            "0x0.0p+0", "0x0.0p+0", "0x1.34b8e6b34a3c3p-11", "0x1.943d4845e90a5p-2",
-            "0x1.ef29223b4e142p-14", "0x0.0p+0", "0x1.4f717760db261p-11",
-            "0x1.52d8cc2b55784p-12", "0x0.0p+0", "0x0.0p+0"]),
-    ], ids=["T_wins", "B_wins", "vacuous", "single_point_x_range"])
+    @EXACT_POINTS
     def test_every_field_is_exact(self, src, sec, mu, channel, N, p_pe, want):
         src = replace(src, mu=mu)
         res = key_length(src, simulate_observables(src, channel), N, p_pe, sec)
         got = [float(v) for v in astuple(res)[:-1] + astuple(res.diagnostics)]
         for g, w in zip(got, map(float.fromhex, want), strict=True):
             assert g == w or (math.isnan(g) and math.isnan(w))
+
+    @EXACT_POINTS
+    def test_a_row_of_two_is_exact(self, src, sec, mu, channel, N, p_pe, want):
+        # two p_pe take the (P, 1) column path, one the float path: the same bits
+        src = replace(src, mu=mu)
+        row = key_lengths(src, simulate_observables(src, channel), N,
+                          np.array([p_pe, p_pe]), sec)
+        for res in row:
+            got = [float(v) for v in astuple(res)[:-1] + astuple(res.diagnostics)]
+            for g, w in zip(got, map(float.fromhex, want), strict=True):
+                assert g == w or (math.isnan(g) and math.isnan(w))
 
 
 class TestRateCeiling:
@@ -331,24 +350,22 @@ class TestRateCeiling:
     # the ends may land omega one grid step from key_length's
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
            log_N=st.floats(3.0, 18.0),
-           p_pe=st.floats(0.01, 0.99) | st.lists(st.floats(0.01, 0.99), min_size=1,
-                                                 max_size=3),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
            p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
     @settings(max_examples=150, deadline=None)
     def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
                              grid_points):
         # vacuous points included: at 250 km or N = 1e3 most points have no key;
-        # a vector of p_pe is bounded elementwise
+        # the ceiling vector bounds each p_pe's rate
         src = replace(src, mu=mu)
         obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
         ceiling = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
-        assert np.shape(ceiling) == np.shape(p_pe)
-        rates = [key_length(src, obs, N, p, sec, grid_points).rate
-                 for p in np.atleast_1d(p_pe)]
-        assert np.all(np.array(rates) <= np.atleast_1d(ceiling))
+        assert ceiling.shape == (len(p_pe),)
+        rates = [key_length(src, obs, N, p, sec, grid_points).rate for p in p_pe]
+        assert np.all(np.array(rates) <= ceiling)
 
     # eps_sec >= 1e-30 keeps Phi(omega) a normal double, where omega is a
     # function of the tail condition alone
@@ -367,8 +384,8 @@ class TestRateCeiling:
         N = 10.0 ** log_N
         row = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
         assert row.shape == (len(p_pe),)
-        assert row.tolist() == [rate_ceiling(src, obs, N, p, sec, grid_points)
-                                for p in p_pe]
+        assert row.tolist() == [rate_ceiling(src, obs, N, np.array([p]), sec,
+                                             grid_points).item() for p in p_pe]
 
     @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
                                                 (250.0, 1e9, 0.5)])
@@ -379,7 +396,8 @@ class TestRateCeiling:
         res = key_length(src, obs, N, p_pe, sec, grid_points=1)
         want = 0.5 * (max(res.ell_T, res.ell_B, 0.0) + 1.0) / N * (
             1.0 + keylength._CEILING_SLACK)
-        assert rate_ceiling(src, obs, N, p_pe, sec, 1) == pytest.approx(want, rel=1e-12)
+        ceiling = rate_ceiling(src, obs, N, np.array([p_pe]), sec, 1)
+        assert ceiling.item() == pytest.approx(want, rel=1e-12)
 
 
 class TestKeyLengths:
@@ -413,7 +431,8 @@ class TestKeyLengths:
         # at (0, 5e-324) the step underflows to zero and np.linspace scales
         # t / div by the width instead
         want = np.linspace(lo, hi, keylength.X_REFINE_POINTS)
-        assert keylength._windows(lo, hi).tobytes() == want.tobytes()
+        row = keylength._windows(np.array([[lo]]), np.array([[hi]]))
+        assert row[0].tobytes() == want.tobytes()
         column = keylength._windows(np.array([[lo], [0.0]]), np.array([[hi], [1.0]]))
         assert column[0].tobytes() == want.tobytes()
         assert column[1].tobytes() == np.linspace(0.0, 1.0, 50).tobytes()
