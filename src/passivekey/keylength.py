@@ -226,7 +226,7 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     """
     rows = len(ppes)
     # one p_pe as a float: a (1, 1) column makes _bounds and chi 7-10 % slower
-    pp = float(ppes[0]) if rows == 1 else np.asarray(ppes, dtype=float)[:, None]
+    pp = float(ppes[0]) if rows == 1 else ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
     best = [[(math.inf, lo, None)] * 2 for _ in range(rows)]
@@ -267,6 +267,15 @@ def _result(pair, lam, N):
     )
 
 
+def _p_pe_axis(ppes):
+    """ppes as a 1-D float array, the p_pe axis of key_lengths and rate_ceiling."""
+    axis = np.asarray(ppes, dtype=float)
+    if axis.ndim != 1:
+        raise ValueError("p_pe must be a 1-D array of values to key_lengths and "
+                         "rate_ceiling, and a single value to key_length")
+    return axis
+
+
 def key_lengths(
     src: SourceModel,
     obs: Observables,
@@ -279,6 +288,7 @@ def key_lengths(
     one ``_minimize_over_x`` pass over the (p_pe, x) tensor of a mu row (the
     observables, and so x_range, are the row's).  Every result is the one
     key_length gives at that p_pe."""
+    ppes = _p_pe_axis(ppes)
     grid_points = _count("grid_points", grid_points, 1)
     lam = _leakage(obs, N, sec.f_EC)
     return tuple(_result(pair, lam, N)
@@ -295,8 +305,6 @@ def key_length(
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N):
     key_lengths at one p_pe."""
-    if np.ndim(p_pe):
-        raise ValueError("p_pe must be a single value; key_lengths takes an array of them")
     return key_lengths(src, obs, N, [p_pe], sec, grid_points)[0]
 
 
@@ -323,7 +331,7 @@ def rate_ceiling(
     cannot beat that rate.
     """
     xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
-    pp = np.asarray(ppes, dtype=float)[:, None]  # a column against the x row
+    pp = _p_pe_axis(ppes)[:, None]  # a column against the x row
     (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, pp, sec,
                                            _leakage(obs, N, sec.f_EC),
                                            _ledger(src, obs, N, pp, sec))

@@ -3,19 +3,14 @@
 The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
-optimum is the best of grid walks that carry the incumbent.  Once a finite
-search holds a positive key, a point whose keylength.rate_ceiling (the
-key's own ell at the two ends of x_range, with a float slack of one bit of
-ell and 1e-9 of itself) is below the incumbent is not evaluated: it could
-not replace the incumbent, so every result is the one the full walk gives.
-When a mu row's first point meets a positive incumbent, the row takes the
-ceilings of all its p_pe values from one rate_ceiling call and evaluates
-the points it keeps with one keylength.key_lengths call, one (p_pe, x)
-tensor; points before the first key get a key_length call each.  Reach
-asks only whether any coarse point has a key.  A sweep row, finite or
-asymptotic, is one search call (asymptotic rows and rows whose spec pins
-p_pe have equal p_pe bounds, an axis of one point); only optimize_rate
-raises AllVacuous, for outside callers.
+optimum is the best of grid walks that carry the incumbent.  A mu row is
+one generator of the points it evaluates; a finite row leaves out points
+that cannot beat the incumbent, by the rule _finite states, so every
+result is the one the full walk gives.  Reach asks only whether any
+coarse point has a key.  A sweep row, finite or asymptotic, is one search
+call (asymptotic rows and rows whose spec pins p_pe have equal p_pe
+bounds, an axis of one point); only optimize_rate raises AllVacuous, for
+outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -98,45 +93,38 @@ class OptimizeResult:
 
 
 def _walk(evaluate, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
-    """The best (rate, mu, p_pe, payload) of best and one grid of
-    evaluate(mu, ppes)(j, incumbent) -> (rate, payload) at (mu, ppes[j]),
-    walked mu-major.
+    """The best (rate, mu, p_pe, payload) of best and one grid, walked
+    mu-major.
 
-    evaluate(mu, ppes) is handed a mu row's p_pe axis, does the row's shared
-    work (the observables, and at most one ceiling vector) once, and returns
-    the row's function of the point index j, which is handed the incumbent
-    rate and may skip a point that cannot beat it; an axis with equal ends
-    is one point.  A point replaces best only with a higher rate, so ties
-    keep the earliest point.  first=True returns at the first point that
-    does.
+    evaluate(mu, ppes, incumbent) is handed a mu row's p_pe axis and the
+    incumbent rate at the row's start, and yields (j, rate, payload) for the
+    points (mu, ppes[j]) it evaluates, in walk order; it may leave out a
+    point that cannot beat the incumbent.  An axis with equal ends is one
+    point.  A point replaces best only with a higher rate, so ties keep the
+    earliest point.  first=True returns at the first point that does, and
+    the lazy row evaluates nothing past it.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
     for mu in map(float, mus):
-        at_mu = evaluate(mu, ppes)
-        for j, pp in enumerate(map(float, ppes)):
-            rate, payload = at_mu(j, best[0])
+        for j, rate, payload in evaluate(mu, ppes, best[0]):
             if rate > best[0]:
-                best = rate, mu, pp, payload
+                best = rate, mu, float(ppes[j]), payload
                 if first:
                     return best
     return best
 
 
 def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
-    """Best (rate, mu, p_pe, payload) of evaluate(mu, ppes)(j, incumbent).
+    """Best (rate, mu, p_pe, payload) of the rows evaluate(mu, ppes, incumbent)
+    yields (see _walk).
 
     The _walk of the coarse grid, then of spec.refine_rounds rectangles
     around the incumbent, half-widths one coarse step shrinking threefold a
     round; every walk starts from the incumbent, so ties keep the earliest
-    point.  A finite row skips a point whose rate_ceiling (the key's ell at
-    the ends of x_range, float slack included) is below a positive
-    incumbent: such a point could not replace it, so the result is the one
-    the full walk gives.  The row's ceilings come from one rate_ceiling call
-    over its p_pe axis, and the points it keeps from one key_lengths call,
-    so a walk makes at most one of each a mu row (see _finite).  With no
-    positive coarse rate nothing is refined and (0.0, nan, nan, None) is
-    returned.
+    point.  A finite row leaves out only points that _finite's rule shows
+    cannot replace the incumbent.  With no positive coarse rate nothing is
+    refined and (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
@@ -157,47 +145,44 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
 
 
 def _finite(L_km, N, src, ch, sec, spec):
-    """evaluate(mu, ppes) for _walk: the finite key at L_km km, N pulses,
-    (mu, ppes[j]).
+    """evaluate(mu, ppes, incumbent) for _walk: the finite key at L_km km,
+    N pulses, (mu, ppes[j]).
 
-    Observables with no nontriggered gain (Q_nt = 0, ZeroGain) give rate 0,
-    and so does a point _grid_search's pruning rule skips.  Up to the first
-    point that meets a positive incumbent, a row makes one key_length call a
-    point.  At that point j the row takes its rate_ceiling vector over ppes,
-    keeps the points k >= j whose ceiling is not below that incumbent, and
-    makes one key_lengths call over them; their results are served in walk
-    order.  Judging against the incumbent the row started its batch with
-    keeps points the point-by-point rule might prune later in the row, but
-    such a point's rate is below the incumbent at its turn, so it replaces
-    nothing and the walk's result is unchanged.
+    The pruning rule: once the walk holds a positive incumbent, a point
+    whose keylength.rate_ceiling (the key's own ell at the two ends of
+    x_range, with a float slack of one bit of ell and 1e-9 of itself) is
+    below it is not evaluated, as it could not replace the incumbent.  A
+    row tracks the incumbent as the walk does.  While it is not positive,
+    the row makes one key_length call a point.  At the first point j that
+    meets a positive incumbent, the row takes its rate_ceiling vector over
+    ppes, keeps the points k >= j whose ceiling is not below that
+    incumbent, and evaluates them with one key_lengths call, one (p_pe, x)
+    tensor; so a row makes at most one call of each.  Judging against the
+    incumbent the batch started with keeps points the point-by-point rule
+    might prune later in the row, but such a point's rate is below the
+    incumbent at its turn, so it replaces nothing and the walk's result is
+    unchanged.  Observables with no nontriggered gain (Q_nt = 0, ZeroGain)
+    hold for the whole row, which then has no key and ends.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
-    def evaluate(mu, ppes):
+    def evaluate(mu, ppes, incumbent):
         src_mu = replace(src, mu=mu)
         obs = simulate_observables(src_mu, ch_L)
-        batch = None  # {k: KeyLengthResult} of the row's kept points
-
-        def at(j, incumbent):
-            nonlocal batch
-            try:
-                if batch is None and incumbent > 0.0:
-                    batch = {}  # stays empty in a ZeroGain row: no key anywhere
-                    ceiling = rate_ceiling(src_mu, obs, N, ppes, sec,
-                                           spec.x_grid_points)
-                    keep = [k for k in range(j, len(ppes))
-                            if not ceiling[k] < incumbent]
-                    if keep:
-                        batch = dict(zip(keep, key_lengths(
-                            src_mu, obs, N, ppes[keep], sec, spec.x_grid_points)))
-                # a kept point's result, or None: it cannot beat the incumbent
-                res = batch.get(j) if batch is not None else key_length(
-                    src_mu, obs, N, float(ppes[j]), sec, grid_points=spec.x_grid_points)
-            except ZeroGain:  # no gain ratio to bound: no key
-                res = None
-            return (0.0, None) if res is None else (res.rate, res)
-
-        return at
+        try:
+            for j, p_pe in enumerate(map(float, ppes)):
+                if incumbent > 0.0:  # the rest of the row: one ceiling, one batch
+                    ceiling = rate_ceiling(src_mu, obs, N, ppes, sec, spec.x_grid_points)
+                    keep = [k for k in range(j, len(ppes)) if not ceiling[k] < incumbent]
+                    batch = key_lengths(src_mu, obs, N, ppes[keep], sec,
+                                        spec.x_grid_points) if keep else ()
+                    yield from ((k, res.rate, res) for k, res in zip(keep, batch))
+                    return
+                res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+                incumbent = max(incumbent, res.rate)
+                yield j, res.rate, res
+        except ZeroGain:  # no gain ratio to bound anywhere in the row: no key
+            return
 
     return evaluate
 
@@ -303,9 +288,8 @@ def sweep_point(
     else:
         ch_L = replace(ch, L_km=float(L_km))
 
-        def evaluate(mu, _ppes):
-            rate = asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC)
-            return lambda _j, _incumbent: (rate, None)
+        def evaluate(mu, _ppes, _incumbent):
+            yield 0, asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC), None
 
         spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
     rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)

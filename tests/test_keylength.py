@@ -422,6 +422,14 @@ class TestKeyLengths:
         assert repr(row) == repr(tuple(key_length(src, obs, N, p, sec, grid_points)
                                        for p in p_pe))
 
+    @pytest.mark.parametrize("fn", [key_lengths, rate_ceiling])
+    @pytest.mark.parametrize("ppes", [0.5, np.array([[0.3, 0.5]])], ids=["float", "2-D"])
+    def test_p_pe_axis_must_be_1d(self, src, obs, sec, fn, ppes):
+        # a float has no axis to search, and a 2-D array would give a 2-D
+        # ceiling where the optimizer indexes a vector
+        with pytest.raises(ValueError, match="p_pe"):
+            fn(src, obs, 1e9, ppes, sec)
+
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 0.0), (0.0, 1e-3), (2.5e-3, 2.75e-3), (0.1, 0.1 + 1e-300),
         (0.0, 5e-324), (0.0, 2e-322), (1e-3, 1e-3 + 4 * math.ulp(1e-3)),

@@ -291,32 +291,25 @@ class TestSweep:
         assert row.p_pe_opt == pytest.approx(0.7, rel=1e-12)
 
     def test_equal_p_pe_bounds_are_one_point(self, src, sec, monkeypatch):
-        # an axis whose ends are equal is visited once per mu, not once per
-        # grid point, and gives the row sweep_point gives; a visit is a
-        # key_length call or a point the incumbent prunes
+        # an axis whose ends are equal is one p_pe value in every mu row of
+        # the walk, and gives the row sweep_point gives
         original = optimizer._finite
-        visits = []
+        axes = []
 
         def finite(*args):
             evaluate = original(*args)
 
-            def visiting(mu, ppes):
-                at = evaluate(mu, ppes)
+            def recording(mu, ppes, incumbent):
+                axes.append(ppes.tolist())
+                return evaluate(mu, ppes, incumbent)
 
-                def visit(j, incumbent):
-                    visits.append(float(ppes[j]))
-                    return at(j, incumbent)
-
-                return visit
-
-            return visiting
+            return recording
 
         monkeypatch.setattr(optimizer, "_finite", finite)
         grid = dict(coarse_points=(4, 24), refine_rounds=1, refine_points=(3, 7))
         opt = optimize_rate(50.0, 1e9, src, make_channel(0.0), sec,
                             OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
-        assert len(visits) == 4 + 3
-        assert set(visits) == {0.7}
+        assert axes == [[0.7]] * (4 + 3)
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
                           OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
         assert (opt.rate, opt.mu, opt.p_pe) == (row.rate, row.mu_opt, row.p_pe_opt)
@@ -396,6 +389,20 @@ class TestPruning:
             optimize_rate(400.0, 1e9, src, make_channel(0.0), sec,
                           OptimizationSpec(coarse_points=(2, 2)))
         assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
+
+    @pytest.mark.parametrize("L_km", [763.0, 20000.0])
+    def test_a_zero_gain_row_makes_one_call(self, monkeypatch, src, sec, L_km):
+        # with no dark counts the nontriggered gain is 0 at these distances,
+        # for every mu; ZeroGain ends a row at its first key_length call
+        ch = replace(make_channel(L_km), p_d=0.0)
+        spec = OptimizationSpec(coarse_points=(3, 4))
+        mus = np.linspace(*spec.resolved_mu_bounds(src), 3)
+        assert all(optimizer.simulate_observables(replace(src, mu=mu), ch).Q_nt == 0.0
+                   for mu in mus)
+        calls = counting(monkeypatch, "key_length", "key_lengths", "rate_ceiling")
+        with pytest.raises(AllVacuous):
+            optimize_rate(L_km, 1e9, src, ch, sec, spec)
+        assert calls == {"key_length": 3, "points": 3}
 
     def test_one_ceiling_call_per_mu_row(self, monkeypatch, src, sec):
         # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
