@@ -90,14 +90,17 @@ class RunConfig:
     verify_path: str
 
 
+def _parse_floats(text: str) -> list[float]:
+    return [float(p) for p in text.split(",") if p.strip()]
+
+
 def _parse_distances(text: str) -> list[float]:
-    text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"distance range must be L0:L1:step, got {text!r}")
+            raise ValueError("a distance range is L0:L1:step")
         return distance_grid(*(float(p) for p in parts))
-    return [float(p) for p in text.split(",") if p.strip()]
+    return _parse_floats(text)
 
 
 def _check_schema(parser: configparser.ConfigParser) -> None:
@@ -137,7 +140,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         try:
             return kind(raw)
         except ValueError as exc:
-            what = "an integer" if kind is int else "a number"
+            what = {int: "an integer", float: "a number"}.get(kind, f"valid: {exc}")
             raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
 
     def fields_of(section):
@@ -167,8 +170,8 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
             channel=ChannelModel(L_km=0.0, **fields_of("channel")),
             security=SecurityBudget(**fields_of("security")),
             spec=spec,
-            distances=_parse_distances(parser.get("sweep", "distances")),
-            Ns=[float(v) for v in parser.get("sweep", "Ns").split(",") if v.strip()],
+            distances=fval("sweep", "distances", _parse_distances),
+            Ns=fval("sweep", "Ns", _parse_floats),
             mode=parser.get("sweep", "mode").strip(),
             out_path=parser.get("output", "path"),
             verify_seed=_count("[verify] seed", fval("verify", "seed", int), 0),

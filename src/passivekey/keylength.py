@@ -287,9 +287,9 @@ def key_lengths(
     """key_length at each p_pe of the 1-D array ppes, one result each, from
     one ``_minimize_over_x`` pass over the (p_pe, x) tensor of a mu row (the
     observables, and so x_range, are the row's).  Every result is the one
-    key_length gives at that p_pe."""
+    key_length gives at that p_pe, from a first x round of >= 2 points."""
     ppes = _p_pe_axis(ppes)
-    grid_points = _count("grid_points", grid_points, 1)
+    grid_points = _count("grid_points", grid_points, 2)
     lam = _leakage(obs, N, sec.f_EC)
     return tuple(_result(pair, lam, N)
                  for pair in _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points))
@@ -314,23 +314,21 @@ def rate_ceiling(
     N: float,
     ppes,
     sec: SecurityBudget,
-    grid_points: int = X_GRID_POINTS,
 ):
     """Upper bounds on the rates key_lengths gives at the 1-D array ppes, one
     each: the key's own ell_T and ell_B (``_ell_curves``) at the ends of
     x_range, plus a float slack.  One (p_pe, x) tensor of one ``_ell_curves``
     call bounds every p_pe of a mu row, as x_range depends on mu only.
 
-    key_length's first x round is a linspace of x_range, which holds both
-    ends exactly (only the lower one for grid_points = 1), and the later
-    rounds only lower its minimum; so each strategy's ell is at most its
-    ell(x) at those ends.  The ends are solved in a call of their own, so
-    e_p may differ from key_length's in the last bits (and omega by one grid
-    step where Phi is subnormal): the ceiling adds one bit of ell and
-    _CEILING_SLACK of itself, and a point whose ceiling is below a rate
-    cannot beat that rate.
+    key_length's first x round is a linspace of at least two points of
+    x_range, which holds both ends exactly, and the later rounds only lower
+    its minimum; so each strategy's ell is at most its ell(x) at those
+    ends.  The ends are solved in a call of their own, so e_p may differ
+    from key_length's in the last bits (and omega by one grid step where Phi
+    is subnormal): the ceiling adds one bit of ell and _CEILING_SLACK of
+    itself, and a point whose ceiling is below a rate cannot beat that rate.
     """
-    xs = np.linspace(*x_range(src, obs), min(grid_points, 2))
+    xs = np.linspace(*x_range(src, obs), 2)
     pp = _p_pe_axis(ppes)[:, None]  # a column against the x row
     (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, pp, sec,
                                            _leakage(obs, N, sec.f_EC),

@@ -8,9 +8,8 @@ one generator of the points it evaluates; a finite row leaves out points
 that cannot beat the incumbent, by the rule _finite states, so every
 result is the one the full walk gives.  Reach asks only whether any
 coarse point has a key.  A sweep row, finite or asymptotic, is one search
-call (asymptotic rows and rows whose spec pins p_pe have equal p_pe
-bounds, an axis of one point); only optimize_rate raises AllVacuous, for
-outside callers.
+call (a spec that pins p_pe has equal p_pe bounds, an axis of one point);
+only optimize_rate raises AllVacuous, for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelModel, simulate_observables
 from .decoy_bounds import _deltas
-from .errors import AllVacuous, ZeroGain, _count
+from .errors import AllVacuous, _count
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
                         asymptotic_rate, key_length, key_lengths, rate_ceiling)
 from .photonics import SourceModel
@@ -40,7 +39,8 @@ class OptimizationSpec:
     mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
     (the series-divergence threshold); p_pe_bounds to [0.01, 0.99], and equal
     p_pe bounds pin p_pe to that one value.  A detector that passes the
-    delta_2 > delta_1 rule has eta_A > 0 and a finite cap.
+    delta_2 > delta_1 rule has eta_A > 0 and a finite cap.  x_grid_points is
+    at least 2: x is minimised over, never fixed (one point reads x = 0).
     """
 
     mu_bounds: tuple[float, float] = (0.01, math.inf)
@@ -52,11 +52,11 @@ class OptimizationSpec:
 
     def __post_init__(self):
         for name, counts in (("coarse_points", self.coarse_points),
-                             ("refine_points", self.refine_points),
-                             ("x_grid_points", (self.x_grid_points,))):
+                             ("refine_points", self.refine_points)):
             for count in counts:
                 _count(name, count, 1)
         _count("refine_rounds", self.refine_rounds, 0)
+        _count("x_grid_points", self.x_grid_points, 2)
         lo, hi = self.p_pe_bounds
         if not 0 < lo <= hi < 1:
             raise ValueError(
@@ -161,28 +161,27 @@ def _finite(L_km, N, src, ch, sec, spec):
     incumbent the batch started with keeps points the point-by-point rule
     might prune later in the row, but such a point's rate is below the
     incumbent at its turn, so it replaces nothing and the walk's result is
-    unchanged.  Observables with no nontriggered gain (Q_nt = 0, ZeroGain)
-    hold for the whole row, which then has no key and ends.
+    unchanged.  A row with no nontriggered gain (Q_nt = 0) has no key at
+    any p_pe and makes no call, as asymptotic_rate reads it.
     """
     ch_L = replace(ch, L_km=float(L_km))
 
     def evaluate(mu, ppes, incumbent):
         src_mu = replace(src, mu=mu)
         obs = simulate_observables(src_mu, ch_L)
-        try:
-            for j, p_pe in enumerate(map(float, ppes)):
-                if incumbent > 0.0:  # the rest of the row: one ceiling, one batch
-                    ceiling = rate_ceiling(src_mu, obs, N, ppes, sec, spec.x_grid_points)
-                    keep = [k for k in range(j, len(ppes)) if not ceiling[k] < incumbent]
-                    batch = key_lengths(src_mu, obs, N, ppes[keep], sec,
-                                        spec.x_grid_points) if keep else ()
-                    yield from ((k, res.rate, res) for k, res in zip(keep, batch))
-                    return
-                res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
-                incumbent = max(incumbent, res.rate)
-                yield j, res.rate, res
-        except ZeroGain:  # no gain ratio to bound anywhere in the row: no key
+        if obs.Q_nt == 0:
             return
+        for j, p_pe in enumerate(map(float, ppes)):
+            if incumbent > 0.0:  # the rest of the row: one ceiling, one batch
+                ceiling = rate_ceiling(src_mu, obs, N, ppes, sec)
+                keep = [k for k in range(j, len(ppes)) if not ceiling[k] < incumbent]
+                batch = key_lengths(src_mu, obs, N, ppes[keep], sec,
+                                    spec.x_grid_points) if keep else ()
+                yield from ((k, res.rate, res) for k, res in zip(keep, batch))
+                return
+            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
+            incumbent = max(incumbent, res.rate)
+            yield j, res.rate, res
 
     return evaluate
 
@@ -275,9 +274,9 @@ def sweep_point(
 ) -> SweepRow:
     """One (L, N) row from one _grid_search, no key reported as "vacuous".
 
-    Asymptotic rows search mu only, p_pe pinned to its lower bound; equal
-    spec.p_pe_bounds (p, p) pin p_pe in a finite row.  src.mu and ch.L_km
-    are overwritten.
+    An asymptotic row searches mu only: its generator yields one point a mu
+    row, j = 0, whatever the p_pe axis.  Equal spec.p_pe_bounds (p, p) pin
+    p_pe in a finite row.  src.mu and ch.L_km are overwritten.
     """
     if mode not in ("finite", "asymptotic"):
         raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
@@ -291,7 +290,6 @@ def sweep_point(
         def evaluate(mu, _ppes, _incumbent):
             yield 0, asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC), None
 
-        spec = replace(spec, p_pe_bounds=(spec.p_pe_bounds[0],) * 2)
     rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)
     if res is None:  # every asymptotic row, and a finite row with no key
         ell = 0.0 if mode == "finite" else math.nan

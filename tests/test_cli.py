@@ -180,6 +180,25 @@ class TestRunCommand:
         assert not out.exists()
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("config, args, named", [
+        ("", ["--N", "abc"], "[sweep] Ns = 'abc' "),
+        ("", ["--N", "1e9", "--N", "x"], "[sweep] Ns = '1e9,x' "),
+        ("", ["--sweep", "10:x:5"], "[sweep] distances = '10:x:5' "),
+        ("", ["--sweep", "10,abc"], "[sweep] distances = '10,abc' "),
+        ("", ["--sweep", "0:10"], "[sweep] distances = '0:10' "),
+        # one x point would read the key at x = 0 alone, not its worst case
+        ("[optimizer]\nx_grid_points = 1\n", ["--sweep", "180"], "x_grid_points "),
+    ], ids=["N", "N_second", "sweep_range", "sweep_list", "sweep_two_parts",
+            "x_grid_points"])
+    def test_error_names_its_key(self, tmp_path, capsys, config, args, named):
+        # a refused value names its key; the sweep's list keys give their
+        # raw value too, as every number key does
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", write_config(tmp_path, config),
+                     "--out", str(out)] + args) == 2
+        assert capsys.readouterr().err.startswith("config error: " + named)
+        assert not out.exists()
+
     @pytest.mark.parametrize("optimizer", ["", "mu_max = 0.5\n"],
                              ids=["no_mu_max", "mu_max"])
     def test_blind_heralding_detector_named(self, tmp_path, capsys, optimizer):

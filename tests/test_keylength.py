@@ -227,7 +227,8 @@ class TestKeyLength:
 
     @pytest.mark.parametrize("fn", [key_length, rate_ceiling])
     def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
-        # the optimizer reads ZeroGain from either call as a point with no key
+        # no gain ratio to bound; the optimizer reads Q_nt = 0 as a row with
+        # no key before it makes either call
         with pytest.raises(ZeroGain):
             fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
 
@@ -308,6 +309,12 @@ class TestKeyLength:
         with pytest.raises(ValueError, match="grid_points"):
             key_length(src, obs, 1e9, 0.5, sec, grid_points=grid_points)
 
+    def test_one_point_x_grid_is_refused(self, src, obs, sec):
+        # x is the adversary's unknown: one point would read ell at x = 0
+        # alone instead of minimising it, a key longer than the worst case
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            key_length(src, obs, 1e9, 0.5, sec, grid_points=1)
+
     def test_calls_per_layer(self, monkeypatch, src, obs, sec):
         # the names the benchmark's tracer wraps on keylength: both strategies'
         # bounds in each of the three x rounds, one phase-error solve a round,
@@ -352,7 +359,7 @@ class TestRateCeiling:
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
     @settings(max_examples=150, deadline=None)
     def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
                              grid_points):
@@ -362,7 +369,7 @@ class TestRateCeiling:
         obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
-        ceiling = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
+        ceiling = rate_ceiling(src, obs, N, np.array(p_pe), sec)
         assert ceiling.shape == (len(p_pe),)
         rates = [key_length(src, obs, N, p, sec, grid_points).rate for p in p_pe]
         assert np.all(np.array(rates) <= ceiling)
@@ -373,31 +380,35 @@ class TestRateCeiling:
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+           p_d=st.sampled_from([0.0, 6e-7]))
     @settings(max_examples=150, deadline=None)
     def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
-                                        p_d, grid_points):
+                                        p_d):
         # a mu row's ceiling vector is each point's own ceiling, bit for bit
         src = replace(src, mu=mu)
         obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
-        row = rate_ceiling(src, obs, N, np.array(p_pe), sec, grid_points)
+        row = rate_ceiling(src, obs, N, np.array(p_pe), sec)
         assert row.shape == (len(p_pe),)
-        assert row.tolist() == [rate_ceiling(src, obs, N, np.array([p]), sec,
-                                             grid_points).item() for p in p_pe]
+        assert row.tolist() == [rate_ceiling(src, obs, N, np.array([p]), sec).item()
+                                for p in p_pe]
 
     @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
                                                 (250.0, 1e9, 0.5)])
     def test_is_the_keys_own_ell(self, src, sec, L_km, N, p_pe):
-        # with grid_points = 1 key_length evaluates x = lo only, as the ceiling
-        # does; 250 km has no key
+        # each strategy's ell at the two ends of x_range, the larger of the
+        # two strategies' smaller end; 250 km has no key
         obs = simulate_observables(src, make_channel(L_km))
-        res = key_length(src, obs, N, p_pe, sec, grid_points=1)
-        want = 0.5 * (max(res.ell_T, res.ell_B, 0.0) + 1.0) / N * (
+        ends = np.array(x_range(src, obs))
+        (ell_t, *_), (ell_b, *_) = _ell_curves(
+            (ends, ends), src, obs, N, p_pe, sec, _leakage(obs, N, sec.f_EC),
+            _ledger(src, obs, N, p_pe, sec))
+        want = 0.5 * (max(ell_t.min(), ell_b.min(), 0.0) + 1.0) / N * (
             1.0 + keylength._CEILING_SLACK)
-        ceiling = rate_ceiling(src, obs, N, np.array([p_pe]), sec, 1)
+        ceiling = rate_ceiling(src, obs, N, np.array([p_pe]), sec)
         assert ceiling.item() == pytest.approx(want, rel=1e-12)
+        assert key_length(src, obs, N, p_pe, sec).rate <= ceiling.item()
 
 
 class TestKeyLengths:
@@ -409,7 +420,7 @@ class TestKeyLengths:
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([1, 2, 200]))
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
     @settings(max_examples=100, deadline=None)
     def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
                                         p_d, grid_points):

@@ -12,6 +12,7 @@ from passivekey import keylength, optimizer
 from passivekey import (
     AllVacuous,
     DegenerateDetector,
+    Observables,
     OptimizationSpec,
     SourceModel,
     max_distance,
@@ -29,6 +30,9 @@ FAST = OptimizationSpec(
 )
 # the grid of the perfbench sweep workload: FAST's, with the default x grid
 SWEEP = OptimizationSpec(coarse_points=(8, 8), refine_rounds=2, refine_points=(5, 5))
+# observables with a nontriggered gain, for stubs of simulate_observables: a
+# row with Q_nt = 0 has no key and calls nothing
+GAIN = Observables(Q_t=1e-3, Q_nt=1e-3, E_t=0.01, E_nt=0.01)
 
 
 class TestOptimizationSpec:
@@ -93,6 +97,14 @@ class TestOptimizationSpec:
     def test_validation(self, fields):
         with pytest.raises(ValueError):
             OptimizationSpec(**fields)
+
+    @pytest.mark.parametrize("x_grid_points", [1, np.int64(1)], ids=["int", "numpy_int"])
+    def test_one_point_x_grid_refused(self, x_grid_points):
+        # mu and p_pe may be pinned to one value, x may not: it is minimised
+        # over, and one point would read the key at x = 0 alone
+        with pytest.raises(ValueError, match="x_grid_points must be >= 2"):
+            OptimizationSpec(x_grid_points=x_grid_points)
+        OptimizationSpec(coarse_points=(1, 1), refine_points=(1, 1), x_grid_points=2)
 
     def test_numpy_integer_counts_accepted(self):
         spec = OptimizationSpec(coarse_points=(np.int64(8), 8),
@@ -166,6 +178,7 @@ class TestMaxDistance:
 
         def recording(s, ch):
             probed.append(ch.L_km)
+            return GAIN
 
         monkeypatch.setattr(optimizer, "simulate_observables", recording)
         monkeypatch.setattr(optimizer, "key_length",
@@ -181,14 +194,19 @@ class TestMaxDistance:
         # and no probe refines
         mus = np.linspace(*FAST.resolved_mu_bounds(src), FAST.coarse_points[0])
         ppes = np.linspace(*FAST.p_pe_bounds, FAST.coarse_points[1])
-        calls = []
+        calls, rows = [], []  # rows: the distance of each row's observables
 
-        def key_below_1km(s, L_km, N, p_pe, sec, grid_points):
+        def observables(s, ch):
+            rows.append(ch.L_km)
+            return GAIN
+
+        def key_below_1km(s, obs, N, p_pe, sec, grid_points):
+            L_km = rows[-1]
             calls.append((L_km, s.mu, p_pe))
             key = L_km < 1.0 and s.mu >= mus[2] and p_pe >= ppes[3]
             return SimpleNamespace(rate=1.0 if key else 0.0)
 
-        monkeypatch.setattr(optimizer, "simulate_observables", lambda s, ch: ch.L_km)
+        monkeypatch.setattr(optimizer, "simulate_observables", observables)
         monkeypatch.setattr(optimizer, "key_length", key_below_1km)
         d = max_distance(1e9, src, make_channel(0.0), sec, FAST, L_max_km=3.0)
         assert d == pytest.approx(1.0, abs=0.1)
@@ -284,6 +302,14 @@ class TestSweep:
         best = max(rate for _, rate in seen)
         assert row.rate == best
         assert row.mu_opt == next(mu for mu, rate in seen if rate == best)
+
+    def test_asymptotic_row_reads_no_p_pe_axis(self, src, sec):
+        # the asymptotic rate has no p_pe: a full axis and a pinned one give
+        # the same row, every field
+        rows = [sweep_point(50.0, 1e9, "asymptotic", src, make_channel(0.0), sec,
+                            replace(FAST, p_pe_bounds=bounds))
+                for bounds in ((0.01, 0.99), (0.5, 0.5))]
+        assert repr(rows[0]) == repr(rows[1])
 
     def test_p_pe_override(self, src, sec):
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
@@ -391,9 +417,10 @@ class TestPruning:
         assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
 
     @pytest.mark.parametrize("L_km", [763.0, 20000.0])
-    def test_a_zero_gain_row_makes_one_call(self, monkeypatch, src, sec, L_km):
+    def test_a_zero_gain_row_makes_no_call(self, monkeypatch, src, sec, L_km):
         # with no dark counts the nontriggered gain is 0 at these distances,
-        # for every mu; ZeroGain ends a row at its first key_length call
+        # for every mu; a row reads Q_nt = 0 from its observables and ends
+        # before any key-length call
         ch = replace(make_channel(L_km), p_d=0.0)
         spec = OptimizationSpec(coarse_points=(3, 4))
         mus = np.linspace(*spec.resolved_mu_bounds(src), 3)
@@ -402,7 +429,7 @@ class TestPruning:
         calls = counting(monkeypatch, "key_length", "key_lengths", "rate_ceiling")
         with pytest.raises(AllVacuous):
             optimize_rate(L_km, 1e9, src, ch, sec, spec)
-        assert calls == {"key_length": 3, "points": 3}
+        assert calls == Counter()
 
     def test_one_ceiling_call_per_mu_row(self, monkeypatch, src, sec):
         # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
