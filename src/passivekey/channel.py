@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _within
 from .photonics import SourceModel, nontrigger_prob, photon_prob, series_sum
 
 QBER_SLACK = 1e-9
@@ -45,17 +46,11 @@ class ChannelModel:
     e_d: float
 
     def __post_init__(self):
-        if not 0 <= self.alpha_db_per_km < math.inf:
-            raise ValueError(f"alpha_db_per_km must be in [0, inf), got "
-                             f"{self.alpha_db_per_km}")
-        if not self.L_km >= 0:
-            raise ValueError(f"L_km must be >= 0, got {self.L_km}")
-        if not 0 < self.eta_B <= 1:
-            raise ValueError("eta_B must be in (0, 1]")
-        if not 0 <= self.p_d < 1:
-            raise ValueError("p_d must be in [0, 1)")
-        if not 0 <= self.e_d <= 0.5:
-            raise ValueError("e_d must be in [0, 0.5]")
+        _within("alpha_db_per_km", self.alpha_db_per_km, 0, math.inf, "[)")
+        _within("L_km", self.L_km, 0, math.inf)
+        _within("eta_B", self.eta_B, 0, 1, "(]")
+        _within("p_d", self.p_d, 0, 1, "[)")
+        _within("e_d", self.e_d, 0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,9 @@ class Observables:
     E_nt: float
 
     def __post_init__(self):
-        for name in ("Q_t", "Q_nt"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("E_t", "E_nt"):
-            v = getattr(self, name)
-            if not 0 <= v <= 0.5 + QBER_SLACK:
-                raise ValueError(f"{name} must be in [0, 0.5], got {v}")
+        for name, hi in (("Q_t", 1), ("Q_nt", 1), ("E_t", 0.5 + QBER_SLACK),
+                         ("E_nt", 0.5 + QBER_SLACK)):
+            _within(name, getattr(self, name), 0, hi)
 
 
 def transmittance(ch: ChannelModel) -> float:

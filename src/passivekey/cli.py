@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 from .channel import ChannelModel
-from .errors import ConfigError, DegenerateDetector, PassiveKeyError, _count
+from .errors import ConfigError, DegenerateDetector, PassiveKeyError, _count, _within
 from .keylength import SecurityBudget
 from .optimizer import OptimizationSpec, SweepRow, distance_grid, sweep_point
 from .oracle import RNG_ALGORITHM, check_lemma3, check_lemma4
@@ -95,12 +95,34 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_distances(text: str) -> list[float]:
+    """An L0:L1:step range or a comma list, of finite, nonnegative, ascending km."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("a distance range is L0:L1:step")
-        return distance_grid(*(float(p) for p in parts))
-    return _parse_floats(text)
+        grid = distance_grid(*(float(p) for p in parts))
+    else:
+        grid = _parse_floats(text)
+    if not grid:
+        raise ValueError("empty distance list" + (" (L1 < L0)" if ":" in text else ""))
+    grid = [_within("distance", L, 0, math.inf, "[)") for L in grid]
+    if sorted(grid) != grid:
+        raise ValueError(f"distances must be ascending, got {grid}")
+    return grid
+
+
+def _parse_Ns(text: str) -> list[float]:
+    """A comma list of finite pulse counts N >= 1."""
+    Ns = [_within("N", N, 1, math.inf, "[)") for N in _parse_floats(text)]
+    if not Ns:
+        raise ValueError("empty N list")
+    return Ns
+
+
+def _parse_mode(text: str) -> str:
+    if text.strip() not in ("finite", "asymptotic", "both"):
+        raise ValueError("mode must be finite|asymptotic|both")
+    return text.strip()
 
 
 def _check_schema(parser: configparser.ConfigParser) -> None:
@@ -147,52 +169,46 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         """A model's keyword arguments (all but mu and L_km) from its section's keys."""
         return {key: fval(section, key) for key in DEFAULTS[section]}
 
-    try:
-        spec = OptimizationSpec(
-            mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max")),
-            p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
-            coarse_points=(fval("optimizer", "coarse_mu", int),
-                           fval("optimizer", "coarse_p_pe", int)),
-            refine_rounds=fval("optimizer", "refine_rounds", int),
-            refine_points=(fval("optimizer", "refine_mu", int),
-                           fval("optimizer", "refine_p_pe", int)),
-            x_grid_points=fval("optimizer", "x_grid_points", int),
-        )
-        # a template like L_km=0.0: mu is the first value each row searches
-        source = SourceModel(mu=spec.mu_bounds[0], **fields_of("source"))
+    def model(section, cls, **fields):
+        """cls(**fields), a refusal prefixed with the section they were read from."""
         try:
-            spec.resolved_mu_bounds(source)
-        except DegenerateDetector as exc:
-            raise ConfigError(f"[source] eta_A = {source.eta_A!r}: the heralding "
-                              f"detector cannot tell photon numbers apart: {exc}") from exc
-        cfg = RunConfig(
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+
+    spec = model(
+        "optimizer", OptimizationSpec,
+        mu_bounds=(fval("optimizer", "mu_min"), fval("optimizer", "mu_max")),
+        p_pe_bounds=(fval("optimizer", "p_pe_min"), fval("optimizer", "p_pe_max")),
+        coarse_points=(fval("optimizer", "coarse_mu", int),
+                       fval("optimizer", "coarse_p_pe", int)),
+        refine_rounds=fval("optimizer", "refine_rounds", int),
+        refine_points=(fval("optimizer", "refine_mu", int),
+                       fval("optimizer", "refine_p_pe", int)),
+        x_grid_points=fval("optimizer", "x_grid_points", int),
+    )
+    # a template like L_km=0.0: mu is the first value each row searches
+    source = model("source", SourceModel, mu=spec.mu_bounds[0], **fields_of("source"))
+    try:
+        spec.resolved_mu_bounds(source)
+        return RunConfig(
             source=source,
-            channel=ChannelModel(L_km=0.0, **fields_of("channel")),
-            security=SecurityBudget(**fields_of("security")),
+            channel=model("channel", ChannelModel, L_km=0.0, **fields_of("channel")),
+            security=model("security", SecurityBudget, **fields_of("security")),
             spec=spec,
             distances=fval("sweep", "distances", _parse_distances),
-            Ns=fval("sweep", "Ns", _parse_floats),
-            mode=parser.get("sweep", "mode").strip(),
+            Ns=fval("sweep", "Ns", _parse_Ns),
+            mode=fval("sweep", "mode", _parse_mode),
             out_path=parser.get("output", "path"),
             verify_seed=_count("[verify] seed", fval("verify", "seed", int), 0),
             verify_trials=_count("[verify] trials", fval("verify", "trials", int), 1),
             verify_path=parser.get("verify", "path"),
         )
+    except DegenerateDetector as exc:
+        raise ConfigError(f"[source] eta_A = {source.eta_A!r}: the heralding "
+                          f"detector cannot tell photon numbers apart: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if cfg.mode not in ("finite", "asymptotic", "both"):
-        raise ConfigError(f"mode must be finite|asymptotic|both, got {cfg.mode!r}")
-    if not cfg.distances:
-        raise ConfigError("empty distance list")
-    if sorted(cfg.distances) != cfg.distances or not all(
-            0 <= L < math.inf for L in cfg.distances):
-        raise ConfigError("distances must be finite, nonnegative and ascending")
-    if not cfg.Ns:
-        raise ConfigError("empty N list")
-    if not all(1 <= N < math.inf for N in cfg.Ns):
-        raise ConfigError("every N must be finite and >= 1")
-    return cfg
 
 
 def _check_writable(path: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Observables
-from .errors import DegenerateDetector, VacuousBound, ZeroGain
+from .errors import DegenerateDetector, VacuousBound, ZeroGain, _within
 from .photonics import SourceModel, delta_n, photon_prob, sqrt_delta_p_sum
 
 
@@ -49,12 +49,9 @@ class SampleBudget:
     eps_pe: float
 
     def __post_init__(self):
-        if not 1 <= self.N < math.inf:
-            raise ValueError("N must be finite and >= 1")
-        if not np.all((0 < self.p_pe) & (self.p_pe < 1)):
-            raise ValueError("p_pe must be in (0, 1)")
-        if not 0 < self.eps_pe < 1:
-            raise ValueError("eps_pe must be in (0, 1)")
+        _within("N", self.N, 1, math.inf, "[)")
+        _within("p_pe", self.p_pe, 0, 1, "()")
+        _within("eps_pe", self.eps_pe, 0, 1, "()")
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,9 @@ def serfling_xi(eps: float, n1: float, n2: float) -> float:
     This is the exact form; the chi closed form used in the key-rate chain
     absorbs the (n1+1) ~ n1 simplification.
     """
-    if not (n1 >= 1 and n2 >= 1):
-        raise ValueError("n1 and n2 must be >= 1")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must be in (0, 1]")
+    _within("n1", n1, 1, math.inf)
+    _within("n2", n2, 1, math.inf)
+    _within("eps", eps, 0, 1, "(]")
     return math.sqrt((n1 + n2) * (n1 + 1) * math.log(1.0 / eps) / (8.0 * n1**2 * n2))
 
 

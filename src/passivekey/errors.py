@@ -1,7 +1,10 @@
 """Exception hierarchy for the passive decoy-state key-rate engine, and the
-one integer-count check every layer shares."""
+two argument checks every layer shares: ``_count`` for an integer count and
+``_within`` for a value in an interval."""
 
 import operator
+
+import numpy as np
 
 
 def _count(name: str, value, least: int) -> int:
@@ -15,6 +18,18 @@ def _count(name: str, value, least: int) -> int:
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def _within(name: str, value, lo: float, hi: float, ends: str = "[]"):
+    """value if it lies between lo and hi (elementwise for an array; NaN lies
+    in no interval), else a ValueError naming the argument and the value.  A
+    "(" or ")" in ends opens that end; only an array makes a numpy call."""
+    left, right = ends
+    above = value > lo if left == "(" else value >= lo
+    below = value < hi if right == ")" else value <= hi
+    if not (np.all(above & below) if isinstance(value, np.ndarray) else above and below):
+        raise ValueError(f"{name} must be in {left}{lo}, {hi}{right}, got {value!r}")
+    return value
 
 
 class PassiveKeyError(Exception):

@@ -59,7 +59,7 @@ from .decoy_bounds import (
     evaluate_bounds,
     x_range,
 )
-from .errors import _count
+from .errors import _count, _within
 from .phase_error import _phase_error_arrays, _tail_target
 from .photonics import SourceModel
 
@@ -83,16 +83,13 @@ class SecurityBudget:
     f_EC: float
 
     def __post_init__(self):
-        if not 0 < self.eps_sec < 1:
-            raise ValueError("eps_sec must be in (0, 1)")
+        _within("eps_sec", self.eps_sec, 0, 1, "()")
         if _tail_target(self.eps_sec) is None:
             raise ValueError("eps_sec too small: tail target eps_sec^2/16 underflows")
-        if not 0 < self.eps_cor < 1:
-            raise ValueError("eps_cor must be in (0, 1)")
+        _within("eps_cor", self.eps_cor, 0, 1, "()")
         if not all(math.isfinite(c / self.eps_cor) for *_, c in _EPS_LEDGER.values()):
             raise ValueError("eps_cor too small: a ledger penalty log2(c/eps_cor) overflows")
-        if not 1 <= self.f_EC < math.inf:
-            raise ValueError("f_EC must be finite and >= 1")
+        _within("f_EC", self.f_EC, 1, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -346,8 +343,7 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     the result is an upper envelope of every finite-N rate for this source
     and channel.  No nontriggered gain (Q_nt = 0) gives rate 0.
     """
-    if not 1 <= f_EC < math.inf:
-        raise ValueError("f_EC must be finite and >= 1")
+    _within("f_EC", f_EC, 1, math.inf, "[)")
     obs = simulate_observables(src, ch)
     if obs.Q_nt == 0:  # no gain ratio to bound: no key
         return 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelModel, simulate_observables
 from .decoy_bounds import _deltas
-from .errors import AllVacuous, _count
+from .errors import AllVacuous, _count, _within
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
                         asymptotic_rate, key_length, key_lengths, rate_ceiling)
 from .photonics import SourceModel
@@ -36,11 +36,12 @@ _NO_KEY = (0.0, math.nan, math.nan, None)  # (rate, mu, p_pe, payload) before a 
 class OptimizationSpec:
     """Grid sizes and bounds for the (mu, p_pe) search.
 
-    mu_bounds defaults to (0.01, inf), capped at MU_SAFETY * (1 - eta_A) / eta_A
-    (the series-divergence threshold); p_pe_bounds to [0.01, 0.99], and equal
-    p_pe bounds pin p_pe to that one value.  A detector that passes the
-    delta_2 > delta_1 rule has eta_A > 0 and a finite cap.  x_grid_points is
-    at least 2: x is minimised over, never fixed (one point reads x = 0).
+    mu_bounds defaults to (0.01, inf), needs 0 < min < max and is capped at
+    MU_SAFETY * (1 - eta_A) / eta_A (the series-divergence threshold);
+    p_pe_bounds defaults to [0.01, 0.99], and equal p_pe bounds pin p_pe to
+    that one value.  A detector that passes the delta_2 > delta_1 rule has
+    eta_A > 0 and a finite cap.  x_grid_points is at least 2: x is minimised
+    over, never fixed (one point reads x = 0).
     """
 
     mu_bounds: tuple[float, float] = (0.01, math.inf)
@@ -53,15 +54,16 @@ class OptimizationSpec:
     def __post_init__(self):
         for name, counts in (("coarse_points", self.coarse_points),
                              ("refine_points", self.refine_points)):
-            for count in counts:
-                _count(name, count, 1)
+            for i, count in enumerate(counts):
+                _count(f"{name}[{i}]", count, 1)
         _count("refine_rounds", self.refine_rounds, 0)
         _count("x_grid_points", self.x_grid_points, 2)
+        lo, hi = self.mu_bounds
+        if not 0 < lo < hi:
+            raise ValueError(f"mu bounds must satisfy 0 < min < max, got {lo}, {hi}")
         lo, hi = self.p_pe_bounds
         if not 0 < lo <= hi < 1:
-            raise ValueError(
-                f"p_pe bounds must satisfy 0 < min <= max < 1, got {lo}, {hi}"
-            )
+            raise ValueError(f"p_pe bounds must satisfy 0 < min <= max < 1, got {lo}, {hi}")
 
     def resolved_mu_bounds(self, src: SourceModel) -> tuple[float, float]:
         """The searched mu interval; DegenerateDetector unless delta_2 > delta_1."""
@@ -223,8 +225,7 @@ def max_distance(
     A probe is the coarse _walk up to its first key (nothing is skipped
     before one): exact, as refinement never lowers the coarse best.
     """
-    if not 0 <= L_max_km < math.inf:
-        raise ValueError(f"L_max_km must be finite and >= 0, got {L_max_km}")
+    _within("L_max_km", L_max_km, 0, math.inf, "[)")
     grid = distance_grid(0.0, L_max_km, step_km)
     mu_bounds = spec.resolved_mu_bounds(src)
 
@@ -280,8 +281,7 @@ def sweep_point(
     """
     if mode not in ("finite", "asymptotic"):
         raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
-    if not 1 <= N < math.inf:
-        raise ValueError("N must be finite and >= 1")
+    _within("N", N, 1, math.inf, "[)")
     if mode == "finite":
         evaluate = _finite(L_km, N, src, ch, sec, spec)
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoy_bounds import serfling_xi
-from .errors import _count
+from .errors import _count, _within
 from .phase_error import _phase_error_arrays, _tail_target
 
 RNG_ALGORITHM = "numpy-PCG64"
@@ -40,13 +40,6 @@ class TrialReport:
     ci_upper_95: float           # one-sided Clopper-Pearson 95% upper CI
     seed: int
     rng: str = RNG_ALGORITHM
-
-
-def _fraction(name: str, value) -> float:
-    """value if it lies in [0, 1], else a ValueError naming the argument."""
-    if not 0 <= value <= 1:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
 
 
 def _ci_upper_95(violations: int, trials: int) -> float:
@@ -71,9 +64,8 @@ def check_lemma3(
     """
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n, l = _count("n", n, 0), _count("l", l, 1)
-    true_error_fraction = _fraction("true_error_fraction", true_error_fraction)
-    if not 0 < eps_sec < 1:
-        raise ValueError(f"eps_sec must be in (0, 1), got {eps_sec!r}")
+    _within("true_error_fraction", true_error_fraction, 0, 1)
+    _within("eps_sec", eps_sec, 0, 1, "()")
     if _tail_target(eps_sec) is None:
         raise ValueError(f"eps_sec must be large enough that the tail target "
                          f"eps_sec^2/16 is a normal double, got {eps_sec!r}")
@@ -104,7 +96,7 @@ def check_lemma4(
     """
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n1, n2 = _count("n1", n1, 1), _count("n2", n2, 1)
-    outcome_rate = _fraction("outcome_rate", outcome_rate)
+    _within("outcome_rate", outcome_rate, 0, 1)
     xi = serfling_xi(eps, n1, n2)
     rng = np.random.default_rng(seed)
     total = n1 + n2

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, log_ndtr
 
-from .errors import NoSolution
+from .errors import NoSolution, _within
 
 OMEGA_MAX = 40.0
 OMEGA_TOL = 1e-12
@@ -69,14 +69,10 @@ class PhaseErrorInputs:
     eps_sec: float
 
     def __post_init__(self):
-        if not self.n > 0:
-            raise ValueError("n must be > 0")
-        if not self.l > 0:
-            raise ValueError("l must be > 0")
-        if not 0 <= self.e_ob <= 0.5:
-            raise ValueError("e_ob must be in [0, 0.5]")
-        if not 0 < self.eps_sec < 1:
-            raise ValueError("eps_sec must be in (0, 1)")
+        _within("n", self.n, 0, math.inf, "(]")
+        _within("l", self.l, 0, math.inf, "(]")
+        _within("e_ob", self.e_ob, 0, 0.5)
+        _within("eps_sec", self.eps_sec, 0, 1, "()")
 
 
 def gaussian_tail(omega):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DegenerateDetector, DivergentSeries, NoConvergence
+from .errors import DegenerateDetector, DivergentSeries, NoConvergence, _within
 
 DEFAULT_REL_TOL = 1e-14
 SERIES_INDEX_CAP = 10_000
@@ -30,7 +30,7 @@ class SourceModel:
     Attributes
     ----------
     mu : float
-        Mean photon number of the source, > 0.
+        Mean photon number of the source, finite and > 0.
     eta_A : float
         Heralding detector efficiency, in [0, 1].
     d_A : float
@@ -42,12 +42,9 @@ class SourceModel:
     d_A: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not 0 <= self.eta_A <= 1:
-            raise ValueError(f"eta_A must be in [0, 1], got {self.eta_A}")
-        if not 0 <= self.d_A < 1:
-            raise ValueError(f"d_A must be in [0, 1), got {self.d_A}")
+        _within("mu", self.mu, 0, math.inf, "()")
+        _within("eta_A", self.eta_A, 0, 1)
+        _within("d_A", self.d_A, 0, 1, "[)")
 
 
 class SeriesSum(NamedTuple):

@@ -1,6 +1,7 @@
 """Derivative-free (mu, p_pe) optimization, distance search, and sweep rows."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -105,6 +106,29 @@ class TestOptimizationSpec:
         with pytest.raises(ValueError, match="x_grid_points must be >= 2"):
             OptimizationSpec(x_grid_points=x_grid_points)
         OptimizationSpec(coarse_points=(1, 1), refine_points=(1, 1), x_grid_points=2)
+
+    @pytest.mark.parametrize("mu_bounds", [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0),
+                                           (0.1, math.nan), (0.5, 0.1), (0.5, 0.5),
+                                           (math.inf, math.inf)])
+    def test_mu_bounds_refused_at_construction(self, mu_bounds):
+        # refused by the spec, before any grid walk, with the bounds it got
+        lo, hi = mu_bounds
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu bounds must satisfy 0 < min < max, got {lo}, {hi}")):
+            OptimizationSpec(mu_bounds=mu_bounds)
+
+    def test_mu_max_may_be_infinite(self):
+        assert OptimizationSpec(mu_bounds=(0.2, math.inf)).mu_bounds == (0.2, math.inf)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"coarse_points": (0, 8)}, "coarse_points[0]"),
+        ({"coarse_points": (8, 0)}, "coarse_points[1]"),
+        ({"refine_points": (0, 5)}, "refine_points[0]"),
+        ({"refine_points": (5, 0)}, "refine_points[1]"),
+    ])
+    def test_refused_count_names_its_place_in_the_pair(self, fields, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= 1, got 0")):
+            OptimizationSpec(**fields)
 
     def test_numpy_integer_counts_accepted(self):
         spec = OptimizationSpec(coarse_points=(np.int64(8), 8),
@@ -262,7 +286,7 @@ class TestSweep:
     @pytest.mark.parametrize("N", [0.5, math.inf, math.nan])
     def test_bad_N_raises(self, src, sec, mode, N):
         # the asymptotic rate does not use N, but a row still reports it
-        with pytest.raises(ValueError, match="N must be finite and >= 1"):
+        with pytest.raises(ValueError, match=re.escape(f"N must be in [1, inf), got {N!r}")):
             sweep_point(50.0, N, mode, src, make_channel(0.0), sec, FAST)
 
     @pytest.mark.parametrize("mode", ["Finite", "both", ""])
