@@ -39,9 +39,10 @@ class SampleBudget:
     p_pe : float or array
         Probability that a pulse is assigned to parameter estimation; an
         array of them gives every chi term that array's shape.
-    eps_pe : float
+    eps_pe : float or array
         Failure probability of the yield/error estimation, shared across
-        photon numbers.
+        photon numbers; the key chain passes one share per strategy, as a
+        column that broadcasts against p_pe.
     """
 
     N: float
@@ -72,8 +73,8 @@ def serfling_xi(eps: float, n1: float, n2: float) -> float:
     This is the exact form; the chi closed form used in the key-rate chain
     absorbs the (n1+1) ~ n1 simplification.
     """
-    _within("n1", n1, 1, math.inf)
-    _within("n2", n2, 1, math.inf)
+    _within("n1", n1, 1, math.inf, "[)")
+    _within("n2", n2, 1, math.inf, "[)")
     _within("eps", eps, 0, 1, "(]")
     return math.sqrt((n1 + n2) * (n1 + 1) * math.log(1.0 / eps) / (8.0 * n1**2 * n2))
 
@@ -87,8 +88,9 @@ def overall_delta(obs: Observables) -> float:
 
 def _chi_scale(budget: SampleBudget):
     """The width sqrt(ln(1/eps_pe) / (2 N p_pe)) that every chi multiplies,
-    of p_pe's shape (np.sqrt is correctly rounded, as math.sqrt is)."""
-    return np.sqrt(math.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
+    of the shape p_pe and eps_pe broadcast to (np.sqrt is correctly rounded,
+    as math.sqrt is)."""
+    return np.sqrt(np.log(1.0 / budget.eps_pe) / (2.0 * budget.N * budget.p_pe))
 
 
 def chi_term(src: SourceModel, budget: SampleBudget, i: int) -> float:

@@ -7,14 +7,15 @@ phase-error bound:
 * B (both) additionally credits the nontriggered events (error
   correction separate, privacy amplification joint).
 
-``_ell`` is the one key-length expression ell(x) of either strategy on an
-array of the free vacuum ratio x.  ``_ledger`` builds the x-independent
-finite-size terms of both strategies (sample budget, chi, epsilon penalty)
-once a call, ``_ell_curves`` feeds them and the phase-error bound to it, and
-``_minimize_over_x`` takes the worst case of each, with the bound values
-there; the final key is ``ell = max(ell_T, ell_B)`` (floored, clamped at
-zero) and the rate is ``R = ell / (2 N)``.  ``key_lengths`` runs that search
-for every p_pe of a mu row at once, as one (p_pe, x) tensor a round, and
+``_ell`` is the one key-length expression ell(x), on a tensor whose leading
+axis is the strategy (T, then B).  ``_ledger`` builds the x-independent
+finite-size terms (one sample budget with a share per strategy, chi, the
+epsilon penalty column) once a call, ``_ell_curves`` feeds them and the
+phase-error bound to it, and ``_minimize_over_x`` takes the worst case of
+every (strategy, p_pe) row, with the bound values there; the final key is
+``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
+``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
+mu row at once, as one (strategy, p_pe, x) tensor a round, and
 ``key_length`` is its one-p_pe case.  The asymptotic rate is the same
 expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
 
@@ -68,7 +69,9 @@ X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
 _REFINE_T = np.arange(X_REFINE_POINTS, dtype=float)  # the steps of a refinement window
 ASYMPTOTIC_GRID_POINTS = 400
-_EPS_LEDGER = {"T": (10.0, 6.0, 0.0, 2.0), "B": (15.0, 12.0, 1.0, 4.0)}
+_EPS_LEDGER = np.array([[10.0, 6.0, 0.0, 2.0], [15.0, 12.0, 1.0, 4.0]])  # s, a, b, c; T, B
+# the nontriggered class's credit in each strategy's row: none in T's, all in B's
+_NT_CREDIT = np.array([0.0, 1.0])[:, None, None]
 # relative float slack of rate_ceiling, beside one bit of ell: its own solve of
 # the x_range ends may differ from key_length's in the last bits
 _CEILING_SLACK = 1e-9
@@ -87,7 +90,7 @@ class SecurityBudget:
         if _tail_target(self.eps_sec) is None:
             raise ValueError("eps_sec too small: tail target eps_sec^2/16 underflows")
         _within("eps_cor", self.eps_cor, 0, 1, "()")
-        if not all(math.isfinite(c / self.eps_cor) for *_, c in _EPS_LEDGER.values()):
+        if not math.isfinite(float(_EPS_LEDGER[:, 3].max()) / self.eps_cor):
             raise ValueError("eps_cor too small: a ledger penalty log2(c/eps_cor) overflows")
         _within("f_EC", self.f_EC, 1, math.inf, "[)")
 
@@ -142,62 +145,58 @@ def _leakage(obs, N, f_EC):
     return float(N * obs.Q_t * f_EC * h_t), float(N * obs.Q_nt * f_EC * h_nt)
 
 
-def _ell(x, which, obs, b, h_t, h_nt, N, lam, penalty):
-    """ell_T(x) or ell_B(x) from the gain bounds in b and h(e_p) of each class.
+def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
+    """ell_T(x) and ell_B(x), along the leading strategy axis, from the gain
+    bounds in b and h(e_p) of each class.
 
     The one key-length expression: the finite key passes its chi terms in b,
-    its pulse count, its leakage and its epsilon penalty; the asymptotic rate
-    passes chi = 0, N = 1 and no penalty.  h_nt is unused for "T".
+    its pulse count, its leakage and its epsilon penalty column; the
+    asymptotic rate passes chi = 0, N = 1 and no penalty.  T's row credits
+    no nontriggered vacuum or single-photon gain and leaks no lambda_EC_nt.
     """
     lam_t, lam_nt = lam
+    vac = np.maximum(b.q0_t_lb + obs.Q_nt * x * _NT_CREDIT, 0.0)
     gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
-    if which == "T":
-        return N * (np.maximum(b.q0_t_lb, 0.0) + gain) - lam_t - penalty
-    vac = np.maximum(b.q0_t_lb + obs.Q_nt * x, 0.0)
-    gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt)
-    return N * (vac + gain + gain_nt) - lam_t - lam_nt - penalty
+    gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt) * _NT_CREDIT
+    leak_nt = np.array([0.0, lam_nt])[:, None, None]  # not lam_nt * 0: inf * 0 is nan
+    return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
 
 
 def _ledger(src, obs, N, p_pe, sec):
-    """Per strategy T, B: (sample budget, chi, epsilon penalty) from ``_EPS_LEDGER``.
+    """(sample budget, chi, epsilon penalty) of both strategies from ``_EPS_LEDGER``.
 
-    The budget carries the strategy's share eps_sec/s, at which chi (and
-    chi0, chi1 in ``evaluate_bounds``) is taken; none of them depends on x,
-    and chi has p_pe's shape.
+    The budget carries each strategy's share eps_sec/s as a (strategy, 1, 1)
+    column, at which chi (and chi0, chi1 in ``evaluate_bounds``) is taken;
+    none of them depends on x, and chi has shape (strategy, p_pe, 1) for a
+    (p_pe, 1) column p_pe.
     """
-    terms = []
-    for which in "TB":
-        s, a, b, c = _EPS_LEDGER[which]
-        budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
-        terms.append((budget, chi_low_orders(src, budget, obs),
-                      a * math.log2(s / sec.eps_sec) + b + math.log2(c / sec.eps_cor)))
-    return terms
+    s, a, b, c = _EPS_LEDGER.T[:, :, None, None]  # (strategy, 1, 1) columns
+    budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
+    return (budget, chi_low_orders(src, budget, obs),
+            a * np.log2(s / sec.eps_sec) + b + np.log2(c / sec.eps_cor))
 
 
-def _ell_curves(xs, src, obs, N, p_pe, sec, lam, ledger):
-    """((ell, bounds, e_p_t, e_p_nt) of T, the same of B) on xs = (x_T, x_B).
+def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
+    """(ell, bounds, e_p) on a (strategy, p_pe, x) tensor x, T's row first.
 
-    x_T and x_B are arrays of one shape that broadcast with p_pe (a float or
-    a (P, 1) column) to the curves' shape, one row per p_pe; ledger is
-    ``_ledger``'s pair at the same p_pe.  e_p of T's triggered class and of
-    B's two classes comes from one phase-error solve.  e_p_nt is None for "T".
+    p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe.
+    e_p stacks the triggered and the nontriggered class, (class, strategy,
+    p_pe, x), from one phase-error solve of T's triggered class and B's two
+    classes; T's nontriggered e_p is nan, a class it does not credit.
     """
-    bt, bb = (evaluate_bounds(x, src, budget, obs, chi=chi)
-              for x, (budget, chi, _) in zip(xs, ledger))
-    shape = (3,) + np.shape(bt.zeta)  # one e_p array per class
-    e_p = _phase_error_for_class(
-        np.concatenate([bt.q1_t_lb, bb.q1_t_lb, bb.q1_nt_lb]).reshape(shape),
-        np.concatenate([bt.w_t, bb.w_t, bb.w_nt]).reshape(shape),
-        N, p_pe, sec.eps_sec)
-    h = binary_entropy(e_p)
-    (_, _, pen_t), (_, _, pen_b) = ledger
-    return ((_ell(xs[0], "T", obs, bt, h[0], None, N, lam, pen_t), bt, e_p[0], None),
-            (_ell(xs[1], "B", obs, bb, h[1], h[2], N, lam, pen_b), bb, e_p[1], e_p[2]))
+    budget, chi, penalty = ledger
+    b = evaluate_bounds(x, src, budget, obs, chi=chi)
+    q1 = np.stack([b.q1_t_lb, b.q1_nt_lb])
+    q1[1, 0] = 0.0  # no solve for T's nontriggered class, which T does not credit
+    e_p = _phase_error_for_class(q1, np.stack([b.w_t, b.w_nt]), N, p_pe, sec.eps_sec)
+    h_t, h_nt = binary_entropy(e_p)
+    e_p[1, 0] = math.nan  # its diagnostic: no estimate, not the 0.5 cap
+    return _ell(x, obs, b, h_t, h_nt, N, lam, penalty), b, e_p
 
 
 def _windows(lo, hi):
     """np.linspace(lo, hi, X_REFINE_POINTS) bit for bit, one row per entry of
-    (P, 1) columns lo and hi: t * step + lo with the last point hi, and
+    (rows, 1) columns lo and hi: t * step + lo with the last point hi, and
     t / div * delta + lo where the step underflows to zero, as np.linspace
     has it."""
     delta = hi - lo
@@ -212,40 +211,36 @@ def _windows(lo, hi):
 def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     """Per p_pe of the 1-D array ppes, per strategy T, B: (min over x of
     ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there); e_p_nt is
-    nan for "T".
+    nan for T.
 
-    Both strategies are searched together, one ``_ell_curves`` call a round,
-    and a round is one (p_pe, x) tensor: the grid_points linspace of x_range
-    in every row, then X_REFINE_ROUNDS rounds of X_REFINE_POINTS points, one
-    window per (p_pe, strategy) row around that row's own minimum.  The
-    ledger terms are built once, before the first round.  Each row keeps its
-    own minimum, the first of equal values, as a single p_pe would.
+    A round is one ``_ell_curves`` call on one (strategy, p_pe, x) tensor:
+    the grid_points linspace of x_range in every row, then X_REFINE_ROUNDS
+    rounds of X_REFINE_POINTS points, one window per row around that row's
+    own minimum.  The ledger terms are built once, before the first round.
+    Each (strategy, p_pe) row keeps its own minimum, the first of equal
+    values, as a single p_pe would.
     """
-    rows = len(ppes)
-    # one p_pe as a float: a (1, 1) column makes _bounds and chi 7-10 % slower
-    pp = float(ppes[0]) if rows == 1 else ppes[:, None]
+    P, pp = len(ppes), ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
-    best = [[(math.inf, lo, None)] * 2 for _ in range(rows)]
-    xs = [np.repeat(np.linspace(lo, hi, grid_points)[None], rows, axis=0)] * 2
+    best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
+    x = np.broadcast_to(np.linspace(lo, hi, grid_points), (2, P, grid_points))
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        curves = _ell_curves(xs, src, obs, N, pp, sec, lam, ledger)
-        for k, (x, (vals, b, e_p_t, e_p_nt)) in enumerate(zip(xs, curves)):
-            points = x.shape[1]
-            lows, highs = [], []
-            for r, i in enumerate(vals.argmin(axis=1).tolist()):
-                row = r * points  # x and the curves share this flat index
-                f = row + i
-                if vals.item(f) < best[r][k][0]:
-                    best[r][k] = vals.item(f), x.item(f), (
-                        b.zeta.item(f), b.w_t.item(f), b.w_nt.item(f), e_p_t.item(f),
-                        e_p_nt.item(f) if e_p_nt is not None else math.nan,
-                    )
-                lows.append(x.item(row + max(i - 1, 0)))
-                highs.append(x.item(row + min(i + 1, points - 1)))
-            if not last:
-                xs[k] = _windows(np.array(lows)[:, None], np.array(highs)[:, None])
-    return best
+        vals, b, e_p = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
+        points = x.shape[-1]
+        lows, highs = [], []
+        for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
+            row = r * points  # x and the curves share this flat index
+            f = row + i
+            if vals.item(f) < best[r][0]:
+                best[r] = vals.item(f), x.item(f), (
+                    b.zeta.item(f), b.w_t.item(f), b.w_nt.item(f), e_p[0].item(f),
+                    e_p[1].item(f))
+            lows.append(x.item(row + max(i - 1, 0)))
+            highs.append(x.item(row + min(i + 1, points - 1)))
+        if not last:
+            x = _windows(np.array(lows)[:, None], np.array(highs)[:, None]).reshape(2, P, -1)
+    return list(zip(best[:P], best[P:]))
 
 
 def _result(pair, lam, N):
@@ -282,9 +277,10 @@ def key_lengths(
     grid_points: int = X_GRID_POINTS,
 ) -> tuple[KeyLengthResult, ...]:
     """key_length at each p_pe of the 1-D array ppes, one result each, from
-    one ``_minimize_over_x`` pass over the (p_pe, x) tensor of a mu row (the
-    observables, and so x_range, are the row's).  Every result is the one
-    key_length gives at that p_pe, from a first x round of >= 2 points."""
+    one ``_minimize_over_x`` pass over the (strategy, p_pe, x) tensor of a
+    mu row (the observables, and so x_range, are the row's).  Every result
+    is the one key_length gives at that p_pe, from a first x round of >= 2
+    points."""
     ppes = _p_pe_axis(ppes)
     grid_points = _count("grid_points", grid_points, 2)
     lam = _leakage(obs, N, sec.f_EC)
@@ -314,8 +310,9 @@ def rate_ceiling(
 ):
     """Upper bounds on the rates key_lengths gives at the 1-D array ppes, one
     each: the key's own ell_T and ell_B (``_ell_curves``) at the ends of
-    x_range, plus a float slack.  One (p_pe, x) tensor of one ``_ell_curves``
-    call bounds every p_pe of a mu row, as x_range depends on mu only.
+    x_range, plus a float slack.  One (strategy, p_pe, x) tensor of one
+    ``_ell_curves`` call bounds every p_pe of a mu row, as x_range depends
+    on mu only.
 
     key_length's first x round is a linspace of at least two points of
     x_range, which holds both ends exactly, and the later rounds only lower
@@ -325,12 +322,11 @@ def rate_ceiling(
     is subnormal): the ceiling adds one bit of ell and _CEILING_SLACK of
     itself, and a point whose ceiling is below a rate cannot beat that rate.
     """
-    xs = np.linspace(*x_range(src, obs), 2)
-    pp = _p_pe_axis(ppes)[:, None]  # a column against the x row
-    (ell_t, *_), (ell_b, *_) = _ell_curves((xs, xs), src, obs, N, pp, sec,
-                                           _leakage(obs, N, sec.f_EC),
-                                           _ledger(src, obs, N, pp, sec))
-    ell = np.maximum(np.maximum(ell_t.min(axis=1), ell_b.min(axis=1)), 0.0)
+    ends = np.linspace(*x_range(src, obs), 2)  # ZeroGain before a p_pe check
+    pp = _p_pe_axis(ppes)[:, None]
+    ell, *_ = _ell_curves(np.broadcast_to(ends, (2, len(pp), 2)), src, obs, N, pp, sec,
+                          _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, pp, sec))
+    ell = np.maximum(ell.min(axis=2).max(axis=0), 0.0)
     return 0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK)
 
 
@@ -348,9 +344,8 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     if obs.Q_nt == 0:  # no gain ratio to bound: no key
         return 0.0
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
-    b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)
+    b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)  # one x row: chi = 0 for T and B alike
     h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
-    lam = _leakage(obs, 1.0, f_EC)
-    ell_t = float(np.min(_ell(xs, "T", obs, b, h_t, None, 1.0, lam, 0.0)))
-    ell_b = float(np.min(_ell(xs, "B", obs, b, h_t, h_nt, 1.0, lam, 0.0)))
+    ell = _ell(xs, obs, b, h_t, h_nt, 1.0, _leakage(obs, 1.0, f_EC), 0.0)
+    ell_t, ell_b = ell[:, 0].min(axis=1).tolist()
     return max(ell_t, ell_b, 0.0) / 2.0

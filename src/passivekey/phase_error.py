@@ -59,7 +59,7 @@ class PhaseErrorInputs:
     """Sampling geometry and target secrecy for one event class.
 
     n and l are the code (sifted) and sample (test) bit counts, accepted as
-    real-valued expectations; e_ob is the observed error fraction on the
+    finite real-valued expectations; e_ob is the observed error fraction on the
     sample; eps_sec the secrecy parameter of the final key.
     """
 
@@ -69,8 +69,8 @@ class PhaseErrorInputs:
     eps_sec: float
 
     def __post_init__(self):
-        _within("n", self.n, 0, math.inf, "(]")
-        _within("l", self.l, 0, math.inf, "(]")
+        _within("n", self.n, 0, math.inf, "()")
+        _within("l", self.l, 0, math.inf, "()")
         _within("e_ob", self.e_ob, 0, 0.5)
         _within("eps_sec", self.eps_sec, 0, 1, "()")
 

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from passivekey.decoy_bounds import (
     serfling_xi,
     x_range,
 )
+from passivekey.photonics import delta_n, photon_prob
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,29 @@ class TestSampleBudget:
         for p, c in zip(p_pe.ravel(), chi.ravel()):
             assert c == chi_low_orders(src, SampleBudget(N=1e9, p_pe=float(p),
                                                          eps_pe=1e-11), obs)
+
+    def test_array_eps_pe_gives_every_term_its_shape(self, src, obs):
+        # the key chain's one budget: a (strategy, 1, 1) column of the ledger's
+        # shares at eps_sec = 1e-10 (T's 1e-11, B's 1e-10/15) against a
+        # (p_pe, 1) column; each element is the math-library scalar, bit for bit
+        shares = (1e-11, 1e-10 / 15)
+        N, p_pe, x = 1e9, np.array([[0.1], [0.5]]), np.array([0.0, 1e-3, 2e-3])
+        budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=np.array(shares)[:, None, None])
+        chi = chi_low_orders(src, budget, obs)
+        chis = [chi_term(src, budget, i) for i in (0, 1)]
+        b = evaluate_bounds(x, src, budget, obs, chi=chi)
+        assert chi.shape == chis[0].shape == chis[1].shape == (2, 2, 1)
+        assert b.zeta.shape == b.q0_t_lb.shape == b.w_nt.shape == (2, 2, 3)
+        orders = [math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3)]
+        for k, eps in enumerate(shares):
+            for j, p in enumerate(p_pe.ravel().tolist()):
+                scale = math.sqrt(math.log(1.0 / eps) / (2.0 * N * p))
+                assert chi[k, j, 0] == scale * sum(orders) / obs.Q_nt
+                assert [c[k, j, 0] for c in chis] == [o * scale for o in orders[:2]]
+                one = evaluate_bounds(x, src, SampleBudget(N=N, p_pe=p, eps_pe=eps), obs,
+                                      chi=scale * sum(orders) / obs.Q_nt)
+                for got, want in zip(astuple(b), astuple(one), strict=True):
+                    assert got[k, j].tobytes() == want.tobytes()
 
     def test_N_of_1_accepted(self):
         assert SampleBudget(N=1.0, p_pe=0.5, eps_pe=1e-11).N == 1.0

@@ -70,15 +70,15 @@ ARGUMENTS = [
     ("SampleBudget", "N", field(SampleBudget, BUDGET, "N"), AT_LEAST_1),
     ("SampleBudget", "p_pe", field(SampleBudget, BUDGET, "p_pe"), OPEN_UNIT),
     ("SampleBudget", "eps_pe", field(SampleBudget, BUDGET, "eps_pe"), OPEN_UNIT),
-    ("serfling_xi", "n1", lambda v: serfling_xi(0.1, v, 100), (1, math.inf, "[]")),
-    ("serfling_xi", "n2", lambda v: serfling_xi(0.1, 100, v), (1, math.inf, "[]")),
+    ("serfling_xi", "n1", lambda v: serfling_xi(0.1, v, 100), AT_LEAST_1),
+    ("serfling_xi", "n2", lambda v: serfling_xi(0.1, 100, v), AT_LEAST_1),
     ("serfling_xi", "eps", lambda v: serfling_xi(v, 100, 100), (0, 1, "(]")),
     ("SecurityBudget", "eps_sec", field(SecurityBudget, SEC, "eps_sec"), OPEN_UNIT),
     ("SecurityBudget", "eps_cor", field(SecurityBudget, SEC, "eps_cor"), OPEN_UNIT),
     ("SecurityBudget", "f_EC", field(SecurityBudget, SEC, "f_EC"), AT_LEAST_1),
     ("asymptotic_rate", "f_EC", lambda v: asymptotic_rate(*MODELS[:2], v), AT_LEAST_1),
-    ("PhaseErrorInputs", "n", field(PhaseErrorInputs, PE, "n"), (0, math.inf, "(]")),
-    ("PhaseErrorInputs", "l", field(PhaseErrorInputs, PE, "l"), (0, math.inf, "(]")),
+    ("PhaseErrorInputs", "n", field(PhaseErrorInputs, PE, "n"), (0, math.inf, "()")),
+    ("PhaseErrorInputs", "l", field(PhaseErrorInputs, PE, "l"), (0, math.inf, "()")),
     ("PhaseErrorInputs", "e_ob", field(PhaseErrorInputs, PE, "e_ob"), HALF),
     ("PhaseErrorInputs", "eps_sec", field(PhaseErrorInputs, PE, "eps_sec"), OPEN_UNIT),
     ("max_distance", "L_max_km", lambda v: max_distance(1e9, *MODELS, L_max_km=v),

@@ -72,15 +72,19 @@ class TestBinaryEntropy:
         assert out == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
 
-STRATEGY = {"T": 0, "B": 1}  # index into _ell_curves' and _minimize_over_x's pairs
+# the leading axis of _ell_curves' tensors, and the index into a p_pe's
+# pair from _minimize_over_x
+STRATEGY = {"T": 0, "B": 1}
+P_PE = np.array([[0.5]])  # one p_pe as the (P, 1) column of the x search
 
 
-# the x path of key_length at p_pe = 0.5: both strategies' curves on one
-# array of x, and both minima over x_range
+# the x path of key_length at p_pe = 0.5: (ell, bounds, e_p) of both
+# strategies on one array of x, as a (strategy, 1, x) tensor, and both
+# minima over x_range
 def curves_at(xs, src, obs, N, sec):
     xs = np.asarray(xs, dtype=float)
-    return _ell_curves((xs, xs), src, obs, N, 0.5, sec, _leakage(obs, N, sec.f_EC),
-                       _ledger(src, obs, N, 0.5, sec))
+    return _ell_curves(np.broadcast_to(xs, (2, 1, xs.size)), src, obs, N, P_PE, sec,
+                       _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, P_PE, sec))
 
 
 def minimize(src, obs, N, sec):
@@ -90,7 +94,7 @@ def minimize(src, obs, N, sec):
 
 # the ell(x) path of key_length at N = 1e9, p_pe = 0.5, on an array of x
 def ell_at(xs, which, src, obs, sec):
-    return curves_at(xs, src, obs, 1e9, sec)[STRATEGY[which]][0]
+    return curves_at(xs, src, obs, 1e9, sec)[0][STRATEGY[which], 0]
 
 
 def ell_min(which, src, obs, sec):
@@ -258,18 +262,20 @@ class TestKeyLength:
         obs = simulate_observables(src, make_channel(L))
         res = key_length(src, obs, N=N, p_pe=0.5, sec=sec)
         assert res.ell_B > res.ell_T
-        _, b, e_p_t, e_p_nt = curves_at([res.x_opt_B], src, obs, N, sec)[1]
+        _, b, e_p = curves_at([res.x_opt_B], src, obs, N, sec)
+        at = STRATEGY["B"], 0, 0  # B's row, the one p_pe and x
         d = res.diagnostics
-        assert d.zeta == pytest.approx(float(b.zeta[0]), rel=1e-12)
-        assert d.w_t == pytest.approx(float(b.w_t[0]), rel=1e-12)
-        assert d.w_nt == pytest.approx(float(b.w_nt[0]), rel=1e-12)
-        assert d.e_p_t == pytest.approx(float(e_p_t[0]), rel=1e-12)
-        assert d.e_p_nt == pytest.approx(float(e_p_nt[0]), rel=1e-12)
+        assert d.zeta == pytest.approx(float(b.zeta[at]), rel=1e-12)
+        assert d.w_t == pytest.approx(float(b.w_t[at]), rel=1e-12)
+        assert d.w_nt == pytest.approx(float(b.w_nt[at]), rel=1e-12)
+        assert d.e_p_t == pytest.approx(float(e_p[0][at]), rel=1e-12)
+        assert d.e_p_nt == pytest.approx(float(e_p[1][at]), rel=1e-12)
         # the losing strategy's minimiser reports its own bound values too
-        _, x_t, diag_t = minimize(src, obs, N, sec)[0]
-        _, b, e_p_t, _ = curves_at([x_t], src, obs, N, sec)[0]
+        _, x_t, diag_t = minimize(src, obs, N, sec)[STRATEGY["T"]]
+        _, b, e_p = curves_at([x_t], src, obs, N, sec)
+        at = STRATEGY["T"], 0, 0
         assert diag_t[:4] == pytest.approx(
-            [float(b.zeta[0]), float(b.w_t[0]), float(b.w_nt[0]), float(e_p_t[0])],
+            [float(b.zeta[at]), float(b.w_t[at]), float(b.w_nt[at]), float(e_p[0][at])],
             rel=1e-12)
         assert np.isnan(diag_t[4])
 
@@ -317,9 +323,9 @@ class TestKeyLength:
             key_length(src, obs, 1e9, 0.5, sec, grid_points=1)
 
     def test_calls_per_layer(self, monkeypatch, src, obs, sec):
-        # the names the benchmark's tracer wraps on keylength: both strategies'
-        # bounds in each of the three x rounds, one phase-error solve a round,
-        # and each strategy's chi once a call
+        # the names the benchmark's tracer wraps on keylength: one bounds call
+        # on the (strategy, p_pe, x) tensor and one phase-error solve in each
+        # of the three x rounds, and chi once a call for both strategies
         calls = dict.fromkeys(["evaluate_bounds", "chi_low_orders",
                                "_phase_error_arrays"], 0)
         for name in calls:
@@ -328,7 +334,7 @@ class TestKeyLength:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(keylength, name, counted)
         assert key_length(src, obs, 1e9, 0.5, sec).ell > 0
-        assert calls == {"evaluate_bounds": 6, "chi_low_orders": 2,
+        assert calls == {"evaluate_bounds": 3, "chi_low_orders": 1,
                          "_phase_error_arrays": 3}
 
     @EXACT_POINTS
@@ -341,7 +347,7 @@ class TestKeyLength:
 
     @EXACT_POINTS
     def test_a_row_of_two_is_exact(self, src, sec, mu, channel, N, p_pe, want):
-        # two p_pe take the (P, 1) column path, one the float path: the same bits
+        # two p_pe are two rows of each strategy's block: the bits of one
         src = replace(src, mu=mu)
         row = key_lengths(src, simulate_observables(src, channel), N,
                           np.array([p_pe, p_pe]), sec)
@@ -401,10 +407,11 @@ class TestRateCeiling:
         # each strategy's ell at the two ends of x_range, the larger of the
         # two strategies' smaller end; 250 km has no key
         obs = simulate_observables(src, make_channel(L_km))
-        ends = np.array(x_range(src, obs))
-        (ell_t, *_), (ell_b, *_) = _ell_curves(
-            (ends, ends), src, obs, N, p_pe, sec, _leakage(obs, N, sec.f_EC),
-            _ledger(src, obs, N, p_pe, sec))
+        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
+        pp = np.array([[p_pe]])
+        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
+                              _ledger(src, obs, N, pp, sec))
+        ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
         want = 0.5 * (max(ell_t.min(), ell_b.min(), 0.0) + 1.0) / N * (
             1.0 + keylength._CEILING_SLACK)
         ceiling = rate_ceiling(src, obs, N, np.array([p_pe]), sec)
@@ -480,14 +487,16 @@ class TestEpsilonLedger:
         monkeypatch.setattr(keylength, "SampleBudget", budget)
         monkeypatch.setattr(keylength, "_ell", ell)
         minimize(src, obs, 1e9, sec)
-        # one budget per strategy, T's then B's: chi, chi0 and chi1 at one
-        # share of this strategy's split; each round's curve pays its penalty
+        # one budget with a share per strategy, T's then B's: chi, chi0 and
+        # chi1 at one share of this strategy's split; each round's curves pay
+        # the penalty column
         rounds = X_REFINE_ROUNDS + 1
         k = STRATEGY[which]
-        assert seen["eps_pe"][k] == sec.eps_sec / split
-        assert len(seen["eps_pe"]) == 2
-        assert len(seen["penalty"]) == 2 * rounds
-        assert seen["penalty"][k::2] == [
+        assert len(seen["eps_pe"]) == 1
+        assert seen["eps_pe"][0].shape == (2, 1, 1)
+        assert seen["eps_pe"][0][k].item() == sec.eps_sec / split
+        assert len(seen["penalty"]) == rounds
+        assert [pen[k].item() for pen in seen["penalty"]] == [
             pytest.approx(penalty(sec.eps_sec, sec.eps_cor), rel=1e-15)] * rounds
 
     def test_one_phase_error_solve_per_round(self, monkeypatch, src, obs, sec):
@@ -506,12 +515,14 @@ class TestEpsilonLedger:
         minimize(src, obs, 1e9, sec)
         # e_p of T's triggered class and B's two classes, at the full eps_sec,
         # over every admissible entry (q1 > 0 and a finite W) of the three
+        t, b = STRATEGY["T"], STRATEGY["B"]
         admissible = [
             sum(int(np.sum((q1 > 0) & np.isfinite(w)))
-                for q1, w in ((t.q1_t_lb, t.w_t), (b.q1_t_lb, b.w_t), (b.q1_nt_lb, b.w_nt)))
-            for t, b in zip(bounds[0::2], bounds[1::2])
+                for q1, w in ((r.q1_t_lb[t], r.w_t[t]), (r.q1_t_lb[b], r.w_t[b]),
+                              (r.q1_nt_lb[b], r.w_nt[b])))
+            for r in bounds
         ]
-        assert len(bounds) == 2 * (X_REFINE_ROUNDS + 1)
+        assert len(bounds) == X_REFINE_ROUNDS + 1
         assert solves == [(sec.eps_sec, count) for count in admissible]
         assert all(count > 0 for count in admissible)
 

@@ -320,7 +320,7 @@ class TestPhaseErrorBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseErrorInputs(n=-1.0, l=10.0, e_ob=0.0, eps_sec=1e-10)
-        with pytest.raises(ValueError, match=re.escape("l must be in (0, inf], got 0.0")):
+        with pytest.raises(ValueError, match=re.escape("l must be in (0, inf), got 0.0")):
             PhaseErrorInputs(n=10.0, l=0.0, e_ob=0.0, eps_sec=1e-10)
         with pytest.raises(ValueError):
             PhaseErrorInputs(n=10.0, l=10.0, e_ob=0.7, eps_sec=1e-10)
