@@ -103,7 +103,8 @@ def chi_term(src: SourceModel, budget: SampleBudget, i: int) -> float:
 def _chi_from_sum(budget: SampleBudget, obs: Observables, s: float) -> float:
     if obs.Q_nt == 0:
         raise ZeroGain("Q_nt = 0; chi undefined")
-    return _chi_scale(budget) * s / obs.Q_nt
+    with np.errstate(over="ignore"):  # inf for a subnormal Q_nt: no finite key
+        return _chi_scale(budget) * s / obs.Q_nt
 
 
 def chi_total(src: SourceModel, budget: SampleBudget, obs: Observables) -> float:
@@ -143,8 +144,9 @@ def _bounds(x, src: SourceModel, obs: Observables, chi: float, chi0: float,
     delta = overall_delta(obs)
     xa = np.asarray(x, dtype=float)
     z = ((d2 - delta) - (d2 - d0) * xa - chi) / (d2 - d1)
-    num_t = 2.0 * delta * obs.E_t - d0 * xa + chi0 / obs.Q_nt
-    den_t = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
+    with np.errstate(over="ignore"):  # chi_i / Q_nt is inf for a subnormal Q_nt
+        num_t = 2.0 * delta * obs.E_t - d0 * xa + chi0 / obs.Q_nt
+        den_t = 2.0 * d1 * z - 2.0 * chi1 / obs.Q_nt
     num_nt = 2.0 * obs.E_nt - xa
     ok_t, ok_nt = den_t > 0, z > 0
     return SinglePhotonBounds(

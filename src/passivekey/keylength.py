@@ -159,7 +159,8 @@ def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
     gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
     gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt) * _NT_CREDIT
     leak_nt = np.array([0.0, lam_nt])[:, None, None]  # not lam_nt * 0: inf * 0 is nan
-    return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
+    with np.errstate(over="ignore"):  # lam_t + lam_nt past the double range: -inf, no key
+        return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
 
 
 def _ledger(src, obs, N, p_pe, sec):

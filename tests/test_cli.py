@@ -5,13 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivekey import ConfigError, OptimizationSpec
+from passivekey import ConfigError, NoConvergence, OptimizationSpec, simulate_observables
+from passivekey import cli
 from passivekey.cli import DEFAULTS, CSV_HEADER, _parse_distances, load_config, main
 
 FAST_OPTIMIZER = """
@@ -234,17 +237,33 @@ class TestRunCommand:
         assert err.startswith("config error: [source] eta_A")
         assert "mu_max" not in err
 
-    def test_numerical_failure_exits_3(self, tmp_path, capsys):
-        # at eta_A = 0.003 the mu cap reaches a mu whose thermal series needs
-        # more than SERIES_INDEX_CAP terms; a closed-form observable that
-        # mends this needs another input to reach the exit-3 branch
-        path = write_config(tmp_path, "[source]\neta_A = 0.003\n[optimizer]\n"
-                            "coarse_mu = 2\ncoarse_p_pe = 1\nrefine_rounds = 0\n")
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no accepted config is known to fail numerically (eta_A = 0.003 did,
+        # through the thermal series' term cap), so a row is made to fail
+        def fails(*args):
+            raise NoConvergence("series did not converge")
+
+        monkeypatch.setattr(cli, "sweep_point", fails)
         out = tmp_path / "sweep.csv"
-        assert main(["run", "--config", path, "--sweep", "50", "--N", "1e9",
-                     "--mode", "asymptotic", "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert main(["run", "--sweep", "50", "--N", "1e9", "--mode", "asymptotic",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: series did not converge\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("eta_A", ["0.003", "1e-4"])
+    def test_small_heralding_efficiency_runs(self, tmp_path, capsys, eta_A):
+        # the mu cap 0.99 (1 - eta_A) / eta_A reaches mu in the hundreds and
+        # thousands, where the observables are closed forms with no term cap
+        path = write_config(tmp_path, FAST_OPTIMIZER + f"[source]\neta_A = {eta_A}\n")
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", path, "--sweep", "50", "--N", "1e9",
+                         "--mode", "both", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["finite", "asymptotic"]
+        assert rows[1][-1] == "ok"
 
     def test_mu_min_alone_sets_search_floor(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER + "mu_min = 0.6\n")
@@ -386,17 +405,52 @@ x_grid_points = 60
                      "--N", "1e6", "--mode", "finite", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith("vacuous")
 
-    @pytest.mark.parametrize("L", ["763", "20000"])
-    def test_zero_nontriggered_gain_is_vacuous(self, tmp_path, L):
-        # with no dark counts the gains underflow to exactly 0 far out: no
-        # gain ratio to bound, so no key, in both modes
+    def test_zero_nontriggered_gain_is_vacuous(self, tmp_path):
+        # with no dark counts, eta underflows to 0 at 20 000 km and the gains
+        # with it: no gain ratio to bound, so no key, in both modes
         path = write_config(tmp_path, FAST_OPTIMIZER + "[channel]\np_d = 0\n")
         out = tmp_path / "sweep.csv"
-        assert main(["run", "--config", path, "--sweep", L, "--N", "1e9",
+        assert main(["run", "--config", path, "--sweep", "20000", "--N", "1e9",
                      "--mode", "both", "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r[2], r[9], r[-1]) for r in rows] == [
             ("finite", "0", "vacuous"), ("asymptotic", "0", "vacuous")]
+
+    def test_no_dark_counts_keep_a_key_at_763_km(self, tmp_path, monkeypatch):
+        # the gains there are about 1e-17, not 0: the asymptotic row has the
+        # key of the 50-digit reference at its mu, within the benchmark's
+        # tolerance
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import reference_impl
+        import workloads
+
+        path = write_config(tmp_path, FAST_OPTIMIZER + "[channel]\np_d = 0\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["run", "--config", path, "--sweep", "763", "--N", "1e9",
+                     "--mode", "asymptotic", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[-1] == "ok"
+        cfg = load_config(path)
+        src = replace(cfg.source, mu=float(row[3]))
+        ch = replace(cfg.channel, L_km=763.0)
+        ref = reference_impl.Ref(src.mu, src.eta_A, src.d_A, ch.alpha_db_per_km,
+                                 ch.L_km, ch.eta_B, ch.p_d, ch.e_d)
+        want = float(workloads.ref_asymptotic_rate(reference_impl, ref,
+                                                   cfg.security.f_EC))
+        obs = simulate_observables(src, ch)
+        assert want > 0.0
+        assert abs(float(row[9]) - want) <= workloads.ELL_REL_TOL * (obs.Q_t + obs.Q_nt)
+
+    def test_subnormal_gain_is_vacuous_without_a_warning(self, tmp_path):
+        # at 15 450 km with no dark counts Q_nt is subnormal, so each chi / Q_nt
+        # overflows: an infinite fluctuation, no finite key, and no warning
+        path = write_config(tmp_path, FAST_OPTIMIZER + "[channel]\np_d = 0\n")
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", path, "--sweep", "15450", "--N", "1e9",
+                         "--mode", "finite", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",vacuous")
 
     def test_p_pe_pin(self, tmp_path):
         path = write_config(tmp_path, FAST_OPTIMIZER)

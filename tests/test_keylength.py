@@ -135,27 +135,27 @@ class TestEllCurves:
 # NaN where T wins, the vacuous point included
 EXACT_POINTS = pytest.mark.parametrize("mu, channel, N, p_pe, want", [
     (0.05, make_channel(150.0), 1e13, 0.1, [  # T wins
-        "0x1.20130a826eeacp+22", "0x1.0325f4f7a1a67p+22", "0x1.2013080000000p+22",
-        "0x1.58895a4235414p-2", "0x1.e7312eb365f69p-3", "0x1.fac9263ee7608p-23",
-        "0x1.e5f6c6c29d94ap-2", "0x1.0471e987f37cfp-5", "0x0.0p+0",
-        "0x1.143bebb256966p-5", "nan", "0x1.3ab6048fac06fp+21",
-        "0x1.9abfe6e70147ep+24"]),
+        "0x1.20130a822a35cp+22", "0x1.0325f4f73c05fp+22", "0x1.2013080000000p+22",
+        "0x1.58895a42412b1p-2", "0x1.e7312eb376cf2p-3", "0x1.fac9263ee7608p-23",
+        "0x1.e5f6c6c29257ep-2", "0x1.0471e9883cb74p-5", "0x0.0p+0",
+        "0x1.143bebb2a206bp-5", "nan", "0x1.3ab6048ff4d4dp+21",
+        "0x1.9abfe6e70f9d2p+24"]),
     (0.5, make_channel(50.0), 1e9, 0.5, [  # B wins
-        "0x1.c34ab57d5b426p+17", "0x1.5ff7885b04fadp+19", "0x1.5ff7800000000p+19",
-        "0x1.5b271184c34cfp-7", "0x0.0p+0", "0x1.79ebe57d031c2p-12",
-        "0x1.94d7a924dd9fcp-2", "0x1.f724e6c0dc648p-6", "0x1.b70a50a90783ap-7",
-        "0x1.2220e533db7d7p-5", "0x1.0c9134ec24b01p-6", "0x1.5dab99cc4220cp+17",
-        "0x1.5922072eb2f21p+16"]),
+        "0x1.c34ab57d5a571p+17", "0x1.5ff7885b04923p+19", "0x1.5ff7800000000p+19",
+        "0x1.5b271184c4b96p-7", "0x0.0p+0", "0x1.79ebe57d031c2p-12",
+        "0x1.94d7a924dda6bp-2", "0x1.f724e6c0dd41fp-6", "0x1.b70a50a909490p-7",
+        "0x1.2220e533dbf35p-5", "0x1.0c9134ec25a9bp-6", "0x1.5dab99cc42ae3p+17",
+        "0x1.5922072eb4261p+16"]),
     (0.5, make_channel(100.0), 1e9, 0.5, [  # vacuous
-        "-0x1.2c460451be849p+14", "-0x1.f2f3502320f51p+14", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.797cb2596eb53p-6", "inf", "inf",
-        "0x1.0000000000000p-1", "nan", "0x1.283593474cfcbp+14",
-        "0x1.863875387dc66p+13"]),
+        "-0x1.2c460451b9855p+14", "-0x1.f2f350231c18cp+14", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.797cb25968883p-6", "inf", "inf",
+        "0x1.0000000000000p-1", "nan", "0x1.2835934747fd7p+14",
+        "0x1.863875387e0c4p+13"]),
     (0.5, replace(make_channel(50.0), p_d=0.0, e_d=0.0), 1e9, 0.5, [  # x_range (0, 0)
-        "0x1.0d3e61a786c13p+19", "0x1.1f852e487ccd6p+20", "0x1.1f85200000000p+20",
-        "0x0.0p+0", "0x0.0p+0", "0x1.34b8e6b34a3c3p-11", "0x1.943d4845e90a5p-2",
-        "0x1.ef29223b4e142p-14", "0x0.0p+0", "0x1.4f717760db261p-11",
-        "0x1.52d8cc2b55784p-12", "0x0.0p+0", "0x0.0p+0"]),
+        "0x1.0d3e61a786c1dp+19", "0x1.1f852e487cce2p+20", "0x1.1f85200000000p+20",
+        "0x0.0p+0", "0x0.0p+0", "0x1.34b8e6b34a3c3p-11", "0x1.943d4845e9099p-2",
+        "0x1.ef29223b4e12ep-14", "0x0.0p+0", "0x1.4f717760db254p-11",
+        "0x1.52d8cc2b55777p-12", "0x0.0p+0", "0x0.0p+0"]),
 ], ids=["T_wins", "B_wins", "vacuous", "single_point_x_range"])
 
 
@@ -228,6 +228,19 @@ class TestKeyLength:
         sec = SecurityBudget(eps_sec=1e-10, eps_cor=1e-12, f_EC=1e308)
         res = key_length(src, obs, N=1e9, p_pe=0.5, sec=sec)
         assert res.ell_T == res.ell_B == -math.inf
+        assert res.ell == res.rate == 0.0
+
+    def test_leakage_sum_past_the_double_range_is_no_key(self, src):
+        # each lambda_EC is finite, their sum is not: ell_B is -inf, never
+        # nan, and numpy's overflow warning stays inside _ell
+        src = replace(src, mu=0.366044938125961)
+        obs = simulate_observables(src, make_channel(219.04819056221464))
+        sec = SecurityBudget(eps_sec=1e-10, eps_cor=1e-12, f_EC=1e308)
+        res = key_length(src, obs, N=970119.7406578156, p_pe=0.5, sec=sec)
+        lam_t, lam_nt = res.diagnostics.lambda_ec_t, res.diagnostics.lambda_ec_nt
+        assert math.isfinite(lam_t) and math.isfinite(lam_nt)
+        assert math.isinf(lam_t + lam_nt)
+        assert res.ell_B == -math.inf
         assert res.ell == res.rate == 0.0
 
     @pytest.mark.parametrize("fn", [key_length, rate_ceiling])

@@ -440,11 +440,11 @@ class TestPruning:
                           OptimizationSpec(coarse_points=(2, 2)))
         assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
 
-    @pytest.mark.parametrize("L_km", [763.0, 20000.0])
-    def test_a_zero_gain_row_makes_no_call(self, monkeypatch, src, sec, L_km):
-        # with no dark counts the nontriggered gain is 0 at these distances,
+    def test_a_zero_gain_row_makes_no_call(self, monkeypatch, src, sec):
+        # with no dark counts the nontriggered gain is 0 once eta underflows,
         # for every mu; a row reads Q_nt = 0 from its observables and ends
         # before any key-length call
+        L_km = 20000.0
         ch = replace(make_channel(L_km), p_d=0.0)
         spec = OptimizationSpec(coarse_points=(3, 4))
         mus = np.linspace(*spec.resolved_mu_bounds(src), 3)
