@@ -100,6 +100,7 @@ def simulate_observables(src: SourceModel, ch: ChannelModel) -> Observables:
 
     # Per class weight, D (1-eta_A)^n nontriggered and 1 - D (1-eta_A)^n triggered:
     # sum_n p_n w_n u^n and sum_n p_n w_n (u^n - v^n) of b = 1-u and d = u-v >= 0.
+    # The triggered gap takes (1-eta_A)^n apart once more: never total - nontriggered.
     nontriggered = (lambda b: D * S(A(b)),
                     lambda b, d: D * mu * t * d * S(A(b)) * S(A(b + d)))
     triggered = (
