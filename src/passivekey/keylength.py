@@ -16,8 +16,12 @@ every (strategy, p_pe) row, with the bound values there; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
 ``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
 mu row at once, as one (strategy, p_pe, x) tensor a round, and
-``key_length`` is its one-p_pe case.  The asymptotic rate is the same
-expression with chi = 0, N = 1, no penalty and e_p the raw error bound.
+``key_length`` is its one-p_pe case.  Handed a positive incumbent rate,
+``key_lengths`` solves the two ends of x_range first and drops each p_pe
+whose rate those ends show cannot be above it (a row's minimum over x is
+at most its smaller end); the search reuses the saved ends.  The
+asymptotic rate is the same expression with chi = 0, N = 1, no penalty and
+e_p the raw error bound.
 
 Epsilon ledger (``_EPS_LEDGER``), after the uncertainty-principle analysis
 of Tomamichel, Lim, Gisin and Renner (Nat. Commun. 3, 634, 2012): a
@@ -48,7 +52,7 @@ acceptance suite pins them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,9 +76,6 @@ ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = np.array([[10.0, 6.0, 0.0, 2.0], [15.0, 12.0, 1.0, 4.0]])  # s, a, b, c; T, B
 # the nontriggered class's credit in each strategy's row: none in T's, all in B's
 _NT_CREDIT = np.array([0.0, 1.0])[:, None, None]
-# relative float slack of rate_ceiling, beside one bit of ell: its own solve of
-# the x_range ends may differ from key_length's in the last bits
-_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,24 @@ def _windows(lo, hi):
     return x
 
 
-def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
+def _curves(x, src, obs, N, pp, sec, lam, ledger):
+    """[ell, zeta, W_t, W_nt, e_p_t, e_p_nt] on the (strategy, p_pe, x)
+    tensor x: the ell and the diagnostic values the x search reads at each
+    minimum."""
+    vals, b, e_p = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
+    return [vals, b.zeta, b.w_t, b.w_nt, e_p[0], e_p[1]]
+
+
+def _row(xs, P):
+    """The x row xs as the (strategy, p_pe, x) tensor of P p_pe values."""
+    return np.broadcast_to(xs, (2, P, len(xs)))
+
+
+def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     """Per p_pe of the 1-D array ppes, per strategy T, B: (min over x of
     ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there); e_p_nt is
-    nan for T.
+    nan for T.  None for a p_pe whose rate cannot be above a positive
+    incumbent.
 
     A round is one ``_ell_curves`` call on one (strategy, p_pe, x) tensor:
     the grid_points linspace of x_range in every row, then X_REFINE_ROUNDS
@@ -220,28 +235,57 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     own minimum.  The ledger terms are built once, before the first round.
     Each (strategy, p_pe) row keeps its own minimum, the first of equal
     values, as a single p_pe would.
+
+    With a positive incumbent the first round is solved in two parts.  The
+    two ends of x_range come first, for every p_pe: a row's minimum is at
+    most its smaller end, as the first round holds both ends and the later
+    rounds only lower it, so 0.5 floor(max(min-ends ell_T, min-ends ell_B,
+    0)) / N bounds the rate in floats too, with no slack, and a p_pe whose
+    bound is not above the incumbent is dropped.  The interior of the
+    linspace is solved for the p_pe that remain, and the saved ends spliced
+    in on both sides: the first round of one call, bit for bit, as no value
+    depends on what shares its array.
     """
-    P, pp = len(ppes), ppes[:, None]
+    pp = ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
+    grid = np.linspace(lo, hi, grid_points)
+    kept = range(len(ppes))
+    if incumbent > 0.0:
+        ends = _curves(_row(grid[[0, -1]], len(pp)), src, obs, N, pp, sec, lam, ledger)
+        ell = np.maximum(ends[0].min(axis=2).max(axis=0), 0.0)
+        kept = np.flatnonzero(0.5 * np.floor(ell) / N > incumbent)
+        if not kept.size:
+            return [None] * len(ppes)
+        budget, chi, penalty = ledger
+        pp = pp[kept]
+        ledger = replace(budget, p_pe=pp), chi[:, kept], penalty
+        interior = _curves(_row(grid[1:-1], len(pp)), src, obs, N, pp, sec, lam, ledger)
+        curves = [np.concatenate([end[:, kept, :1], mid, end[:, kept, 1:]], axis=-1)
+                  for end, mid in zip(ends, interior)]
+    else:
+        curves = _curves(_row(grid, len(pp)), src, obs, N, pp, sec, lam, ledger)
+    P = len(pp)
+    x = _row(grid, P)
     best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
-    x = np.broadcast_to(np.linspace(lo, hi, grid_points), (2, P, grid_points))
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, b, e_p = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
+        vals, *diag = curves
         points = x.shape[-1]
         lows, highs = [], []
         for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
             row = r * points  # x and the curves share this flat index
             f = row + i
             if vals.item(f) < best[r][0]:
-                best[r] = vals.item(f), x.item(f), (
-                    b.zeta.item(f), b.w_t.item(f), b.w_nt.item(f), e_p[0].item(f),
-                    e_p[1].item(f))
+                best[r] = vals.item(f), x.item(f), tuple([a.item(f) for a in diag])
             lows.append(x.item(row + max(i - 1, 0)))
             highs.append(x.item(row + min(i + 1, points - 1)))
         if not last:
             x = _windows(np.array(lows)[:, None], np.array(highs)[:, None]).reshape(2, P, -1)
-    return list(zip(best[:P], best[P:]))
+            curves = _curves(x, src, obs, N, pp, sec, lam, ledger)
+    pairs = [None] * len(ppes)
+    for k, pair in zip(kept, zip(best[:P], best[P:])):
+        pairs[k] = pair
+    return pairs
 
 
 def _result(pair, lam, N):
@@ -261,11 +305,11 @@ def _result(pair, lam, N):
 
 
 def _p_pe_axis(ppes):
-    """ppes as a 1-D float array, the p_pe axis of key_lengths and rate_ceiling."""
+    """ppes as a 1-D float array, the p_pe axis of key_lengths."""
     axis = np.asarray(ppes, dtype=float)
     if axis.ndim != 1:
-        raise ValueError("p_pe must be a 1-D array of values to key_lengths and "
-                         "rate_ceiling, and a single value to key_length")
+        raise ValueError("p_pe must be a 1-D array of values to key_lengths, "
+                         "and a single value to key_length")
     return axis
 
 
@@ -276,17 +320,22 @@ def key_lengths(
     ppes,
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
-) -> tuple[KeyLengthResult, ...]:
+    incumbent: float = 0.0,
+) -> tuple[KeyLengthResult | None, ...]:
     """key_length at each p_pe of the 1-D array ppes, one result each, from
     one ``_minimize_over_x`` pass over the (strategy, p_pe, x) tensor of a
     mu row (the observables, and so x_range, are the row's).  Every result
     is the one key_length gives at that p_pe, from a first x round of >= 2
-    points."""
+    points.
+
+    incumbent is a rate already held: a p_pe whose rate the ends of x_range
+    show cannot be above a positive incumbent gives None, and is not
+    searched further."""
     ppes = _p_pe_axis(ppes)
     grid_points = _count("grid_points", grid_points, 2)
     lam = _leakage(obs, N, sec.f_EC)
-    return tuple(_result(pair, lam, N)
-                 for pair in _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points))
+    return tuple(None if pair is None else _result(pair, lam, N) for pair in
+                 _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent))
 
 
 def key_length(
@@ -300,35 +349,6 @@ def key_length(
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N):
     key_lengths at one p_pe."""
     return key_lengths(src, obs, N, [p_pe], sec, grid_points)[0]
-
-
-def rate_ceiling(
-    src: SourceModel,
-    obs: Observables,
-    N: float,
-    ppes,
-    sec: SecurityBudget,
-):
-    """Upper bounds on the rates key_lengths gives at the 1-D array ppes, one
-    each: the key's own ell_T and ell_B (``_ell_curves``) at the ends of
-    x_range, plus a float slack.  One (strategy, p_pe, x) tensor of one
-    ``_ell_curves`` call bounds every p_pe of a mu row, as x_range depends
-    on mu only.
-
-    key_length's first x round is a linspace of at least two points of
-    x_range, which holds both ends exactly, and the later rounds only lower
-    its minimum; so each strategy's ell is at most its ell(x) at those
-    ends.  The ends are solved in a call of their own, so e_p may differ
-    from key_length's in the last bits (and omega by one grid step where Phi
-    is subnormal): the ceiling adds one bit of ell and _CEILING_SLACK of
-    itself, and a point whose ceiling is below a rate cannot beat that rate.
-    """
-    ends = np.linspace(*x_range(src, obs), 2)  # ZeroGain before a p_pe check
-    pp = _p_pe_axis(ppes)[:, None]
-    ell, *_ = _ell_curves(np.broadcast_to(ends, (2, len(pp), 2)), src, obs, N, pp, sec,
-                          _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, pp, sec))
-    ell = np.maximum(ell.min(axis=2).max(axis=0), 0.0)
-    return 0.5 * (ell + 1.0) / N * (1.0 + _CEILING_SLACK)
 
 
 def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> float:

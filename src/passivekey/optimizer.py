@@ -4,12 +4,14 @@ The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the best of grid walks that carry the incumbent.  A mu row is
-one generator of the points it evaluates; a finite row leaves out points
-that cannot beat the incumbent, by the rule _finite states, so every
-result is the one the full walk gives.  Reach asks only whether any
-coarse point has a key.  A sweep row, finite or asymptotic, is one search
-call (a spec that pins p_pe has equal p_pe bounds, an axis of one point);
-only optimize_rate raises AllVacuous, for outside callers.
+one generator of the points it evaluates; once the walk holds a key, a
+finite row is one key_lengths call handed the incumbent, which leaves out
+the points whose x_range ends show they cannot beat it (_finite states
+the rule), so every result is the one the full walk gives.  Reach asks
+only whether any coarse point has a key.  A sweep row, finite or
+asymptotic, is one search call (a spec that pins p_pe has equal p_pe
+bounds, an axis of one point); only optimize_rate raises AllVacuous, for
+outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -25,7 +27,7 @@ from .channel import ChannelModel, simulate_observables
 from .decoy_bounds import _deltas
 from .errors import AllVacuous, _count, _within
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
-                        asymptotic_rate, key_length, key_lengths, rate_ceiling)
+                        asymptotic_rate, key_length, key_lengths)
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
@@ -151,15 +153,14 @@ def _finite(L_km, N, src, ch, sec, spec):
     N pulses, (mu, ppes[j]).
 
     The pruning rule: once the walk holds a positive incumbent, a point
-    whose keylength.rate_ceiling (the key's own ell at the two ends of
-    x_range, with a float slack of one bit of ell and 1e-9 of itself) is
-    below it is not evaluated, as it could not replace the incumbent.  A
-    row tracks the incumbent as the walk does.  While it is not positive,
-    the row makes one key_length call a point.  At the first point j that
-    meets a positive incumbent, the row takes its rate_ceiling vector over
-    ppes, keeps the points k >= j whose ceiling is not below that
-    incumbent, and evaluates them with one key_lengths call, one (p_pe, x)
-    tensor; so a row makes at most one call of each.  Judging against the
+    whose rate the key's own ell at the two ends of x_range shows cannot be
+    above it is not searched (keylength.key_lengths' incumbent), as it
+    could not replace the incumbent.  A row tracks the incumbent as the
+    walk does.  While it is not positive, the row makes one key_length call
+    a point.  At the first point j that meets a positive incumbent, the row
+    hands ppes[j:] and that incumbent to one key_lengths call, one
+    (strategy, p_pe, x) tensor a round, and yields the points it does not
+    drop; so a row makes at most one key_lengths call.  Judging against the
     incumbent the batch started with keeps points the point-by-point rule
     might prune later in the row, but such a point's rate is below the
     incumbent at its turn, so it replaces nothing and the walk's result is
@@ -174,12 +175,11 @@ def _finite(L_km, N, src, ch, sec, spec):
         if obs.Q_nt == 0:
             return
         for j, p_pe in enumerate(map(float, ppes)):
-            if incumbent > 0.0:  # the rest of the row: one ceiling, one batch
-                ceiling = rate_ceiling(src_mu, obs, N, ppes, sec)
-                keep = [k for k in range(j, len(ppes)) if not ceiling[k] < incumbent]
-                batch = key_lengths(src_mu, obs, N, ppes[keep], sec,
-                                    spec.x_grid_points) if keep else ()
-                yield from ((k, res.rate, res) for k, res in zip(keep, batch))
+            if incumbent > 0.0:  # the rest of the row: one batch
+                batch = key_lengths(src_mu, obs, N, ppes[j:], sec, spec.x_grid_points,
+                                    incumbent)
+                yield from ((k, res.rate, res) for k, res in enumerate(batch, j)
+                            if res is not None)
                 return
             res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
             incumbent = max(incumbent, res.rate)

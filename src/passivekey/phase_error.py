@@ -126,8 +126,9 @@ def _solve_omega_arrays(n, l, eps_sec):
     crossing and falls to it.  The start is the two-term large-omega inverse
     of log g, omega^2 = a + (2 pi - 2)/a with a = max(-2c - log 4 pi, 1),
     within 1e-4 of the crossing on the engine's inputs.  A step d leaves an
-    error below about 0.64 d^2, so the solve stops once every step is at most
-    sqrt(step/4), with the iterate within a quarter grid step.  The
+    error below about 0.64 d^2, so an element stops after its first step of
+    at most sqrt(step/4), with the iterate within a quarter grid step; it
+    takes the steps it would take alone, whatever shares its array.  The
     crossing is rounded up to the grid and moved at most one step either
     way by one exact `_tail_condition_lhs` evaluation.  A point whose Phi is
     not a normal double (past _OMEGA_JUDGED) is not judged: there omega is
@@ -151,13 +152,15 @@ def _solve_omega_arrays(n, l, eps_sec):
         c = np.where(c >= _C_FLOOR, c, _C_FLOOR) + _HALF_LOG_2
         a = np.maximum(-2.0 * c - _LOG_TWO_PI, 1.0)  # -2c - log 4 pi before the fold
         w = np.sqrt(a + (_TWO_PI - 2.0) / a)
+        moving = np.ones(w.shape, dtype=bool)
         for _ in range(_NEWTON_STEPS):
             s = w * w + _TWO_PI
             log_tail = log_ndtr(-w)
             slope = w / s - np.exp(_LOG_PHI_SHIFT - 0.5 * s - log_tail)
-            dw = (0.5 * np.log(s) + log_tail - c) / slope
+            dw = np.where(moving, (0.5 * np.log(s) + log_tail - c) / slope, 0.0)
             w = w - dw
-            if np.abs(dw).max() <= done:
+            moving = np.abs(dw) > done  # an element stops after its first small step
+            if not moving.any():
                 break
         snapped = np.ceil(w / step) * step
         points = np.array([snapped - step, snapped])

@@ -36,7 +36,6 @@ from passivekey.keylength import (
     _phase_error_for_class,
     binary_entropy,
     key_lengths,
-    rate_ceiling,
 )
 from passivekey.phase_error import _phase_error_arrays, solve_omega
 
@@ -243,12 +242,11 @@ class TestKeyLength:
         assert res.ell_B == -math.inf
         assert res.ell == res.rate == 0.0
 
-    @pytest.mark.parametrize("fn", [key_length, rate_ceiling])
-    def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
+    def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec):
         # no gain ratio to bound; the optimizer reads Q_nt = 0 as a row with
-        # no key before it makes either call
+        # no key before it makes any call
         with pytest.raises(ZeroGain):
-            fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
+            key_length(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
 
     def test_rate_where_2N_overflows(self, src, obs, sec):
         # 2N is inf from N = 2^1023 on; the rate is 0.5 ell / N, not ell / inf
@@ -370,77 +368,15 @@ class TestKeyLength:
                 assert g == w or (math.isnan(g) and math.isnan(w))
 
 
-class TestRateCeiling:
-    """rate_ceiling is the key's own ell at the ends of x_range, plus a slack."""
-
-    # eps_sec = 1e-150: Phi(omega) is subnormal, so the ceiling's own solve of
-    # the ends may land omega one grid step from key_length's
-    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
-           log_N=st.floats(3.0, 18.0),
-           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
-           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
-    @settings(max_examples=150, deadline=None)
-    def test_bounds_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec, p_d,
-                             grid_points):
-        # vacuous points included: at 250 km or N = 1e3 most points have no key;
-        # the ceiling vector bounds each p_pe's rate
-        src = replace(src, mu=mu)
-        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
-        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
-        N = 10.0 ** log_N
-        ceiling = rate_ceiling(src, obs, N, np.array(p_pe), sec)
-        assert ceiling.shape == (len(p_pe),)
-        rates = [key_length(src, obs, N, p, sec, grid_points).rate for p in p_pe]
-        assert np.all(np.array(rates) <= ceiling)
-
-    # eps_sec >= 1e-30 keeps Phi(omega) a normal double, where omega is a
-    # function of the tail condition alone
-    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
-           log_N=st.floats(3.0, 18.0),
-           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
-           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
-           p_d=st.sampled_from([0.0, 6e-7]))
-    @settings(max_examples=150, deadline=None)
-    def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
-                                        p_d):
-        # a mu row's ceiling vector is each point's own ceiling, bit for bit
-        src = replace(src, mu=mu)
-        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
-        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
-        N = 10.0 ** log_N
-        row = rate_ceiling(src, obs, N, np.array(p_pe), sec)
-        assert row.shape == (len(p_pe),)
-        assert row.tolist() == [rate_ceiling(src, obs, N, np.array([p]), sec).item()
-                                for p in p_pe]
-
-    @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
-                                                (250.0, 1e9, 0.5)])
-    def test_is_the_keys_own_ell(self, src, sec, L_km, N, p_pe):
-        # each strategy's ell at the two ends of x_range, the larger of the
-        # two strategies' smaller end; 250 km has no key
-        obs = simulate_observables(src, make_channel(L_km))
-        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
-        pp = np.array([[p_pe]])
-        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
-                              _ledger(src, obs, N, pp, sec))
-        ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
-        want = 0.5 * (max(ell_t.min(), ell_b.min(), 0.0) + 1.0) / N * (
-            1.0 + keylength._CEILING_SLACK)
-        ceiling = rate_ceiling(src, obs, N, np.array([p_pe]), sec)
-        assert ceiling.item() == pytest.approx(want, rel=1e-12)
-        assert key_length(src, obs, N, p_pe, sec).rate <= ceiling.item()
-
-
 class TestKeyLengths:
     """key_lengths is key_length at each p_pe of a mu row, from one x search."""
 
-    # eps_sec >= 1e-30 keeps Phi(omega) a normal double, where omega is a
-    # function of the tail condition alone
+    # eps_sec = 1e-150 puts Phi(omega) below the normal doubles, where omega
+    # follows the last ulp of the Newton iterate: still each element's own
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
-           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30]),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
            p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
     @settings(max_examples=100, deadline=None)
     def test_vector_is_the_scalar_calls(self, src, mu, L_km, log_N, p_pe, eps_sec,
@@ -454,13 +390,42 @@ class TestKeyLengths:
         assert repr(row) == repr(tuple(key_length(src, obs, N, p, sec, grid_points)
                                        for p in p_pe))
 
-    @pytest.mark.parametrize("fn", [key_lengths, rate_ceiling])
+    # vacuous points included: at 250 km or N = 1e3 most points have no key
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]),
+           pick=st.integers(0, 23),
+           scale=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
+    @settings(max_examples=150, deadline=None)
+    def test_incumbent_drops_only_what_cannot_beat_it(self, src, mu, L_km, log_N, p_pe,
+                                                      eps_sec, p_d, grid_points, pick,
+                                                      scale):
+        # the incumbent is drawn around the row's rates: a multiple of one
+        # of them, or of one bit's rate 0.5/N where that point has no key.
+        # A dropped p_pe cannot beat it, and a kept one is key_length's result
+        src = replace(src, mu=mu)
+        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        want = [key_length(src, obs, N, p, sec, grid_points) for p in p_pe]
+        rate = want[pick % len(want)].rate
+        incumbent = scale * (rate if rate > 0.0 else 0.5 / N)
+        row = key_lengths(src, obs, N, np.array(p_pe), sec, grid_points, incumbent)
+        assert len(row) == len(p_pe)
+        for got, res in zip(row, want):
+            if got is None:
+                assert res.rate <= incumbent
+            else:
+                assert repr(got) == repr(res)
+
     @pytest.mark.parametrize("ppes", [0.5, np.array([[0.3, 0.5]])], ids=["float", "2-D"])
-    def test_p_pe_axis_must_be_1d(self, src, obs, sec, fn, ppes):
+    def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes):
         # a float has no axis to search, and a 2-D array would give a 2-D
-        # ceiling where the optimizer indexes a vector
+        # tensor of results where the optimizer reads a row
         with pytest.raises(ValueError, match="p_pe"):
-            fn(src, obs, 1e9, ppes, sec)
+            key_lengths(src, obs, 1e9, ppes, sec)
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 0.0), (0.0, 1e-3), (2.5e-3, 2.75e-3), (0.1, 0.1 + 1e-300),

@@ -369,15 +369,18 @@ def counting(monkeypatch, *names):
     """Patch each optimizer.<name> with a wrapper that counts its calls.
 
     calls["points"] counts the points evaluated: one for a key_length call,
-    one per p_pe handed to key_lengths.
+    one per result of key_lengths that is not None (a p_pe it searched).
     """
     calls = Counter()
     for name in names:
         def wrapper(*args, _name=name, _f=getattr(optimizer, name), **kwargs):
             calls[_name] += 1
-            if _name in ("key_length", "key_lengths"):
-                calls["points"] += np.size(args[3])  # (src, obs, N, p_pe, ...)
-            return _f(*args, **kwargs)
+            out = _f(*args, **kwargs)
+            if _name == "key_length":
+                calls["points"] += 1
+            elif _name == "key_lengths":
+                calls["points"] += sum(res is not None for res in out)
+            return out
 
         monkeypatch.setattr(optimizer, name, wrapper)
     return calls
@@ -406,15 +409,17 @@ def searched(monkeypatch, src, sec, spec, L_km, N):
 
 
 class TestPruning:
-    """Points that rate_ceiling shows cannot beat the incumbent are skipped."""
+    """Points whose x_range ends show they cannot beat the incumbent are skipped."""
 
     @WALKS
     def test_results_match_the_unpruned_walk(self, monkeypatch, src, sec, spec,
                                              L_km, N):
         *pruned, pruned_points = searched(monkeypatch, src, sec, spec, L_km, N)
-        # no pruning: an all-inf ceiling over the row's p_pe axis
-        monkeypatch.setattr(optimizer, "rate_ceiling",
-                            lambda src, obs, N, ppes, *args: np.full(len(ppes), math.inf))
+        # no pruning: every row's key_lengths call with incumbent 0
+        monkeypatch.setattr(
+            optimizer, "key_lengths",
+            lambda src, obs, N, ppes, sec, grid_points, incumbent: keylength.key_lengths(
+                src, obs, N, ppes, sec, grid_points))
         *full, full_points = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(pruned) == repr(full)  # every field, nan included
         if full[0].status == "ok":
@@ -425,20 +430,23 @@ class TestPruning:
     @WALKS
     def test_results_match_a_per_point_walk(self, monkeypatch, src, sec, spec,
                                             L_km, N):
-        # a row's one key_lengths call gives what a key_length call per
-        # kept point gives
+        # a row's one key_lengths call gives what a call per point, against
+        # the same incumbent, gives
         *rows, _ = searched(monkeypatch, src, sec, spec, L_km, N)
-        monkeypatch.setattr(optimizer, "key_lengths", lambda src, obs, N, ppes, *args: tuple(
-            optimizer.key_length(src, obs, N, float(p), *args) for p in ppes))
+        monkeypatch.setattr(
+            optimizer, "key_lengths",
+            lambda src, obs, N, ppes, sec, grid_points, incumbent: tuple(
+                keylength.key_lengths(src, obs, N, [p], sec, grid_points, incumbent)[0]
+                for p in ppes))
         *per_point, _ = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(rows) == repr(per_point)
 
     def test_nothing_pruned_before_the_first_key(self, monkeypatch, src, sec):
-        calls = counting(monkeypatch, "key_length", "rate_ceiling")
+        calls = counting(monkeypatch, "key_length", "key_lengths")
         with pytest.raises(AllVacuous):
             optimize_rate(400.0, 1e9, src, make_channel(0.0), sec,
                           OptimizationSpec(coarse_points=(2, 2)))
-        assert (calls["key_length"], calls["rate_ceiling"]) == (4, 0)
+        assert (calls["key_length"], calls["key_lengths"]) == (4, 0)
 
     def test_a_zero_gain_row_makes_no_call(self, monkeypatch, src, sec):
         # with no dark counts the nontriggered gain is 0 once eta underflows,
@@ -450,29 +458,18 @@ class TestPruning:
         mus = np.linspace(*spec.resolved_mu_bounds(src), 3)
         assert all(optimizer.simulate_observables(replace(src, mu=mu), ch).Q_nt == 0.0
                    for mu in mus)
-        calls = counting(monkeypatch, "key_length", "key_lengths", "rate_ceiling")
+        calls = counting(monkeypatch, "key_length", "key_lengths")
         with pytest.raises(AllVacuous):
             optimize_rate(L_km, 1e9, src, ch, sec, spec)
         assert calls == Counter()
 
-    def test_one_ceiling_call_per_mu_row(self, monkeypatch, src, sec):
+    def test_one_key_lengths_call_per_mu_row(self, monkeypatch, src, sec):
         # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
-        # of 7 refinement rows, each with one ceiling vector over its p_pe
-        # axis and at most one key_lengths call over the points it keeps;
-        # points before the first key get a key_length call each
-        calls = counting(monkeypatch, "key_length", "key_lengths", "rate_ceiling")
-        order = []
-        for name in ("key_lengths", "rate_ceiling"):
-            def logged(*args, _name=name, _f=getattr(optimizer, name)):
-                order.append(_name)
-                return _f(*args)
-
-            monkeypatch.setattr(optimizer, name, logged)
+        # of 7 refinement rows; points before the first key get a key_length
+        # call each, and from there every row makes one key_lengths call,
+        # which searches only the points its x_range ends do not drop
+        calls = counting(monkeypatch, "key_length", "key_lengths")
         optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
         spec = OptimizationSpec()
         assert spec.coarse_points[0] + spec.refine_rounds * spec.refine_points[0] == 45
-        # a row's key_lengths call follows its ceiling call
-        assert all(order[i - 1] == "rate_ceiling"
-                   for i, name in enumerate(order) if name == "key_lengths")
-        assert (calls["rate_ceiling"], calls["key_length"], calls["key_lengths"],
-                calls["points"]) == (45, 3, 11, 160)
+        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 45, 158)

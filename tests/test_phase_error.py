@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 from scipy.stats import hypergeom
@@ -128,6 +128,21 @@ class TestSolveOmega:
         w = float(_solve_omega_arrays(n, l, eps))
         if np.isfinite(w):
             assert abs(w - float(ref_omega(n, l, eps))) <= 1e-9
+
+    # omega is the element's own, whatever shares its array.  Where Phi is
+    # subnormal (eps_sec = 1e-150, or n near 2.4e-4 at any eps_sec) omega
+    # follows the last ulp of the Newton iterate, so one step more in a batch
+    # than alone would move it by a grid step: the example's first element
+    # takes one step, and (1e6, 1e6) beside it two
+    @given(pairs=st.lists(st.tuples(st.floats(-4.0, 13.0), st.floats(-4.0, 13.0)).map(
+               lambda p: (10.0 ** p[0], 10.0 ** p[1])), min_size=1, max_size=24),
+           eps=st.sampled_from([1e-6, 1e-10, 1e-150]))
+    @example(pairs=[(2.407901291594415e-4, 1.0466265998243357e-4), (1e6, 1e6)], eps=1e-6)
+    @settings(max_examples=200, deadline=None)
+    def test_an_element_of_a_batch_is_the_element_alone(self, pairs, eps):
+        n, l = np.array(pairs).T
+        alone = [float(_solve_omega_arrays(a, b, eps)) for a, b in pairs]
+        assert _solve_omega_arrays(n, l, eps).tolist() == alone
 
     @staticmethod
     def _count_calls(monkeypatch, name):
