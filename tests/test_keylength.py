@@ -242,11 +242,17 @@ class TestKeyLength:
         assert res.ell_B == -math.inf
         assert res.ell == res.rate == 0.0
 
-    def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec):
+    @pytest.mark.parametrize("fn", [
+        key_length,
+        lambda src, obs, N, p_pe, sec: key_lengths(src, obs, N, [p_pe], sec,
+                                                   incumbent=1e-9),
+    ], ids=["key_length", "key_lengths_with_incumbent"])
+    def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
         # no gain ratio to bound; the optimizer reads Q_nt = 0 as a row with
-        # no key before it makes any call
+        # no key before it makes any call. The end solve of a pruning call
+        # refuses it as the full search does
         with pytest.raises(ZeroGain):
-            key_length(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
+            fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
 
     def test_rate_where_2N_overflows(self, src, obs, sec):
         # 2N is inf from N = 2^1023 on; the rate is 0.5 ell / N, not ell / inf
@@ -420,12 +426,66 @@ class TestKeyLengths:
             else:
                 assert repr(got) == repr(res)
 
+    @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
     @pytest.mark.parametrize("ppes", [0.5, np.array([[0.3, 0.5]])], ids=["float", "2-D"])
-    def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes):
+    def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes, incumbent):
         # a float has no axis to search, and a 2-D array would give a 2-D
-        # tensor of results where the optimizer reads a row
+        # tensor of results where the optimizer reads a row; refused before
+        # the ends are solved too
         with pytest.raises(ValueError, match="p_pe"):
-            key_lengths(src, obs, 1e9, ppes, sec)
+            key_lengths(src, obs, 1e9, ppes, sec, incumbent=incumbent)
+
+    @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
+                                                (250.0, 1e9, 0.5)])
+    def test_drops_at_the_end_bound(self, src, sec, L_km, N, p_pe):
+        # the bound is each strategy's ell at the two ends of x_range, the
+        # larger of the two strategies' smaller end, floored, as a rate: no
+        # slack, so an incumbent at the bound drops the point and one a step
+        # below keeps it; 250 km has no key
+        obs = simulate_observables(src, make_channel(L_km))
+        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
+        pp = np.array([[p_pe]])
+        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
+                              _ledger(src, obs, N, pp, sec))
+        ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
+        bound = 0.5 * math.floor(max(ell_t.min(), ell_b.min(), 0.0)) / N
+        res = key_length(src, obs, N, p_pe, sec)
+        assert res.rate <= bound
+        drop = bound if bound > 0.0 else math.ulp(0.0)
+        assert key_lengths(src, obs, N, [p_pe], sec, incumbent=drop) == (None,)
+        if bound > 0.0:
+            kept, = key_lengths(src, obs, N, [p_pe], sec,
+                                incumbent=math.nextafter(bound, 0.0))
+            assert repr(kept) == repr(res)
+
+    @pytest.mark.parametrize("incumbent, kept", [(0.0, 2), (1.0, 0), (math.ulp(0.0), 2)],
+                             ids=["none", "all_dropped", "all_kept"])
+    def test_the_ends_are_solved_first(self, monkeypatch, src, obs, sec, incumbent,
+                                       kept):
+        # x tensors handed to _ell_curves: with no incumbent, the whole
+        # first round and the refinement rounds; with one, the two ends of
+        # every p_pe, then the interior and the refinements of those kept,
+        # and nothing more once none is kept (no rate is above 1)
+        shapes = []
+
+        def logged(x, *args):
+            shapes.append(x.shape)
+            return _ell_curves(x, *args)
+
+        monkeypatch.setattr(keylength, "_ell_curves", logged)
+        ppes = [0.3, 0.5]
+        row = key_lengths(src, obs, 1e9, ppes, sec, incumbent=incumbent)
+        refine = [(2, kept, keylength.X_REFINE_POINTS)] * X_REFINE_ROUNDS
+        if not incumbent:
+            assert shapes == [(2, 2, X_GRID_POINTS)] + refine
+        elif not kept:
+            assert shapes == [(2, 2, 2)]
+        else:
+            assert shapes == [(2, 2, 2), (2, kept, X_GRID_POINTS - 2)] + refine
+        assert sum(res is not None for res in row) == kept
+        if kept:
+            assert repr(row) == repr(tuple(key_length(src, obs, 1e9, p, sec)
+                                           for p in ppes))
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 0.0), (0.0, 1e-3), (2.5e-3, 2.75e-3), (0.1, 0.1 + 1e-300),
