@@ -17,9 +17,8 @@ every (strategy, p_pe) row, with the bound values there; the final key is
 ``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
 mu row at once, as one (strategy, p_pe, x) tensor a round, and
 ``key_length`` is its one-p_pe case.  Handed a positive incumbent rate,
-``key_lengths`` solves the two ends of x_range first and drops each p_pe
-whose rate those ends show cannot be above it (a row's minimum over x is
-at most its smaller end); the search reuses the saved ends.  The
+``key_lengths`` first drops each p_pe whose rate the two ends of x_range
+show cannot be above it (the rule is in ``_minimize_over_x``).  The
 asymptotic rate is the same expression with chi = 0, N = 1, no penalty and
 e_p the raw error bound.
 
@@ -179,12 +178,13 @@ def _ledger(src, obs, N, p_pe, sec):
 
 
 def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
-    """(ell, bounds, e_p) on a (strategy, p_pe, x) tensor x, T's row first.
+    """[ell, zeta, W_t, W_nt, e_p_t, e_p_nt] on a (strategy, p_pe, x) tensor
+    x, T's row first: ell and the bound values the x search reads at each
+    minimum.
 
     p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe.
-    e_p stacks the triggered and the nontriggered class, (class, strategy,
-    p_pe, x), from one phase-error solve of T's triggered class and B's two
-    classes; T's nontriggered e_p is nan, a class it does not credit.
+    e_p comes from one phase-error solve of T's triggered class and B's two
+    classes; T's e_p_nt is nan, a class it does not credit.
     """
     budget, chi, penalty = ledger
     b = evaluate_bounds(x, src, budget, obs, chi=chi)
@@ -193,7 +193,7 @@ def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
     e_p = _phase_error_for_class(q1, np.stack([b.w_t, b.w_nt]), N, p_pe, sec.eps_sec)
     h_t, h_nt = binary_entropy(e_p)
     e_p[1, 0] = math.nan  # its diagnostic: no estimate, not the 0.5 cap
-    return _ell(x, obs, b, h_t, h_nt, N, lam, penalty), b, e_p
+    return [_ell(x, obs, b, h_t, h_nt, N, lam, penalty), b.zeta, b.w_t, b.w_nt, *e_p]
 
 
 def _windows(lo, hi):
@@ -208,14 +208,6 @@ def _windows(lo, hi):
         x = np.where(step == 0, _REFINE_T / (X_REFINE_POINTS - 1) * delta + lo, x)
     x[:, -1:] = hi
     return x
-
-
-def _curves(x, src, obs, N, pp, sec, lam, ledger):
-    """[ell, zeta, W_t, W_nt, e_p_t, e_p_nt] on the (strategy, p_pe, x)
-    tensor x: the ell and the diagnostic values the x search reads at each
-    minimum."""
-    vals, b, e_p = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
-    return [vals, b.zeta, b.w_t, b.w_nt, e_p[0], e_p[1]]
 
 
 def _row(xs, P):
@@ -236,15 +228,14 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     Each (strategy, p_pe) row keeps its own minimum, the first of equal
     values, as a single p_pe would.
 
-    With a positive incumbent the first round is solved in two parts.  The
-    two ends of x_range come first, for every p_pe: a row's minimum is at
-    most its smaller end, as the first round holds both ends and the later
-    rounds only lower it, so 0.5 floor(max(min-ends ell_T, min-ends ell_B,
-    0)) / N bounds the rate in floats too, with no slack, and a p_pe whose
-    bound is not above the incumbent is dropped.  The interior of the
-    linspace is solved for the p_pe that remain, and the saved ends spliced
-    in on both sides: the first round of one call, bit for bit, as no value
-    depends on what shares its array.
+    With a positive incumbent the two ends of x_range are solved first, for
+    every p_pe, and serve only as a filter: a row's minimum is at most its
+    smaller end, as the first round holds both ends and the later rounds
+    only lower it, so 0.5 floor(max(min-ends ell_T, min-ends ell_B, 0)) / N
+    bounds the rate in floats too, with no slack, and a p_pe whose bound is
+    not above the incumbent is dropped.  The p_pe that remain are searched
+    as above, their ends solved again in the first round; no value depends
+    on what shares its array, so each keeps the result it has alone.
     """
     pp = ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
@@ -252,24 +243,20 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     grid = np.linspace(lo, hi, grid_points)
     kept = range(len(ppes))
     if incumbent > 0.0:
-        ends = _curves(_row(grid[[0, -1]], len(pp)), src, obs, N, pp, sec, lam, ledger)
-        ell = np.maximum(ends[0].min(axis=2).max(axis=0), 0.0)
-        kept = np.flatnonzero(0.5 * np.floor(ell) / N > incumbent)
+        ends = _row(grid[[0, -1]], len(pp))
+        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, ledger)[0]
+        bound = 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
+        kept = np.flatnonzero(bound > incumbent)
         if not kept.size:
             return [None] * len(ppes)
         budget, chi, penalty = ledger
         pp = pp[kept]
         ledger = replace(budget, p_pe=pp), chi[:, kept], penalty
-        interior = _curves(_row(grid[1:-1], len(pp)), src, obs, N, pp, sec, lam, ledger)
-        curves = [np.concatenate([end[:, kept, :1], mid, end[:, kept, 1:]], axis=-1)
-                  for end, mid in zip(ends, interior)]
-    else:
-        curves = _curves(_row(grid, len(pp)), src, obs, N, pp, sec, lam, ledger)
     P = len(pp)
     x = _row(grid, P)
     best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, *diag = curves
+        vals, *diag = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
         points = x.shape[-1]
         lows, highs = [], []
         for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
@@ -280,8 +267,8 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
             lows.append(x.item(row + max(i - 1, 0)))
             highs.append(x.item(row + min(i + 1, points - 1)))
         if not last:
-            x = _windows(np.array(lows)[:, None], np.array(highs)[:, None]).reshape(2, P, -1)
-            curves = _curves(x, src, obs, N, pp, sec, lam, ledger)
+            x = _windows(np.array(lows)[:, None], np.array(highs)[:, None])
+            x = x.reshape(2, P, X_REFINE_POINTS)
     pairs = [None] * len(ppes)
     for k, pair in zip(kept, zip(best[:P], best[P:])):
         pairs[k] = pair
@@ -310,7 +297,7 @@ def _p_pe_axis(ppes):
     if axis.ndim != 1:
         raise ValueError("p_pe must be a 1-D array of values to key_lengths, "
                          "and a single value to key_length")
-    return axis
+    return _within("p_pe", axis, 0, 1, "()")
 
 
 def key_lengths(
@@ -348,6 +335,7 @@ def key_length(
 ) -> KeyLengthResult:
     """Final key length ell = max(ell_T, ell_B, 0) (floored) and rate ell / (2N):
     key_lengths at one p_pe."""
+    _within("p_pe", p_pe, 0, 1, "()")
     return key_lengths(src, obs, N, [p_pe], sec, grid_points)[0]
 
 

@@ -6,12 +6,12 @@ shrinking-rectangle refinement is used instead of gradient methods.  The
 optimum is the best of grid walks that carry the incumbent.  A mu row is
 one generator of the points it evaluates; once the walk holds a key, a
 finite row is one key_lengths call handed the incumbent, which leaves out
-the points whose x_range ends show they cannot beat it (_finite states
-the rule), so every result is the one the full walk gives.  Reach asks
-only whether any coarse point has a key.  A sweep row, finite or
-asymptotic, is one search call (a spec that pins p_pe has equal p_pe
-bounds, an axis of one point); only optimize_rate raises AllVacuous, for
-outside callers.
+the points whose x_range ends show they cannot beat it (the rule is in
+keylength._minimize_over_x), so every result is the one the full walk
+gives.  Reach asks only whether any coarse point has a key.  A sweep row,
+finite or asymptotic, is one search call (a spec that pins p_pe has equal
+p_pe bounds, an axis of one point); only optimize_rate raises AllVacuous,
+for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -154,18 +154,18 @@ def _finite(L_km, N, src, ch, sec, spec):
 
     The pruning rule: once the walk holds a positive incumbent, a point
     whose rate the key's own ell at the two ends of x_range shows cannot be
-    above it is not searched (keylength.key_lengths' incumbent), as it
-    could not replace the incumbent.  A row tracks the incumbent as the
-    walk does.  While it is not positive, the row makes one key_length call
-    a point.  At the first point j that meets a positive incumbent, the row
-    hands ppes[j:] and that incumbent to one key_lengths call, one
+    above it is not searched (keylength._minimize_over_x states the bound),
+    as it could not replace the incumbent.  A row tracks the incumbent as
+    the walk does.  While it is not positive, the row makes one key_length
+    call a point.  At the first point j that meets a positive incumbent, the
+    row hands ppes[j:] and that incumbent to one key_lengths call, one
     (strategy, p_pe, x) tensor a round, and yields the points it does not
     drop; so a row makes at most one key_lengths call.  Judging against the
     incumbent the batch started with keeps points the point-by-point rule
     might prune later in the row, but such a point's rate is below the
     incumbent at its turn, so it replaces nothing and the walk's result is
-    unchanged.  A row with no nontriggered gain (Q_nt = 0) has no key at
-    any p_pe and makes no call, as asymptotic_rate reads it.
+    unchanged.  A row with no nontriggered gain (Q_nt = 0) has no key at any
+    p_pe and makes no call, as asymptotic_rate reads it.
     """
     ch_L = replace(ch, L_km=float(L_km))
 

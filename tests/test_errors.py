@@ -16,6 +16,7 @@ from passivekey import (
     asymptotic_rate,
     check_lemma3,
     check_lemma4,
+    key_length,
     max_distance,
     sweep_point,
 )
@@ -23,6 +24,7 @@ from passivekey import errors
 from passivekey.cli import _parse_distances, _parse_Ns
 from passivekey.decoy_bounds import serfling_xi
 from passivekey.errors import _within
+from passivekey.keylength import key_lengths
 
 SRC = dict(mu=0.5, eta_A=0.5, d_A=1e-6)
 CH = dict(alpha_db_per_km=0.2, L_km=50.0, eta_B=0.1, p_d=6e-7, e_d=0.005)
@@ -49,6 +51,7 @@ def refused_values(lo, hi, ends):
 
 
 MODELS = (SourceModel(**SRC), ChannelModel(**CH), SecurityBudget(**SEC))
+OBSERVED = Observables(**OBS)
 UNIT, HALF, OPEN_UNIT = (0, 1, "[]"), (0, 0.5, "[]"), (0, 1, "()")
 AT_LEAST_1 = (1, math.inf, "[)")
 
@@ -84,6 +87,10 @@ ARGUMENTS = [
     ("max_distance", "L_max_km", lambda v: max_distance(1e9, *MODELS, L_max_km=v),
      (0, math.inf, "[)")),
     ("sweep_point", "N", lambda v: sweep_point(50.0, v, "finite", *MODELS), AT_LEAST_1),
+    ("key_length", "N", lambda v: key_length(MODELS[0], OBSERVED, v, 0.5, MODELS[2]),
+     AT_LEAST_1),
+    ("key_length", "p_pe", lambda v: key_length(MODELS[0], OBSERVED, 1e9, v, MODELS[2]),
+     OPEN_UNIT),
     ("check_lemma3", "eps_sec",
      lambda v: check_lemma3(100, 100, 0.1, v, trials=10, seed=1), OPEN_UNIT),
     ("check_lemma3", "true_error_fraction",
@@ -99,6 +106,9 @@ CASES = [(where, name, call, value) for where, name, call, interval in ARGUMENTS
          for value in refused_values(*interval)]
 CASES += [("SampleBudget", "p_pe", field(SampleBudget, BUDGET, "p_pe"), np.array(p_pe))
           for p_pe in ([0.5, 1.0], [[0.5], [math.nan]])]
+CASES += [("key_lengths", "p_pe",
+           lambda v: key_lengths(MODELS[0], OBSERVED, 1e9, v, MODELS[2]),
+           np.array([0.5, 1.0]))]
 
 
 @pytest.mark.parametrize("where, name, call, value", CASES, ids=[

@@ -77,9 +77,9 @@ STRATEGY = {"T": 0, "B": 1}
 P_PE = np.array([[0.5]])  # one p_pe as the (P, 1) column of the x search
 
 
-# the x path of key_length at p_pe = 0.5: (ell, bounds, e_p) of both
-# strategies on one array of x, as a (strategy, 1, x) tensor, and both
-# minima over x_range
+# the x path of key_length at p_pe = 0.5: [ell, zeta, W_t, W_nt, e_p_t,
+# e_p_nt] of both strategies on one array of x, as a (strategy, 1, x)
+# tensor, and both minima over x_range
 def curves_at(xs, src, obs, N, sec):
     xs = np.asarray(xs, dtype=float)
     return _ell_curves(np.broadcast_to(xs, (2, 1, xs.size)), src, obs, N, P_PE, sec,
@@ -279,22 +279,21 @@ class TestKeyLength:
         obs = simulate_observables(src, make_channel(L))
         res = key_length(src, obs, N=N, p_pe=0.5, sec=sec)
         assert res.ell_B > res.ell_T
-        _, b, e_p = curves_at([res.x_opt_B], src, obs, N, sec)
+        _, *diag = curves_at([res.x_opt_B], src, obs, N, sec)
         at = STRATEGY["B"], 0, 0  # B's row, the one p_pe and x
         d = res.diagnostics
-        assert d.zeta == pytest.approx(float(b.zeta[at]), rel=1e-12)
-        assert d.w_t == pytest.approx(float(b.w_t[at]), rel=1e-12)
-        assert d.w_nt == pytest.approx(float(b.w_nt[at]), rel=1e-12)
-        assert d.e_p_t == pytest.approx(float(e_p[0][at]), rel=1e-12)
-        assert d.e_p_nt == pytest.approx(float(e_p[1][at]), rel=1e-12)
+        zeta, w_t, w_nt, e_p_t, e_p_nt = (float(a[at]) for a in diag)
+        assert d.zeta == pytest.approx(zeta, rel=1e-12)
+        assert d.w_t == pytest.approx(w_t, rel=1e-12)
+        assert d.w_nt == pytest.approx(w_nt, rel=1e-12)
+        assert d.e_p_t == pytest.approx(e_p_t, rel=1e-12)
+        assert d.e_p_nt == pytest.approx(e_p_nt, rel=1e-12)
         # the losing strategy's minimiser reports its own bound values too
         _, x_t, diag_t = minimize(src, obs, N, sec)[STRATEGY["T"]]
-        _, b, e_p = curves_at([x_t], src, obs, N, sec)
+        _, *diag = curves_at([x_t], src, obs, N, sec)
         at = STRATEGY["T"], 0, 0
-        assert diag_t[:4] == pytest.approx(
-            [float(b.zeta[at]), float(b.w_t[at]), float(b.w_nt[at]), float(e_p[0][at])],
-            rel=1e-12)
-        assert np.isnan(diag_t[4])
+        assert diag_t[:4] == pytest.approx([float(a[at]) for a in diag[:4]], rel=1e-12)
+        assert np.isnan(diag_t[4]) and np.isnan(diag[4][at])
 
     def test_phase_error_for_class_counts(self, src, obs, sec):
         # equal code/sample split n = l = N p_pe q1 at p_pe = 0.5, for both classes
@@ -435,6 +434,12 @@ class TestKeyLengths:
         with pytest.raises(ValueError, match="p_pe"):
             key_lengths(src, obs, 1e9, ppes, sec, incumbent=incumbent)
 
+    @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
+    def test_empty_p_pe_axis_gives_no_results(self, src, obs, sec, incumbent):
+        # no p_pe, no result, on either path: the refinement windows of no
+        # row keep their (2, 0, X_REFINE_POINTS) shape
+        assert key_lengths(src, obs, 1e9, [], sec, incumbent=incumbent) == ()
+
     @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
                                                 (250.0, 1e9, 0.5)])
     def test_drops_at_the_end_bound(self, src, sec, L_km, N, p_pe):
@@ -464,8 +469,8 @@ class TestKeyLengths:
                                        kept):
         # x tensors handed to _ell_curves: with no incumbent, the whole
         # first round and the refinement rounds; with one, the two ends of
-        # every p_pe, then the interior and the refinements of those kept,
-        # and nothing more once none is kept (no rate is above 1)
+        # every p_pe, then the same rounds for those kept, and nothing more
+        # once none is kept (no rate is above 1)
         shapes = []
 
         def logged(x, *args):
@@ -481,7 +486,7 @@ class TestKeyLengths:
         elif not kept:
             assert shapes == [(2, 2, 2)]
         else:
-            assert shapes == [(2, 2, 2), (2, kept, X_GRID_POINTS - 2)] + refine
+            assert shapes == [(2, 2, 2), (2, kept, X_GRID_POINTS)] + refine
         assert sum(res is not None for res in row) == kept
         if kept:
             assert repr(row) == repr(tuple(key_length(src, obs, 1e9, p, sec)
