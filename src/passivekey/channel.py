@@ -13,6 +13,7 @@ statistics enter later, in the decoy bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import _within
@@ -38,6 +39,10 @@ class ChannelModel:
         Receiver dark-count probability per pulse, in [0, 1).
     e_d : float
         Optical misalignment error probability, in [0, 0.5].
+
+    A nonzero p_d or e_d is a normal double: a subnormal one underflows the
+    error sums of :func:`simulate_observables`, and the decoy bounds built
+    on them can then fall below the truth.
     """
 
     alpha_db_per_km: float
@@ -52,6 +57,11 @@ class ChannelModel:
         _within("eta_B", self.eta_B, 0, 1, "(]")
         _within("p_d", self.p_d, 0, 1, "[)")
         _within("e_d", self.e_d, 0, 0.5)
+        for name in ("p_d", "e_d"):
+            value = getattr(self, name)
+            if 0 < value < sys.float_info.min:
+                raise ValueError(f"{name} must be 0 or at least {sys.float_info.min!r}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)

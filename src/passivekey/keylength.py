@@ -10,9 +10,10 @@ phase-error bound:
 ``_ell`` is the one key-length expression ell(x), on a tensor whose leading
 axis is the strategy (T, then B).  ``_ledger`` builds the x-independent
 finite-size terms (one sample budget with a share per strategy, chi, the
-epsilon penalty column) once a call, ``_ell_curves`` feeds them and the
-phase-error bound to it, and ``_minimize_over_x`` takes the worst case of
-every (strategy, p_pe) row, with the bound values there; the final key is
+epsilon penalty column) once for the p_pe a call searches, ``_ell_curves``
+feeds them and the phase-error bound to it, and ``_minimize_over_x`` takes
+the worst case of every (strategy, p_pe) row, with the bound values there,
+each round for all rows at once; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
 ``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
 mu row at once, as one (strategy, p_pe, x) tensor a round, and
@@ -51,7 +52,7 @@ acceptance suite pins them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,11 +211,6 @@ def _windows(lo, hi):
     return x
 
 
-def _row(xs, P):
-    """The x row xs as the (strategy, p_pe, x) tensor of P p_pe values."""
-    return np.broadcast_to(xs, (2, P, len(xs)))
-
-
 def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     """Per p_pe of the 1-D array ppes, per strategy T, B: (min over x of
     ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there); e_p_nt is
@@ -226,7 +222,8 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     rounds of X_REFINE_POINTS points, one window per row around that row's
     own minimum.  The ledger terms are built once, before the first round.
     Each (strategy, p_pe) row keeps its own minimum, the first of equal
-    values, as a single p_pe would.
+    values, as a single p_pe would: a round takes every row's argmin at
+    once, and a row's running best moves only to a strictly lower value.
 
     With a positive incumbent the two ends of x_range are solved first, for
     every p_pe, and serve only as a filter: a row's minimum is at most its
@@ -238,39 +235,35 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     on what shares its array, so each keeps the result it has alone.
     """
     pp = ppes[:, None]
-    ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
     grid = np.linspace(lo, hi, grid_points)
-    kept = range(len(ppes))
+    kept = np.arange(len(ppes))
     if incumbent > 0.0:
-        ends = _row(grid[[0, -1]], len(pp))
-        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, ledger)[0]
+        ends = np.broadcast_to(grid[[0, -1]], (2, len(pp), 2))
+        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, _ledger(src, obs, N, pp, sec))[0]
         bound = 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
         kept = np.flatnonzero(bound > incumbent)
-        if not kept.size:
-            return [None] * len(ppes)
-        budget, chi, penalty = ledger
-        pp = pp[kept]
-        ledger = replace(budget, p_pe=pp), chi[:, kept], penalty
+    if not kept.size:
+        return [None] * len(ppes)
+    pp = pp[kept]
+    ledger = _ledger(src, obs, N, pp, sec)
     P = len(pp)
-    x = _row(grid, P)
-    best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
+    rows = np.arange(2 * P)  # T's P rows, then B's
+    x = np.broadcast_to(grid, (rows.size, grid_points))
+    best = np.full((7, rows.size), math.inf)  # ell, x, zeta, W_t, W_nt, e_p_t, e_p_nt
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, *diag = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
-        points = x.shape[-1]
-        lows, highs = [], []
-        for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
-            row = r * points  # x and the curves share this flat index
-            f = row + i
-            if vals.item(f) < best[r][0]:
-                best[r] = vals.item(f), x.item(f), tuple([a.item(f) for a in diag])
-            lows.append(x.item(row + max(i - 1, 0)))
-            highs.append(x.item(row + min(i + 1, points - 1)))
-        if not last:
-            x = _windows(np.array(lows)[:, None], np.array(highs)[:, None])
-            x = x.reshape(2, P, X_REFINE_POINTS)
+        vals, *diag = _ell_curves(x.reshape(2, P, -1), src, obs, N, pp, sec, lam, ledger)
+        i = vals.reshape(x.shape).argmin(axis=1)
+        f = rows * x.shape[1] + i  # each row's minimum, as a flat index
+        at = np.array([a.take(f) for a in [vals, x, *diag]])
+        best = np.where(at[0] < best[0], at, best)
+        if not last:  # the row's neighbours of its minimum, clipped to the row
+            x = _windows(x.take(f - (i > 0))[:, None],
+                         x.take(f + (i < x.shape[1] - 1))[:, None])
+    ell, xs, *diag = best.tolist()
+    found = list(zip(ell, xs, zip(*diag)))
     pairs = [None] * len(ppes)
-    for k, pair in zip(kept, zip(best[:P], best[P:])):
+    for k, pair in zip(kept, zip(found[:P], found[P:])):
         pairs[k] = pair
     return pairs
 

@@ -193,6 +193,8 @@ class TestRunCommand:
         ("[optimizer]\nx_grid_points = 1\n", ["--sweep", "180"],
          "[optimizer] x_grid_points must be >= 2, got 1"),
         ("[channel]\neta_B = 0\n", [], "[channel] eta_B must be in (0, 1], got 0.0"),
+        ("[channel]\np_d = 1e-320\n", [],
+         "[channel] p_d must be 0 or at least 2.2250738585072014e-308, got 1e-320"),
         ("[source]\nd_A = 1\n", [], "[source] d_A must be in [0, 1), got 1.0"),
         ("[security]\neps_sec = 0\n", [], "[security] eps_sec must be in (0, 1), got 0.0"),
         ("", ["--sweep", "50:10:10"],
@@ -212,9 +214,9 @@ class TestRunCommand:
         ("[optimizer]\nmu_min = 0\n", [],
          "[optimizer] mu bounds must satisfy 0 < min < max, got 0.0, inf"),
     ], ids=["N", "N_second", "sweep_range", "sweep_list", "sweep_two_parts",
-            "x_grid_points", "eta_B", "d_A", "eps_sec", "sweep_descending_range",
-            "sweep_descending_list", "sweep_negative", "N_below_1", "N_inf", "N_empty",
-            "mode", "coarse_p_pe", "mu_min"])
+            "x_grid_points", "eta_B", "p_d_subnormal", "d_A", "eps_sec",
+            "sweep_descending_range", "sweep_descending_list", "sweep_negative",
+            "N_below_1", "N_inf", "N_empty", "mode", "coarse_p_pe", "mu_min"])
     def test_error_names_its_key(self, tmp_path, capsys, config, args, named):
         # a refused value names its section and key, or the model field the
         # key sets, and the value; the sweep's list keys give their raw value

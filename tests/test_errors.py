@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ def test_every_interval_check_names_its_argument_and_value(where, name, call, va
     pattern = rf"^{re.escape(name)} must be in [\[(].*[\])], got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=pattern):
         call(value)
+
+
+# a nonzero p_d or e_d below the normal doubles underflows the channel's
+# error sums, and a bound built on them can fall below the truth
+@pytest.mark.parametrize("value", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0)])
+@pytest.mark.parametrize("name", ["p_d", "e_d"])
+def test_subnormal_channel_rate_is_refused(name, value):
+    pattern = (rf"^{name} must be 0 or at least {re.escape(repr(sys.float_info.min))}, "
+               rf"got {re.escape(repr(value))}$")
+    with pytest.raises(ValueError, match=pattern):
+        ChannelModel(**{**CH, name: value})
+    smallest = ChannelModel(**{**CH, name: sys.float_info.min})
+    assert getattr(smallest, name) == sys.float_info.min
 
 
 class TestWithin:

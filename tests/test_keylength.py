@@ -7,7 +7,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivekey import (
@@ -99,6 +99,49 @@ def ell_at(xs, which, src, obs, sec):
 def ell_min(which, src, obs, sec):
     val, x_opt, _ = minimize(src, obs, 1e9, sec)[STRATEGY[which]]
     return val, x_opt
+
+
+# _minimize_over_x with each round's bookkeeping as a loop over the
+# (strategy, p_pe) rows, one flat-index read at a time, and the ledger of
+# the kept p_pe sliced from that of all: the reference the array search
+# must equal by repr
+def loop_minimize(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
+    pp = ppes[:, None]
+    ledger = _ledger(src, obs, N, pp, sec)
+    lo, hi = x_range(src, obs)
+    grid = np.linspace(lo, hi, grid_points)
+    kept = range(len(ppes))
+    if incumbent > 0.0:
+        ends = np.broadcast_to(grid[[0, -1]], (2, len(pp), 2))
+        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, ledger)[0]
+        bound = 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
+        kept = np.flatnonzero(bound > incumbent)
+        if not kept.size:
+            return [None] * len(ppes)
+        budget, chi, penalty = ledger
+        pp = pp[kept]
+        ledger = replace(budget, p_pe=pp), chi[:, kept], penalty
+    P = len(pp)
+    x = np.broadcast_to(grid, (2, P, grid_points))
+    best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
+    for last in [False] * X_REFINE_ROUNDS + [True]:
+        vals, *diag = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
+        points = x.shape[-1]
+        lows, highs = [], []
+        for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
+            row = r * points  # x and the curves share this flat index
+            f = row + i
+            if vals.item(f) < best[r][0]:
+                best[r] = vals.item(f), x.item(f), tuple([a.item(f) for a in diag])
+            lows.append(x.item(row + max(i - 1, 0)))
+            highs.append(x.item(row + min(i + 1, points - 1)))
+        if not last:
+            x = keylength._windows(np.array(lows)[:, None], np.array(highs)[:, None])
+            x = x.reshape(2, P, keylength.X_REFINE_POINTS)
+    pairs = [None] * len(ppes)
+    for k, pair in zip(kept, zip(best[:P], best[P:])):
+        pairs[k] = pair
+    return pairs
 
 
 class TestEllCurves:
@@ -425,6 +468,39 @@ class TestKeyLengths:
             else:
                 assert repr(got) == repr(res)
 
+    # p_d = e_d = 0 gives x_range (0, 0): every window is one point repeated
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=0, max_size=24),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-150]),
+           dark=st.booleans(), grid_points=st.sampled_from([2, 10, 200]),
+           pick=st.integers(0, 23),
+           scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
+    # at 181 km T's ell is flat at the top of x_range (e_p_t = 0.5, no
+    # vacuum credit): a later round ties the minimum and must not move it
+    @example(mu=0.5, L_km=181.0, log_N=13.0, p_pe=[0.5], eps_sec=1e-6, dark=True,
+             grid_points=2, pick=0, scale=0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_array_search_is_the_row_loop(self, src, mu, L_km, log_N, p_pe, eps_sec,
+                                          dark, grid_points, pick, scale):
+        # the incumbent is 0 or a multiple of one row's rate (one bit's rate
+        # 0.5/N where that row has no key, or where there is no row)
+        src = replace(src, mu=mu)
+        ch = make_channel(L_km)
+        obs = simulate_observables(src, ch if dark else replace(ch, p_d=0.0, e_d=0.0))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        lam = _leakage(obs, N, sec.f_EC)
+        ppes = np.array(p_pe, dtype=float)
+        want = loop_minimize(src, obs, N, ppes, sec, lam, grid_points)
+        assert repr(_minimize_over_x(src, obs, N, ppes, sec, lam, grid_points)) == repr(want)
+        rate = 0.5 / N
+        if want:
+            (ell_t, *_), (ell_b, *_) = want[pick % len(want)]
+            rate = 0.5 * math.floor(max(ell_t, ell_b, 0.0)) / N or rate
+        args = src, obs, N, ppes, sec, lam, grid_points, scale * rate
+        assert repr(_minimize_over_x(*args)) == repr(loop_minimize(*args))
+
     @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
     @pytest.mark.parametrize("ppes", [0.5, np.array([[0.3, 0.5]])], ids=["float", "2-D"])
     def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes, incumbent):
@@ -436,8 +512,8 @@ class TestKeyLengths:
 
     @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
     def test_empty_p_pe_axis_gives_no_results(self, src, obs, sec, incumbent):
-        # no p_pe, no result, on either path: the refinement windows of no
-        # row keep their (2, 0, X_REFINE_POINTS) shape
+        # no p_pe, no result, on either path: no p_pe is kept, so no x round
+        # runs (the pruned path solves the ends of none first)
         assert key_lengths(src, obs, 1e9, [], sec, incumbent=incumbent) == ()
 
     @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),

@@ -62,9 +62,12 @@ def models(draw):
     cap = MU_SAFETY * (1.0 - eta_A) / eta_A  # below the divergence of the chi series
     src = SourceModel(mu=draw(log_uniform(0.01, min(cap, 1e6))), eta_A=eta_A,
                       d_A=draw(zero_or(1e-9, 1e-3)))
+    # ChannelModel refuses a subnormal p_d or e_d; the smallest normal ones
+    # are LOST's tiny_e_d, so both are drawn down to 1e-300
     ch = ChannelModel(alpha_db_per_km=0.2, L_km=draw(st.floats(0.0, 300.0)),
-                      eta_B=draw(st.floats(0.05, 1.0)), p_d=draw(zero_or(1e-9, 1e-3)),
-                      e_d=draw(st.floats(0.0, 0.05, allow_subnormal=False)))
+                      eta_B=draw(st.floats(0.05, 1.0)), p_d=draw(zero_or(1e-300, 1e-3)),
+                      e_d=draw(st.floats(0.0, 0.05, allow_subnormal=False)
+                           | log_uniform(1e-300, 0.05)))
     return src, ch
 
 
@@ -103,12 +106,12 @@ LOST = [
     pytest.param(SourceModel(mu=0.01, eta_A=1e-12, d_A=1e-6),
                  ChannelModel(alpha_db_per_km=0.2, L_km=200.0, eta_B=0.1, p_d=6e-7,
                               e_d=0.005), id="tiny_eta_A"),
-    # a subnormal e_d (the property draws none): the triggered error sum of
-    # simulate_observables underflows, E_t = 0 where the truth is about 8e-324,
-    # so W_t = 0 falls below e1 = 5e-324
-    pytest.param(SourceModel(mu=1.0, eta_A=0.1, d_A=0.0),
-                 ChannelModel(alpha_db_per_km=0.2, L_km=0.0, eta_B=1.0, p_d=0.0,
-                              e_d=5e-324), id="subnormal_e_d"),
+    # a normal e_d = 1e-307 whose error weight eta e_d = 1.2e-311 is not: the
+    # triggered error sum (about mu eta_A eta e_d) keeps a few bits, and
+    # W_t(x_true) = 8.4e-308 falls below e1 = 1.0e-307
+    pytest.param(SourceModel(mu=0.01, eta_A=1e-10, d_A=0.0),
+                 ChannelModel(alpha_db_per_km=0.2, L_km=196.0, eta_B=1.0, p_d=0.0,
+                              e_d=1e-307), id="tiny_e_d"),
 ]
 
 
