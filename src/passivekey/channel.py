@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import _within
 # perfbench's tracer wraps channel.series_sum, so the name stays importable here
 from .photonics import SourceModel, series_sum  # noqa: F401
@@ -69,7 +71,8 @@ class Observables:
     """Overall gains and QBERs of the two heralding classes.
 
     Q_t / Q_nt are the triggered / nontriggered per-pulse gains; E_t / E_nt
-    the corresponding QBERs.
+    the corresponding QBERs.  Each is a float, or an array over mu from
+    :func:`simulate_observables` of a source whose mu is one.
     """
 
     Q_t: float
@@ -97,6 +100,8 @@ def simulate_observables(src: SourceModel, ch: ChannelModel) -> Observables:
     sum is geometric, sum_n p_n (1-b)^n = S(b) = 1/(1 + mu b) (Curty, Ma, Lo
     and Lutkenhaus, PRA 82, 052325, 2010), and each difference of two is a
     product of non-negative factors, so nothing cancels; only + - * / act on mu.
+    An array src.mu gives arrays of the same shape, each element the bits of
+    its own mu's call.
     """
     eta = transmittance(ch)
     mu, eta_A, d_A, p_d = src.mu, src.eta_A, src.d_A, ch.p_d
@@ -123,6 +128,12 @@ def simulate_observables(src: SourceModel, ch: ChannelModel) -> Observables:
         return p_d * (2.0 - p_d) * one(0.0) + p * p * gap(0.0, eta), p_d * one(0.0) + p * err
 
     (q_t, s_t), (q_nt, s_nt) = sums(*triggered), sums(*nontriggered)
-    e_t = s_t / (2.0 * q_t) if q_t > 0 else 0.0
-    e_nt = s_nt / (2.0 * q_nt) if q_nt > 0 else 0.0
-    return Observables(Q_t=q_t, Q_nt=q_nt, E_t=min(e_t, 0.5), E_nt=min(e_nt, 0.5))
+    return Observables(Q_t=q_t, Q_nt=q_nt, E_t=_qber(s_t, q_t), E_nt=_qber(s_nt, q_nt))
+
+
+def _qber(s, q):
+    """s / (2 q) capped at 0.5, and 0 where q = 0; elementwise over an array."""
+    if isinstance(q, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.minimum(np.where(q > 0, s / (2.0 * q), 0.0), 0.5)
+    return min(s / (2.0 * q) if q > 0 else 0.0, 0.5)

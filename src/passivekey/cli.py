@@ -211,11 +211,15 @@ def load_config(path: str | None, overrides: argparse.Namespace | None = None) -
         raise ConfigError(str(exc)) from exc
 
 
-def _check_writable(path: str) -> None:
-    """ConfigError unless path can be written as a file, before any work is done."""
+def _check_writable(key: str, path: str) -> None:
+    """ConfigError naming key unless path can be written as a file, before any
+    work is done.  An empty path names no file (os.path would read it as the
+    working directory's parent)."""
+    if not path:
+        raise ConfigError(f"{key} = '' is not valid: empty path")
     target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.access(target, os.W_OK):
-        raise ConfigError(f"cannot write output {path!r}")
+        raise ConfigError(f"{key} = {path!r}: cannot write output there")
 
 
 def _fmt(value) -> str:
@@ -237,7 +241,7 @@ def run(cfg: RunConfig, workers: int = 1) -> int:
     """Write the sweep CSV; rows go to min(workers, rows, CPUs) processes."""
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    _check_writable(cfg.out_path)
+    _check_writable("[output] path", cfg.out_path)
     modes = ["finite", "asymptotic"] if cfg.mode == "both" else [cfg.mode]
     tasks = [(L, N, m, cfg) for L in cfg.distances for N in cfg.Ns for m in modes]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
@@ -255,7 +259,7 @@ def run(cfg: RunConfig, workers: int = 1) -> int:
 
 def run_verify(cfg: RunConfig) -> int:
     """Print the oracle report and write its CSV; a check passes when r.rate <= r.bound."""
-    _check_writable(cfg.verify_path)
+    _check_writable("[verify] path", cfg.verify_path)
     seed, trials = cfg.verify_seed, cfg.verify_trials
     csv_rows = ["check,n_or_n1,l_or_n2,rate_or_fraction,eps,violations,trials,"
                 "observed_rate,ci_upper_95,seed,rng"]

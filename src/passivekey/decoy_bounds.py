@@ -11,7 +11,9 @@ provided as the N -> infinity reference.
 One function computes zeta, W_t and W_nt: ``evaluate_bounds`` for a sample
 budget, and the same core with every chi set to zero for the limit.  It
 accepts a scalar or an array of x, marks a vacuous error bound as +inf and
-leaves clamping to the caller, which needs the unclamped shape.
+leaves clamping to the caller, which needs the unclamped shape.  Where
+src.mu and the Observables fields are arrays over mu (columns that
+broadcast against x), every term that reads them is such an array too.
 """
 
 from __future__ import annotations
@@ -79,9 +81,16 @@ def serfling_xi(eps: float, n1: float, n2: float) -> float:
     return math.sqrt((n1 + n2) * (n1 + 1) * math.log(1.0 / eps) / (8.0 * n1**2 * n2))
 
 
+def _no_gain(obs: Observables) -> bool:
+    """Whether Q_nt is 0, anywhere in an array of them; only an array makes
+    a numpy call."""
+    q = obs.Q_nt
+    return not (q.all() if isinstance(q, np.ndarray) else q)
+
+
 def overall_delta(obs: Observables) -> float:
     """Ratio delta = Q_t / Q_nt of the overall gains."""
-    if obs.Q_nt == 0:
+    if _no_gain(obs):
         raise ZeroGain("Q_nt = 0; overall delta undefined")
     return obs.Q_t / obs.Q_nt
 
@@ -97,11 +106,11 @@ def chi_term(src: SourceModel, budget: SampleBudget, i: int) -> float:
     """Per-order fluctuation chi_i = sqrt(delta_i p_i ln(1/eps_pe) / (2 N p_pe))."""
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    return math.sqrt(delta_n(src, i) * photon_prob(src, i)) * _chi_scale(budget)
+    return np.sqrt(delta_n(src, i) * photon_prob(src, i)) * _chi_scale(budget)
 
 
 def _chi_from_sum(budget: SampleBudget, obs: Observables, s: float) -> float:
-    if obs.Q_nt == 0:
+    if _no_gain(obs):
         raise ZeroGain("Q_nt = 0; chi undefined")
     with np.errstate(over="ignore"):  # inf for a subnormal Q_nt: no finite key
         return _chi_scale(budget) * s / obs.Q_nt
@@ -119,7 +128,7 @@ def chi_low_orders(src: SourceModel, budget: SampleBudget, obs: Observables) -> 
     bound uses: the reference key-rate curves are only reproduced with these
     (see keylength).  chi_total is the conservative full-series variant.
     """
-    s = sum(math.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3))
+    s = sum(np.sqrt(delta_n(src, k) * photon_prob(src, k)) for k in range(3))
     return _chi_from_sum(budget, obs, s)
 
 
@@ -177,7 +186,7 @@ def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:
     d0 = delta_n(src, 0)
     delta = overall_delta(obs)
     first = 2.0 * obs.E_t * delta / d0 if d0 > 0 else math.inf
-    return (0.0, min(first, 2.0 * obs.E_nt))
+    return (0.0, np.minimum(first, 2.0 * obs.E_nt))
 
 
 def asymptotic_q1_nt(x: float, src: SourceModel, obs: Observables) -> float:

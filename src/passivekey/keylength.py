@@ -17,11 +17,12 @@ each round for all rows at once; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
 ``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
 mu row at once, as one (strategy, p_pe, x) tensor a round, and
-``key_length`` is its one-p_pe case.  Handed a positive incumbent rate,
-``key_lengths`` first drops each p_pe whose rate the two ends of x_range
-show cannot be above it (the rule is in ``_minimize_over_x``).  The
-asymptotic rate is the same expression with chi = 0, N = 1, no penalty and
-e_p the raw error bound.
+``key_length`` is its one-p_pe case.  ``end_bounds`` bounds the rate at
+many (mu, p_pe) points at once from the two ends of x_range alone, as one
+(strategy, point, 2) tensor whose mu-dependent inputs are columns over the
+points; the optimizer's walk searches only the points it cannot rule out
+with it.  The asymptotic rate is the same expression with chi = 0, N = 1,
+no penalty and e_p the raw error bound.
 
 Epsilon ledger (``_EPS_LEDGER``), after the uncertainty-principle analysis
 of Tomamichel, Lim, Gisin and Renner (Nat. Commun. 3, 634, 2012): a
@@ -141,9 +142,10 @@ def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
 
 
 def _leakage(obs, N, f_EC):
-    """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class, as floats."""
+    """(lambda_EC_t, lambda_EC_nt): error-correction leakage of each class, of
+    the shape of obs' fields."""
     h_t, h_nt = binary_entropy([obs.E_t, obs.E_nt])
-    return float(N * obs.Q_t * f_EC * h_t), float(N * obs.Q_nt * f_EC * h_nt)
+    return N * obs.Q_t * f_EC * h_t, N * obs.Q_nt * f_EC * h_nt
 
 
 def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
@@ -159,7 +161,7 @@ def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
     vac = np.maximum(b.q0_t_lb + obs.Q_nt * x * _NT_CREDIT, 0.0)
     gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
     gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt) * _NT_CREDIT
-    leak_nt = np.array([0.0, lam_nt])[:, None, None]  # not lam_nt * 0: inf * 0 is nan
+    leak_nt = np.where(_NT_CREDIT > 0.0, lam_nt, 0.0)  # not lam_nt * 0: inf * 0 is nan
     with np.errstate(over="ignore"):  # lam_t + lam_nt past the double range: -inf, no key
         return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
 
@@ -170,7 +172,8 @@ def _ledger(src, obs, N, p_pe, sec):
     The budget carries each strategy's share eps_sec/s as a (strategy, 1, 1)
     column, at which chi (and chi0, chi1 in ``evaluate_bounds``) is taken;
     none of them depends on x, and chi has shape (strategy, p_pe, 1) for a
-    (p_pe, 1) column p_pe.
+    (p_pe, 1) column p_pe (src.mu and obs' fields one row's, or columns of
+    the same shape).
     """
     s, a, b, c = _EPS_LEDGER.T[:, :, None, None]  # (strategy, 1, 1) columns
     budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
@@ -183,9 +186,11 @@ def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
     x, T's row first: ell and the bound values the x search reads at each
     minimum.
 
-    p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe.
-    e_p comes from one phase-error solve of T's triggered class and B's two
-    classes; T's e_p_nt is nan, a class it does not credit.
+    p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe;
+    src.mu, obs' fields and lam are one mu row's, or (P, 1) columns of the
+    mu of each p_pe (``end_bounds``).  e_p comes from one phase-error solve
+    of T's triggered class and B's two classes; T's e_p_nt is nan, a class
+    it does not credit.
     """
     budget, chi, penalty = ledger
     b = evaluate_bounds(x, src, budget, obs, chi=chi)
@@ -211,11 +216,10 @@ def _windows(lo, hi):
     return x
 
 
-def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
+def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     """Per p_pe of the 1-D array ppes, per strategy T, B: (min over x of
     ell(x), minimizing x, (zeta, W_t, W_nt, e_p_t, e_p_nt) there); e_p_nt is
-    nan for T.  None for a p_pe whose rate cannot be above a positive
-    incumbent.
+    nan for T.
 
     A round is one ``_ell_curves`` call on one (strategy, p_pe, x) tensor:
     the grid_points linspace of x_range in every row, then X_REFINE_ROUNDS
@@ -224,35 +228,20 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
     Each (strategy, p_pe) row keeps its own minimum, the first of equal
     values, as a single p_pe would: a round takes every row's argmin at
     once, and a row's running best moves only to a strictly lower value.
-
-    With a positive incumbent the two ends of x_range are solved first, for
-    every p_pe, and serve only as a filter: a row's minimum is at most its
-    smaller end, as the first round holds both ends and the later rounds
-    only lower it, so 0.5 floor(max(min-ends ell_T, min-ends ell_B, 0)) / N
-    bounds the rate in floats too, with no slack, and a p_pe whose bound is
-    not above the incumbent is dropped.  The p_pe that remain are searched
-    as above, their ends solved again in the first round; no value depends
-    on what shares its array, so each keeps the result it has alone.
+    No value depends on what shares its array, so each p_pe keeps the result
+    it has alone.  The first round holds both ends of x_range and the later
+    rounds only lower a row's minimum, which ``end_bounds`` relies on.
     """
     pp = ppes[:, None]
-    lo, hi = x_range(src, obs)
-    grid = np.linspace(lo, hi, grid_points)
-    kept = np.arange(len(ppes))
-    if incumbent > 0.0:
-        ends = np.broadcast_to(grid[[0, -1]], (2, len(pp), 2))
-        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, _ledger(src, obs, N, pp, sec))[0]
-        bound = 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
-        kept = np.flatnonzero(bound > incumbent)
-    if not kept.size:
-        return [None] * len(ppes)
-    pp = pp[kept]
     ledger = _ledger(src, obs, N, pp, sec)
+    grid = np.linspace(*x_range(src, obs), grid_points)
     P = len(pp)
     rows = np.arange(2 * P)  # T's P rows, then B's
     x = np.broadcast_to(grid, (rows.size, grid_points))
     best = np.full((7, rows.size), math.inf)  # ell, x, zeta, W_t, W_nt, e_p_t, e_p_nt
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, *diag = _ell_curves(x.reshape(2, P, -1), src, obs, N, pp, sec, lam, ledger)
+        vals, *diag = _ell_curves(x.reshape(2, P, x.shape[1]), src, obs, N, pp, sec, lam,
+                                  ledger)
         i = vals.reshape(x.shape).argmin(axis=1)
         f = rows * x.shape[1] + i  # each row's minimum, as a flat index
         at = np.array([a.take(f) for a in [vals, x, *diag]])
@@ -262,10 +251,30 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
                          x.take(f + (i < x.shape[1] - 1))[:, None])
     ell, xs, *diag = best.tolist()
     found = list(zip(ell, xs, zip(*diag)))
-    pairs = [None] * len(ppes)
-    for k, pair in zip(kept, zip(found[:P], found[P:])):
-        pairs[k] = pair
-    return pairs
+    return list(zip(found[:P], found[P:]))
+
+
+def end_bounds(src: SourceModel, obs: Observables, N: float, ppes,
+               sec: SecurityBudget) -> np.ndarray:
+    """An upper bound on key_length's rate at each point (mu, ppes[k]), from
+    the two ends of x_range alone: 0.5 floor(max(min-ends ell_T, min-ends
+    ell_B, 0)) / N, as a 1-D array.
+
+    src.mu and obs' fields are one mu row's floats, or (P, 1) columns with
+    the mu of each of the P points; either way the ends are one
+    ``_ell_curves`` call on a (strategy, point, 2) tensor.  A point's
+    minimum over x is at most its smaller end, as the first x round of
+    ``_minimize_over_x`` holds both ends and the later rounds only lower
+    it; no value depends on what shares its array, so these are the bits of
+    that round's ends, and the bound holds in floats too, with no slack.
+    """
+    pp = _p_pe_axis(ppes)[:, None]
+    lo, hi = x_range(src, obs)
+    ends = np.empty((2, len(pp), 2))
+    ends[..., :1], ends[..., 1:] = lo, hi
+    ell = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
+                      _ledger(src, obs, N, pp, sec))[0]
+    return 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
 
 
 def _result(pair, lam, N):
@@ -300,22 +309,17 @@ def key_lengths(
     ppes,
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
-    incumbent: float = 0.0,
-) -> tuple[KeyLengthResult | None, ...]:
+) -> tuple[KeyLengthResult, ...]:
     """key_length at each p_pe of the 1-D array ppes, one result each, from
     one ``_minimize_over_x`` pass over the (strategy, p_pe, x) tensor of a
     mu row (the observables, and so x_range, are the row's).  Every result
     is the one key_length gives at that p_pe, from a first x round of >= 2
-    points.
-
-    incumbent is a rate already held: a p_pe whose rate the ends of x_range
-    show cannot be above a positive incumbent gives None, and is not
-    searched further."""
+    points."""
     ppes = _p_pe_axis(ppes)
     grid_points = _count("grid_points", grid_points, 2)
-    lam = _leakage(obs, N, sec.f_EC)
-    return tuple(None if pair is None else _result(pair, lam, N) for pair in
-                 _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points, incumbent))
+    lam = tuple(map(float, _leakage(obs, N, sec.f_EC)))
+    return tuple(_result(pair, lam, N) for pair in
+                 _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points))
 
 
 def key_length(

@@ -3,15 +3,23 @@
 The objective R(mu, p_pe) contains clamps, a min over x, and a root-finder,
 so it is only piecewise smooth; a deterministic coarse grid followed by
 shrinking-rectangle refinement is used instead of gradient methods.  The
-optimum is the best of grid walks that carry the incumbent.  A mu row is
-one generator of the points it evaluates; once the walk holds a key, a
-finite row is one key_lengths call handed the incumbent, which leaves out
-the points whose x_range ends show they cannot beat it (the rule is in
-keylength._minimize_over_x), so every result is the one the full walk
-gives.  Reach asks only whether any coarse point has a key.  A sweep row,
-finite or asymptotic, is one search call (a spec that pins p_pe has equal
-p_pe bounds, an axis of one point); only optimize_rate raises AllVacuous,
-for outside callers.
+optimum is the best of grid walks that carry the incumbent; each walk gives
+what a walk of every point in mu-major order gives, the first point with
+the highest rate where that rate is above the incumbent's.
+
+A walk is best-first.  Until it holds a key it takes its points one at a
+time in walk order (a finite point is one key_length call).  From its
+first key on, and from the start of a walk handed one, it bounds the rate
+of every point left with one call (keylength.end_bounds, one tensor over
+the points, for the finite key; the rate itself for the asymptotic one) and
+searches, BATCH points at a time, those with the highest bounds.  The
+pruning rule: a point is not searched once its bound is below the best
+rate, or equal to it while the best point is the incumbent handed in or
+comes earlier in walk order; its rate is at most its bound, so it could
+not replace the best.  Reach asks only whether any coarse point has a key.
+A sweep row, finite or asymptotic, is one search (a spec that pins p_pe has
+equal p_pe bounds, an axis of one point); only optimize_rate raises
+AllVacuous, for outside callers.
 The source intensity is capped below the divergence threshold of the
 sqrt(delta_k p_k) series, mu < (1 - eta_A) / eta_A, with a safety margin.
 """
@@ -23,14 +31,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelModel, simulate_observables
+from .channel import ChannelModel, Observables, simulate_observables
 from .decoy_bounds import _deltas
 from .errors import AllVacuous, _count, _within
 from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
-                        asymptotic_rate, key_length, key_lengths)
+                        asymptotic_rate, end_bounds, key_length, key_lengths)
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
+BATCH = 8  # the points one best-first step searches
 _NO_KEY = (0.0, math.nan, math.nan, None)  # (rate, mu, p_pe, payload) before a key
 
 
@@ -96,43 +105,66 @@ class OptimizeResult:
     result: KeyLengthResult
 
 
-def _walk(evaluate, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
+def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
     """The best (rate, mu, p_pe, payload) of best and one grid, walked
-    mu-major.
+    mu-major: the first point in walk order with the highest rate, where
+    that rate is above best's.
 
-    evaluate(mu, ppes, incumbent) is handed a mu row's p_pe axis and the
-    incumbent rate at the row's start, and yields (j, rate, payload) for the
-    points (mu, ppes[j]) it evaluates, in walk order; it may leave out a
-    point that cannot beat the incumbent.  An axis with equal ends is one
-    point.  A point replaces best only with a higher rate, so ties keep the
-    earliest point.  first=True returns at the first point that does, and
-    the lazy row evaluates nothing past it.
+    mode gives the rates (see _Finite): mode.row(mu, ppes) yields (j, rate,
+    payload) of the points (mu, ppes[j]) one at a time, in walk order, and
+    may leave out points with no key; mode.bounds(mus, r, pps) bounds the
+    rate of each point (mus[r[k]], pps[k]) from above; mode.search(mu, pps,
+    bounds) gives (rate, payload) at each point (mu, pps[k]) of one mu row.
+    An axis with equal ends is one point.
+
+    Until the walk holds a key it takes mode.row's points, and first=True
+    returns at its first key; nothing past it is evaluated.  From there the
+    walk bounds every point left at once and, while any point could still
+    replace the best (the rule is in the module docstring), searches the
+    BATCH such points with the highest bounds, ties in walk order, with one
+    mode.search call per mu row they touch.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
-    for mu in map(float, mus):
-        for j, rate, payload in evaluate(mu, ppes, best[0]):
-            if rate > best[0]:
-                best = rate, mu, float(ppes[j]), payload
-                if first:
-                    return best
-    return best
+    J = len(ppes)
+    found = -1  # the walk index of the best point, once this walk finds one
+    if not best[0] > 0.0:
+        keyed = ((r * J + j, (rate, mu, float(ppes[j]), payload))
+                 for r, mu in enumerate(map(float, mus))
+                 for j, rate, payload in mode.row(mu, ppes) if rate > best[0])
+        found, best = next(keyed, (found, best))
+        if found < 0 or first:
+            return best
+    i = np.arange(found + 1, mus.size * J)  # the points left, in walk order
+    r, pps = i // J, ppes[i % J]
+    bound = mode.bounds(mus, r, pps)
+    while True:
+        live = np.flatnonzero((bound > best[0]) | ((bound == best[0]) & (i < found)))
+        if not live.size:
+            return best
+        batch = np.sort(live[np.argsort(-bound[live], kind="stable")[:BATCH]])
+        for row in np.unique(r[batch]).tolist():
+            at = batch[r[batch] == row]
+            mu = float(mus[row])
+            for n, p_pe, (rate, payload) in zip(i[at].tolist(), pps[at].tolist(),
+                                                mode.search(mu, pps[at], bound[at])):
+                if rate > best[0] or (rate == best[0] and n < found):
+                    best, found = (rate, mu, p_pe, payload), n
+        bound[batch] = -math.inf
 
 
-def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
-    """Best (rate, mu, p_pe, payload) of the rows evaluate(mu, ppes, incumbent)
-    yields (see _walk).
+def _grid_search(mode, mu_bounds, spec: OptimizationSpec):
+    """Best (rate, mu, p_pe, payload) of mode's rates on spec's grids (see _walk).
 
     The _walk of the coarse grid, then of spec.refine_rounds rectangles
     around the incumbent, half-widths one coarse step shrinking threefold a
     round; every walk starts from the incumbent, so ties keep the earliest
-    point.  A finite row leaves out only points that _finite's rule shows
-    cannot replace the incumbent.  With no positive coarse rate nothing is
-    refined and (0.0, nan, nan, None) is returned.
+    point.  With no positive coarse rate nothing is refined and
+    (0.0, nan, nan, None) is returned.
     """
     mu_lo, mu_hi = mu_bounds
     pp_lo, pp_hi = spec.p_pe_bounds
-    best = _walk(evaluate, mu_bounds, spec.p_pe_bounds, spec.coarse_points)
+    best = _walk(mode, mu_bounds, spec.p_pe_bounds, spec.coarse_points)
     if not best[0] > 0.0:
         return best
 
@@ -140,7 +172,7 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     pp_step = (pp_hi - pp_lo) / max(spec.coarse_points[1] - 1, 1)
     for _ in range(spec.refine_rounds):
         _, mu0, pp0, _ = best
-        best = _walk(evaluate, (max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
+        best = _walk(mode, (max(mu_lo, mu0 - mu_step), min(mu_hi, mu0 + mu_step)),
                      (max(pp_lo, pp0 - pp_step), min(pp_hi, pp0 + pp_step)),
                      spec.refine_points, best)
         mu_step /= 3.0
@@ -148,44 +180,70 @@ def _grid_search(evaluate, mu_bounds, spec: OptimizationSpec):
     return best
 
 
-def _finite(L_km, N, src, ch, sec, spec):
-    """evaluate(mu, ppes, incumbent) for _walk: the finite key at L_km km,
-    N pulses, (mu, ppes[j]).
+class _Finite:
+    """The finite key at L_km km and N pulses, as _walk reads it: rates from
+    key_length and key_lengths, bounds from keylength.end_bounds."""
 
-    The pruning rule: once the walk holds a positive incumbent, a point
-    whose rate the key's own ell at the two ends of x_range shows cannot be
-    above it is not searched (keylength._minimize_over_x states the bound),
-    as it could not replace the incumbent.  A row tracks the incumbent as
-    the walk does.  While it is not positive, the row makes one key_length
-    call a point.  At the first point j that meets a positive incumbent, the
-    row hands ppes[j:] and that incumbent to one key_lengths call, one
-    (strategy, p_pe, x) tensor a round, and yields the points it does not
-    drop; so a row makes at most one key_lengths call.  Judging against the
-    incumbent the batch started with keeps points the point-by-point rule
-    might prune later in the row, but such a point's rate is below the
-    incumbent at its turn, so it replaces nothing and the walk's result is
-    unchanged.  A row with no nontriggered gain (Q_nt = 0) has no key at any
-    p_pe and makes no call, as asymptotic_rate reads it.
-    """
-    ch_L = replace(ch, L_km=float(L_km))
+    def __init__(self, L_km, N, src, ch, sec, spec):
+        self.L_ch = replace(ch, L_km=float(L_km))
+        self.N, self.src, self.sec, self.grid_points = N, src, sec, spec.x_grid_points
 
-    def evaluate(mu, ppes, incumbent):
-        src_mu = replace(src, mu=mu)
-        obs = simulate_observables(src_mu, ch_L)
+    def row(self, mu, ppes):
+        """One key_length call per point, lazily.  A row with no nontriggered
+        gain (Q_nt = 0) has no key at any p_pe and makes no call, as
+        asymptotic_rate reads it."""
+        src = replace(self.src, mu=mu)
+        obs = simulate_observables(src, self.L_ch)
         if obs.Q_nt == 0:
             return
         for j, p_pe in enumerate(map(float, ppes)):
-            if incumbent > 0.0:  # the rest of the row: one batch
-                batch = key_lengths(src_mu, obs, N, ppes[j:], sec, spec.x_grid_points,
-                                    incumbent)
-                yield from ((k, res.rate, res) for k, res in enumerate(batch, j)
-                            if res is not None)
-                return
-            res = key_length(src_mu, obs, N, p_pe, sec, grid_points=spec.x_grid_points)
-            incumbent = max(incumbent, res.rate)
+            res = key_length(src, obs, self.N, p_pe, self.sec, grid_points=self.grid_points)
             yield j, res.rate, res
 
-    return evaluate
+    def bounds(self, mus, r, pps):
+        """end_bounds at every point, as one tensor: the observables of each
+        mu row and the x_range ends become columns over the points.  A point
+        of a row with no nontriggered gain has no key, and bound -inf."""
+        obs = simulate_observables(replace(self.src, mu=mus), self.L_ch)
+        gain = np.flatnonzero(obs.Q_nt[r] > 0)
+        rows = r[gain, None]
+        bound = np.full(len(r), -math.inf)
+        bound[gain] = end_bounds(
+            replace(self.src, mu=mus[rows]),
+            Observables(**{name: v[rows] for name, v in vars(obs).items()}),
+            self.N, pps[gain], self.sec)
+        return bound
+
+    def search(self, mu, pps, _bounds):
+        """One key_lengths call on the row's points."""
+        src = replace(self.src, mu=mu)
+        return [(res.rate, res) for res in key_lengths(
+            src, simulate_observables(src, self.L_ch), self.N, pps, self.sec,
+            self.grid_points)]
+
+
+class _Asymptotic:
+    """The asymptotic rate at L_km km, as _walk reads it: a point's bound is
+    its rate, one asymptotic_rate call per mu."""
+
+    def __init__(self, L_km, src, ch, sec):
+        self.L_ch = replace(ch, L_km=float(L_km))
+        self.src, self.f_EC = src, sec.f_EC
+
+    def _rate(self, mu):
+        return asymptotic_rate(replace(self.src, mu=mu), self.L_ch, f_EC=self.f_EC)
+
+    def row(self, mu, _ppes):
+        yield 0, self._rate(mu), None
+
+    def bounds(self, mus, r, _pps):
+        rows = np.unique(r)
+        rates = np.zeros(len(mus))
+        rates[rows] = [self._rate(mu) for mu in mus[rows].tolist()]
+        return rates[r]
+
+    def search(self, _mu, _pps, bounds):
+        return [(rate, None) for rate in bounds.tolist()]
 
 
 def optimize_rate(
@@ -202,8 +260,8 @@ def optimize_rate(
     never falls below the best coarse-grid value.  src.mu and ch.L_km are
     overwritten.  Raises AllVacuous when no grid point yields a positive key.
     """
-    evaluate = _finite(L_km, N, src, ch, sec, spec)
-    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)
+    rate, mu, p_pe, res = _grid_search(_Finite(L_km, N, src, ch, sec, spec),
+                                       spec.resolved_mu_bounds(src), spec)
     if not rate > 0.0:
         raise AllVacuous(f"no positive key on the grid at L={L_km} km, N={N:g}")
     return OptimizeResult(rate=rate, mu=mu, p_pe=p_pe, result=res)
@@ -230,7 +288,7 @@ def max_distance(
     mu_bounds = spec.resolved_mu_bounds(src)
 
     def positive(L):
-        rate, *_ = _walk(_finite(L, N, src, ch, sec, spec), mu_bounds,
+        rate, *_ = _walk(_Finite(L, N, src, ch, sec, spec), mu_bounds,
                          spec.p_pe_bounds, spec.coarse_points, first=True)
         return rate > 0.0
 
@@ -275,22 +333,19 @@ def sweep_point(
 ) -> SweepRow:
     """One (L, N) row from one _grid_search, no key reported as "vacuous".
 
-    An asymptotic row searches mu only: its generator yields one point a mu
-    row, j = 0, whatever the p_pe axis.  Equal spec.p_pe_bounds (p, p) pin
-    p_pe in a finite row.  src.mu and ch.L_km are overwritten.
+    An asymptotic row searches mu only, on a p_pe axis of one point.  Equal
+    spec.p_pe_bounds (p, p) pin p_pe in a finite row.  src.mu and ch.L_km are overwritten.
     """
     if mode not in ("finite", "asymptotic"):
         raise ValueError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
     _within("N", N, 1, math.inf, "[)")
     if mode == "finite":
-        evaluate = _finite(L_km, N, src, ch, sec, spec)
-    else:
-        ch_L = replace(ch, L_km=float(L_km))
-
-        def evaluate(mu, _ppes, _incumbent):
-            yield 0, asymptotic_rate(replace(src, mu=mu), ch_L, f_EC=sec.f_EC), None
-
-    rate, mu, p_pe, res = _grid_search(evaluate, spec.resolved_mu_bounds(src), spec)
+        search = _Finite(L_km, N, src, ch, sec, spec)
+    else:  # mu only: a p_pe axis of one point
+        search = _Asymptotic(L_km, src, ch, sec)
+        spec = replace(spec, coarse_points=(spec.coarse_points[0], 1),
+                       refine_points=(spec.refine_points[0], 1))
+    rate, mu, p_pe, res = _grid_search(search, spec.resolved_mu_bounds(src), spec)
     if res is None:  # every asymptotic row, and a finite row with no key
         ell = 0.0 if mode == "finite" else math.nan
         return SweepRow(L_km, N, mode, mu, math.nan, math.nan, ell, ell, ell, rate,

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import DegenerateDetector, DivergentSeries, NoConvergence, _within
 
 DEFAULT_REL_TOL = 1e-14
@@ -53,12 +55,20 @@ class SeriesSum(NamedTuple):
 
 
 def photon_prob(src: SourceModel, n: int) -> float:
-    """Probability p_n = mu^n / (1+mu)^(n+1) of an n-pair emission."""
+    """Probability p_n = mu^n / (1+mu)^(n+1) of an n-pair emission; of the
+    shape of mu where src.mu is an array."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    mu = src.mu
-    # Evaluated in log space so large n does not overflow before the ratio.
-    return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
+
+    def p(mu):  # in log space, so large n does not overflow before the ratio
+        return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
+
+    if isinstance(src.mu, np.ndarray):
+        # math's exp and log once per distinct mu: numpy's may differ from
+        # them in the last ulp, and a mu array repeats each value per p_pe
+        mus, at = np.unique(src.mu, return_inverse=True)
+        return np.array([p(mu) for mu in mus.tolist()])[at].reshape(src.mu.shape)
+    return p(src.mu)
 
 
 def nontrigger_prob(src: SourceModel, n: int) -> float:

@@ -183,48 +183,58 @@ class TestRunCommand:
         assert not out.exists()
         assert not (tmp_path / "missing").exists()
 
-    @pytest.mark.parametrize("config, args, named", [
-        ("", ["--N", "abc"], "[sweep] Ns = 'abc' "),
-        ("", ["--N", "1e9", "--N", "x"], "[sweep] Ns = '1e9,x' "),
-        ("", ["--sweep", "10:x:5"], "[sweep] distances = '10:x:5' "),
-        ("", ["--sweep", "10,abc"], "[sweep] distances = '10,abc' "),
-        ("", ["--sweep", "0:10"], "[sweep] distances = '0:10' "),
+    @pytest.mark.parametrize("command, config, args, named", [
+        ("run", "", ["--N", "abc"], "[sweep] Ns = 'abc' "),
+        ("run", "", ["--N", "1e9", "--N", "x"], "[sweep] Ns = '1e9,x' "),
+        ("run", "", ["--sweep", "10:x:5"], "[sweep] distances = '10:x:5' "),
+        ("run", "", ["--sweep", "10,abc"], "[sweep] distances = '10,abc' "),
+        ("run", "", ["--sweep", "0:10"], "[sweep] distances = '0:10' "),
         # one x point would read the key at x = 0 alone, not its worst case
-        ("[optimizer]\nx_grid_points = 1\n", ["--sweep", "180"],
+        ("run", "[optimizer]\nx_grid_points = 1\n", ["--sweep", "180"],
          "[optimizer] x_grid_points must be >= 2, got 1"),
-        ("[channel]\neta_B = 0\n", [], "[channel] eta_B must be in (0, 1], got 0.0"),
-        ("[channel]\np_d = 1e-320\n", [],
+        ("run", "[channel]\neta_B = 0\n", [], "[channel] eta_B must be in (0, 1], got 0.0"),
+        ("run", "[channel]\np_d = 1e-320\n", [],
          "[channel] p_d must be 0 or at least 2.2250738585072014e-308, got 1e-320"),
-        ("[source]\nd_A = 1\n", [], "[source] d_A must be in [0, 1), got 1.0"),
-        ("[security]\neps_sec = 0\n", [], "[security] eps_sec must be in (0, 1), got 0.0"),
-        ("", ["--sweep", "50:10:10"],
+        ("run", "[source]\nd_A = 1\n", [], "[source] d_A must be in [0, 1), got 1.0"),
+        ("run", "[security]\neps_sec = 0\n", [],
+         "[security] eps_sec must be in (0, 1), got 0.0"),
+        ("run", "", ["--sweep", "50:10:10"],
          "[sweep] distances = '50:10:10' is not valid: empty distance list (L1 < L0)"),
-        ("", ["--sweep", "20,10"],
+        ("run", "", ["--sweep", "20,10"],
          "[sweep] distances = '20,10' is not valid: distances must be ascending"),
-        ("[sweep]\ndistances = -5,10\n", [],
+        ("run", "[sweep]\ndistances = -5,10\n", [],
          "[sweep] distances = '-5,10' is not valid: distance must be in [0, inf), got -5.0"),
-        ("", ["--N", "0.5"],
+        ("run", "", ["--N", "0.5"],
          "[sweep] Ns = '0.5' is not valid: N must be in [1, inf), got 0.5"),
-        ("", ["--N", "inf"],
+        ("run", "", ["--N", "inf"],
          "[sweep] Ns = 'inf' is not valid: N must be in [1, inf), got inf"),
-        ("[sweep]\nNs = ,\n", [], "[sweep] Ns = ',' is not valid: empty N list"),
-        ("[sweep]\nmode = sideways\n", [], "[sweep] mode = 'sideways' is not valid: "),
-        ("[optimizer]\ncoarse_p_pe = 0\n", [],
+        ("run", "[sweep]\nNs = ,\n", [], "[sweep] Ns = ',' is not valid: empty N list"),
+        ("run", "[sweep]\nmode = sideways\n", [], "[sweep] mode = 'sideways' is not valid: "),
+        ("run", "[optimizer]\ncoarse_p_pe = 0\n", [],
          "[optimizer] coarse_points[1] must be >= 1, got 0"),
-        ("[optimizer]\nmu_min = 0\n", [],
+        ("run", "[optimizer]\nmu_min = 0\n", [],
          "[optimizer] mu bounds must satisfy 0 < min < max, got 0.0, inf"),
+        # an empty path names no file: refused before any row is computed, or
+        # before verify prints its report
+        ("run", "[output]\npath =\n", ["--out", ""],
+         "[output] path = '' is not valid: empty path"),
+        ("verify", "[verify]\npath =\n", ["--out", "", "--trials", "10"],
+         "[verify] path = '' is not valid: empty path"),
     ], ids=["N", "N_second", "sweep_range", "sweep_list", "sweep_two_parts",
             "x_grid_points", "eta_B", "p_d_subnormal", "d_A", "eps_sec",
             "sweep_descending_range", "sweep_descending_list", "sweep_negative",
-            "N_below_1", "N_inf", "N_empty", "mode", "coarse_p_pe", "mu_min"])
-    def test_error_names_its_key(self, tmp_path, capsys, config, args, named):
+            "N_below_1", "N_inf", "N_empty", "mode", "coarse_p_pe", "mu_min",
+            "output_path_empty", "verify_path_empty"])
+    def test_error_names_its_key(self, tmp_path, capsys, command, config, args, named):
         # a refused value names its section and key, or the model field the
         # key sets, and the value; the sweep's list keys give their raw value
-        # too, as every number key does
+        # too, as every number key does.  Nothing is printed to stdout first
         out = tmp_path / "sweep.csv"
-        assert main(["run", "--config", write_config(tmp_path, config),
+        assert main([command, "--config", write_config(tmp_path, config),
                      "--out", str(out)] + args) == 2
-        assert capsys.readouterr().err.startswith("config error: " + named)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: " + named)
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("optimizer", ["", "mu_max = 0.5\n"],

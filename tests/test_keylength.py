@@ -35,6 +35,7 @@ from passivekey.keylength import (
     _minimize_over_x,
     _phase_error_for_class,
     binary_entropy,
+    end_bounds,
     key_lengths,
 )
 from passivekey.phase_error import _phase_error_arrays, solve_omega
@@ -102,25 +103,13 @@ def ell_min(which, src, obs, sec):
 
 
 # _minimize_over_x with each round's bookkeeping as a loop over the
-# (strategy, p_pe) rows, one flat-index read at a time, and the ledger of
-# the kept p_pe sliced from that of all: the reference the array search
-# must equal by repr
-def loop_minimize(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
+# (strategy, p_pe) rows, one flat-index read at a time: the reference the
+# array search must equal by repr
+def loop_minimize(src, obs, N, ppes, sec, lam, grid_points):
     pp = ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
     lo, hi = x_range(src, obs)
     grid = np.linspace(lo, hi, grid_points)
-    kept = range(len(ppes))
-    if incumbent > 0.0:
-        ends = np.broadcast_to(grid[[0, -1]], (2, len(pp), 2))
-        ell = _ell_curves(ends, src, obs, N, pp, sec, lam, ledger)[0]
-        bound = 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
-        kept = np.flatnonzero(bound > incumbent)
-        if not kept.size:
-            return [None] * len(ppes)
-        budget, chi, penalty = ledger
-        pp = pp[kept]
-        ledger = replace(budget, p_pe=pp), chi[:, kept], penalty
     P = len(pp)
     x = np.broadcast_to(grid, (2, P, grid_points))
     best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
@@ -138,10 +127,7 @@ def loop_minimize(src, obs, N, ppes, sec, lam, grid_points, incumbent=0.0):
         if not last:
             x = keylength._windows(np.array(lows)[:, None], np.array(highs)[:, None])
             x = x.reshape(2, P, keylength.X_REFINE_POINTS)
-    pairs = [None] * len(ppes)
-    for k, pair in zip(kept, zip(best[:P], best[P:])):
-        pairs[k] = pair
-    return pairs
+    return list(zip(best[:P], best[P:]))
 
 
 class TestEllCurves:
@@ -287,13 +273,12 @@ class TestKeyLength:
 
     @pytest.mark.parametrize("fn", [
         key_length,
-        lambda src, obs, N, p_pe, sec: key_lengths(src, obs, N, [p_pe], sec,
-                                                   incumbent=1e-9),
-    ], ids=["key_length", "key_lengths_with_incumbent"])
+        lambda src, obs, N, p_pe, sec: end_bounds(src, obs, N, [p_pe], sec),
+    ], ids=["key_length", "end_bounds"])
     def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
         # no gain ratio to bound; the optimizer reads Q_nt = 0 as a row with
-        # no key before it makes any call. The end solve of a pruning call
-        # refuses it as the full search does
+        # no key (bound -inf) before it makes any call. The end solve of the
+        # bound refuses it as the full search does
         with pytest.raises(ZeroGain):
             fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
 
@@ -438,135 +423,44 @@ class TestKeyLengths:
         assert repr(row) == repr(tuple(key_length(src, obs, N, p, sec, grid_points)
                                        for p in p_pe))
 
-    # vacuous points included: at 250 km or N = 1e3 most points have no key
-    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
-           log_N=st.floats(3.0, 18.0),
-           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
-           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]),
-           pick=st.integers(0, 23),
-           scale=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
-    @settings(max_examples=150, deadline=None)
-    def test_incumbent_drops_only_what_cannot_beat_it(self, src, mu, L_km, log_N, p_pe,
-                                                      eps_sec, p_d, grid_points, pick,
-                                                      scale):
-        # the incumbent is drawn around the row's rates: a multiple of one
-        # of them, or of one bit's rate 0.5/N where that point has no key.
-        # A dropped p_pe cannot beat it, and a kept one is key_length's result
-        src = replace(src, mu=mu)
-        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
-        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
-        N = 10.0 ** log_N
-        want = [key_length(src, obs, N, p, sec, grid_points) for p in p_pe]
-        rate = want[pick % len(want)].rate
-        incumbent = scale * (rate if rate > 0.0 else 0.5 / N)
-        row = key_lengths(src, obs, N, np.array(p_pe), sec, grid_points, incumbent)
-        assert len(row) == len(p_pe)
-        for got, res in zip(row, want):
-            if got is None:
-                assert res.rate <= incumbent
-            else:
-                assert repr(got) == repr(res)
-
     # p_d = e_d = 0 gives x_range (0, 0): every window is one point repeated
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=0, max_size=24),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-150]),
-           dark=st.booleans(), grid_points=st.sampled_from([2, 10, 200]),
-           pick=st.integers(0, 23),
-           scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
+           dark=st.booleans(), grid_points=st.sampled_from([2, 10, 200]))
     # at 181 km T's ell is flat at the top of x_range (e_p_t = 0.5, no
     # vacuum credit): a later round ties the minimum and must not move it
     @example(mu=0.5, L_km=181.0, log_N=13.0, p_pe=[0.5], eps_sec=1e-6, dark=True,
-             grid_points=2, pick=0, scale=0.0)
+             grid_points=2)
     @settings(max_examples=150, deadline=None)
     def test_array_search_is_the_row_loop(self, src, mu, L_km, log_N, p_pe, eps_sec,
-                                          dark, grid_points, pick, scale):
-        # the incumbent is 0 or a multiple of one row's rate (one bit's rate
-        # 0.5/N where that row has no key, or where there is no row)
+                                          dark, grid_points):
         src = replace(src, mu=mu)
         ch = make_channel(L_km)
         obs = simulate_observables(src, ch if dark else replace(ch, p_d=0.0, e_d=0.0))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
-        lam = _leakage(obs, N, sec.f_EC)
-        ppes = np.array(p_pe, dtype=float)
-        want = loop_minimize(src, obs, N, ppes, sec, lam, grid_points)
-        assert repr(_minimize_over_x(src, obs, N, ppes, sec, lam, grid_points)) == repr(want)
-        rate = 0.5 / N
-        if want:
-            (ell_t, *_), (ell_b, *_) = want[pick % len(want)]
-            rate = 0.5 * math.floor(max(ell_t, ell_b, 0.0)) / N or rate
-        args = src, obs, N, ppes, sec, lam, grid_points, scale * rate
-        assert repr(_minimize_over_x(*args)) == repr(loop_minimize(*args))
+        args = src, obs, N, np.array(p_pe, dtype=float), sec, _leakage(obs, N, sec.f_EC)
+        assert repr(_minimize_over_x(*args, grid_points)) == repr(
+            loop_minimize(*args, grid_points))
 
-    @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
+    @pytest.mark.parametrize("fn", [key_lengths, end_bounds], ids=["searched", "bounded"])
     @pytest.mark.parametrize("ppes", [0.5, np.array([[0.3, 0.5]])], ids=["float", "2-D"])
-    def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes, incumbent):
+    def test_p_pe_axis_must_be_1d(self, src, obs, sec, ppes, fn):
         # a float has no axis to search, and a 2-D array would give a 2-D
         # tensor of results where the optimizer reads a row; refused before
         # the ends are solved too
         with pytest.raises(ValueError, match="p_pe"):
-            key_lengths(src, obs, 1e9, ppes, sec, incumbent=incumbent)
+            fn(src, obs, 1e9, ppes, sec)
 
-    @pytest.mark.parametrize("incumbent", [0.0, 1e-9], ids=["searched", "pruned"])
-    def test_empty_p_pe_axis_gives_no_results(self, src, obs, sec, incumbent):
-        # no p_pe, no result, on either path: no p_pe is kept, so no x round
-        # runs (the pruned path solves the ends of none first)
-        assert key_lengths(src, obs, 1e9, [], sec, incumbent=incumbent) == ()
-
-    @pytest.mark.parametrize("L_km, N, p_pe", [(50.0, 1e9, 0.5), (120.0, 1e13, 0.9),
-                                                (250.0, 1e9, 0.5)])
-    def test_drops_at_the_end_bound(self, src, sec, L_km, N, p_pe):
-        # the bound is each strategy's ell at the two ends of x_range, the
-        # larger of the two strategies' smaller end, floored, as a rate: no
-        # slack, so an incumbent at the bound drops the point and one a step
-        # below keeps it; 250 km has no key
-        obs = simulate_observables(src, make_channel(L_km))
-        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
-        pp = np.array([[p_pe]])
-        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
-                              _ledger(src, obs, N, pp, sec))
-        ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
-        bound = 0.5 * math.floor(max(ell_t.min(), ell_b.min(), 0.0)) / N
-        res = key_length(src, obs, N, p_pe, sec)
-        assert res.rate <= bound
-        drop = bound if bound > 0.0 else math.ulp(0.0)
-        assert key_lengths(src, obs, N, [p_pe], sec, incumbent=drop) == (None,)
-        if bound > 0.0:
-            kept, = key_lengths(src, obs, N, [p_pe], sec,
-                                incumbent=math.nextafter(bound, 0.0))
-            assert repr(kept) == repr(res)
-
-    @pytest.mark.parametrize("incumbent, kept", [(0.0, 2), (1.0, 0), (math.ulp(0.0), 2)],
-                             ids=["none", "all_dropped", "all_kept"])
-    def test_the_ends_are_solved_first(self, monkeypatch, src, obs, sec, incumbent,
-                                       kept):
-        # x tensors handed to _ell_curves: with no incumbent, the whole
-        # first round and the refinement rounds; with one, the two ends of
-        # every p_pe, then the same rounds for those kept, and nothing more
-        # once none is kept (no rate is above 1)
-        shapes = []
-
-        def logged(x, *args):
-            shapes.append(x.shape)
-            return _ell_curves(x, *args)
-
-        monkeypatch.setattr(keylength, "_ell_curves", logged)
-        ppes = [0.3, 0.5]
-        row = key_lengths(src, obs, 1e9, ppes, sec, incumbent=incumbent)
-        refine = [(2, kept, keylength.X_REFINE_POINTS)] * X_REFINE_ROUNDS
-        if not incumbent:
-            assert shapes == [(2, 2, X_GRID_POINTS)] + refine
-        elif not kept:
-            assert shapes == [(2, 2, 2)]
-        else:
-            assert shapes == [(2, 2, 2), (2, kept, X_GRID_POINTS)] + refine
-        assert sum(res is not None for res in row) == kept
-        if kept:
-            assert repr(row) == repr(tuple(key_length(src, obs, 1e9, p, sec)
-                                           for p in ppes))
+    @pytest.mark.parametrize("fn, want", [(key_lengths, "()"),
+                                          (end_bounds, "array([], dtype=float64)")],
+                             ids=["searched", "bounded"])
+    def test_empty_p_pe_axis_gives_no_results(self, src, obs, sec, fn, want):
+        # no p_pe, no result, from either call: every round runs on an empty
+        # tensor
+        assert repr(fn(src, obs, 1e9, [], sec)) == want
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 0.0), (0.0, 1e-3), (2.5e-3, 2.75e-3), (0.1, 0.1 + 1e-300),
@@ -582,6 +476,117 @@ class TestKeyLengths:
         column = keylength._windows(np.array([[lo], [0.0]]), np.array([[hi], [1.0]]))
         assert column[0].tobytes() == want.tobytes()
         assert column[1].tobytes() == np.linspace(0.0, 1.0, 50).tobytes()
+
+
+def logged_curves(mp):
+    """Patch keylength._ell_curves with a wrapper that records (x, curves)
+    of each call, in order."""
+    calls = []
+
+    def logged(x, *args):
+        calls.append((x, _ell_curves(x, *args)))
+        return calls[-1][1]
+
+    mp.setattr(keylength, "_ell_curves", logged)
+    return calls
+
+
+class TestEndBounds:
+    """end_bounds bounds key_length's rate from the two ends of x_range, as
+    one tensor over many (mu, p_pe) points."""
+
+    # vacuous points included: at 250 km or N = 1e3 most points have no key
+    @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
+           log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_is_at_least_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec,
+                                        p_d, grid_points):
+        # so a point whose bound is below a rate held, or equal to it, cannot
+        # beat that rate
+        src = replace(src, mu=mu)
+        obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        bound = end_bounds(src, obs, N, np.array(p_pe), sec)
+        assert bound.shape == (len(p_pe),)
+        for b, p in zip(bound.tolist(), p_pe):
+            assert key_length(src, obs, N, p, sec, grid_points).rate <= b
+
+    @pytest.mark.parametrize("L_km, N, p_pe, at_an_end", [
+        (50.0, 1e9, 0.5, True), (120.0, 1e13, 0.9, False), (250.0, 1e9, 0.5, True)])
+    def test_the_bound_is_the_floor_of_the_ends(self, src, sec, L_km, N, p_pe,
+                                                at_an_end):
+        # the bound is each strategy's ell at the two ends of x_range, the
+        # larger of the two strategies' smaller end, floored, as a rate: no
+        # slack, so a point whose minimum over x lies at an end has its
+        # rate as its bound (the walk's equality edge); 250 km has no key
+        obs = simulate_observables(src, make_channel(L_km))
+        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
+        pp = np.array([[p_pe]])
+        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
+                              _ledger(src, obs, N, pp, sec))
+        ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
+        bound = 0.5 * math.floor(max(ell_t.min(), ell_b.min(), 0.0)) / N
+        assert end_bounds(src, obs, N, [p_pe], sec).tolist() == [bound]
+        res = key_length(src, obs, N, p_pe, sec)
+        assert res.rate <= bound
+        assert (res.rate == bound) == at_an_end
+
+    # p_d = 0 included; a subnormal-free channel keeps Q_nt > 0 to 250 km
+    @given(mus=st.lists(st.floats(0.01, 0.98), min_size=1, max_size=6),
+           L_km=st.floats(0.0, 250.0), log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-30, 1e-150]),
+           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 10, 200]))
+    @settings(max_examples=60, deadline=None)
+    def test_the_walk_tensor_is_each_rows_bits(self, src, mus, L_km, log_N, p_pe,
+                                               eps_sec, p_d, grid_points):
+        # the optimizer's walk takes every (mu, p_pe) point at once, the
+        # observables of each mu row as columns over the points: each point
+        # gets the bits of its row's own observables and end solve, and of
+        # the ends of its key_lengths search's first x round
+        ch = replace(make_channel(L_km), p_d=p_d)
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        rows = [replace(src, mu=mu) for mu in mus]
+        column = np.repeat(mus, len(p_pe))[:, None]
+        src_col = replace(src, mu=column)
+        obs_col = simulate_observables(src_col, ch)
+        obs_rows = [simulate_observables(row, ch) for row in rows]
+        for name in ("Q_t", "Q_nt", "E_t", "E_nt"):
+            want = np.repeat([getattr(obs, name) for obs in obs_rows], len(p_pe))
+            assert getattr(obs_col, name).ravel().tobytes() == want.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = logged_curves(mp)
+            tensor = end_bounds(src_col, obs_col, N, np.tile(p_pe, len(mus)), sec)
+            (_, ends), = calls
+            calls.clear()
+            per_row = [end_bounds(row, obs, N, p_pe, sec) for row, obs in zip(rows, obs_rows)]
+            assert tensor.tobytes() == np.concatenate(per_row).tobytes()
+            calls.clear()
+            for row, obs in zip(rows, obs_rows):
+                key_lengths(row, obs, N, p_pe, sec, grid_points)
+            first_rounds = calls[::X_REFINE_ROUNDS + 1]
+        P = len(p_pe)
+        for k, (_, curves) in enumerate(first_rounds):
+            for at_ends, first in zip(ends, curves):
+                assert at_ends[:, k * P:(k + 1) * P].tobytes() == first[..., [0, -1]].tobytes()
+
+    @pytest.mark.parametrize("ppes", [[], [0.5], [0.3, 0.5, 0.7]],
+                             ids=["none", "one", "three"])
+    def test_one_solve_of_the_ends(self, monkeypatch, src, obs, sec, ppes):
+        # x tensors handed to _ell_curves: end_bounds solves the two ends of
+        # every point once; a key_lengths search runs the whole first round
+        # and the refinement rounds, with no solve of the ends of its own
+        calls = logged_curves(monkeypatch)
+        end_bounds(src, obs, 1e9, ppes, sec)
+        key_lengths(src, obs, 1e9, ppes, sec)
+        P = len(ppes)
+        refine = [(2, P, keylength.X_REFINE_POINTS)] * X_REFINE_ROUNDS
+        assert [x.shape for x, _ in calls] == [(2, P, 2), (2, P, X_GRID_POINTS)] + refine
 
 
 class TestEpsilonLedger:

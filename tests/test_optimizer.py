@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from passivekey import keylength, optimizer
 from passivekey import (
@@ -15,6 +17,7 @@ from passivekey import (
     DegenerateDetector,
     Observables,
     OptimizationSpec,
+    SecurityBudget,
     SourceModel,
     max_distance,
     optimize_rate,
@@ -342,24 +345,32 @@ class TestSweep:
 
     def test_equal_p_pe_bounds_are_one_point(self, src, sec, monkeypatch):
         # an axis whose ends are equal is one p_pe value in every mu row of
-        # the walk, and gives the row sweep_point gives
-        original = optimizer._finite
-        axes = []
+        # the walk: every point searched is at p_pe = 0.7, the coarse walk
+        # holds 4 points and a refinement walk 3, and the result is the row
+        # sweep_point gives
+        original = optimizer._walk
+        grids, searched = [], []
 
-        def finite(*args):
-            evaluate = original(*args)
+        def walk(mode, mu_ends, pp_ends, points, *args, **kwargs):
+            grids.append((pp_ends, points))
+            return original(mode, mu_ends, pp_ends, points, *args, **kwargs)
 
-            def recording(mu, ppes, incumbent):
-                axes.append(ppes.tolist())
-                return evaluate(mu, ppes, incumbent)
+        def key_lengths(src, obs, N, ppes, *args):
+            searched.extend(ppes.tolist())
+            return keylength.key_lengths(src, obs, N, ppes, *args)
 
-            return recording
+        def key_length(src, obs, N, p_pe, *args, **kwargs):
+            searched.append(p_pe)
+            return keylength.key_length(src, obs, N, p_pe, *args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "_finite", finite)
+        monkeypatch.setattr(optimizer, "_walk", walk)
+        monkeypatch.setattr(optimizer, "key_lengths", key_lengths)
+        monkeypatch.setattr(optimizer, "key_length", key_length)
         grid = dict(coarse_points=(4, 24), refine_rounds=1, refine_points=(3, 7))
         opt = optimize_rate(50.0, 1e9, src, make_channel(0.0), sec,
                             OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
-        assert axes == [[0.7]] * (4 + 3)
+        assert grids == [((0.7, 0.7), (4, 24)), ((0.7, 0.7), (3, 7))]
+        assert searched and set(searched) == {0.7}
         row = sweep_point(50.0, 1e9, "finite", src, make_channel(0.0), sec,
                           OptimizationSpec(p_pe_bounds=(0.7, 0.7), **grid))
         assert (opt.rate, opt.mu, opt.p_pe) == (row.rate, row.mu_opt, row.p_pe_opt)
@@ -368,22 +379,70 @@ class TestSweep:
 def counting(monkeypatch, *names):
     """Patch each optimizer.<name> with a wrapper that counts its calls.
 
-    calls["points"] counts the points evaluated: one for a key_length call,
-    one per result of key_lengths that is not None (a p_pe it searched).
+    calls["points"] counts the points searched: one for a key_length call,
+    one per result of key_lengths (a p_pe it searched).
     """
     calls = Counter()
     for name in names:
         def wrapper(*args, _name=name, _f=getattr(optimizer, name), **kwargs):
             calls[_name] += 1
             out = _f(*args, **kwargs)
-            if _name == "key_length":
-                calls["points"] += 1
-            elif _name == "key_lengths":
-                calls["points"] += sum(res is not None for res in out)
+            calls["points"] += 1 if _name == "key_length" else len(out)
             return out
 
         monkeypatch.setattr(optimizer, name, wrapper)
     return calls
+
+
+def exhaustive_walk(mode, mu_ends, pp_ends, points, best=optimizer._NO_KEY,
+                    first=False):
+    """_walk with nothing skipped: every point of the grid searched, one
+    mode.search call per mu row (a row with no nontriggered gain, which has
+    no key, left out), and the first point in walk order whose rate is
+    strictly above the best so far replaces it.  The reference the
+    best-first walk must equal by repr."""
+    mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
+                 for (lo, hi), k in zip((mu_ends, pp_ends), points))
+    if isinstance(mode, optimizer._Asymptotic):
+        ppes = ppes[:1]
+    for mu in mus.tolist():
+        if isinstance(mode, optimizer._Finite):
+            s = replace(mode.src, mu=mu)
+            if optimizer.simulate_observables(s, mode.L_ch).Q_nt == 0:
+                continue
+            found = mode.search(mu, ppes, None)
+        elif isinstance(mode, optimizer._Asymptotic):
+            found = [(mode._rate(mu), None)]
+        else:
+            found = mode.search(mu, ppes, None)
+        for p_pe, (rate, payload) in zip(ppes.tolist(), found):
+            if rate > best[0]:
+                best = rate, mu, p_pe, payload
+                if first:
+                    return best
+    return best
+
+
+class TableMode:
+    """Rates of the grid (0.1, 0.9) x (0.2, 0.8) of shape points, mu-major,
+    from a table of (rate, slack): each point's bound is its rate plus its
+    slack, and its payload its (mu, p_pe)."""
+
+    def __init__(self, shape, table):
+        mus, ppes = (np.linspace(lo, hi, k).tolist() for (lo, hi), k in
+                     zip(((0.1, 0.9), (0.2, 0.8)), shape))
+        self.table = dict(zip(((mu, p) for mu in mus for p in ppes), table))
+
+    def row(self, mu, ppes):
+        for j, p in enumerate(ppes.tolist()):
+            yield j, self.table[mu, p][0], (mu, p)
+
+    def bounds(self, mus, r, pps):
+        return np.array([sum(self.table[mu, p]) for mu, p in
+                         zip(mus[r].tolist(), pps.tolist())])
+
+    def search(self, mu, pps, _bounds):
+        return [(self.table[mu, p][0], (mu, p)) for p in pps.tolist()]
 
 
 # (spec, L_km, N) of the pruning tests: keyed and vacuous rows, near reach
@@ -396,7 +455,7 @@ WALKS = pytest.mark.parametrize("spec, L_km, N", [
 
 
 def searched(monkeypatch, src, sec, spec, L_km, N):
-    """(sweep_point row, optimize_rate result or None, points evaluated), with
+    """(sweep_point row, optimize_rate result or None, points searched), with
     every patch made before the call undone after it."""
     calls = counting(monkeypatch, "key_length", "key_lengths")
     row = sweep_point(L_km, N, "finite", src, make_channel(0.0), sec, spec)
@@ -409,17 +468,13 @@ def searched(monkeypatch, src, sec, spec, L_km, N):
 
 
 class TestPruning:
-    """Points whose x_range ends show they cannot beat the incumbent are skipped."""
+    """Points whose bound shows they cannot replace the best are skipped."""
 
     @WALKS
-    def test_results_match_the_unpruned_walk(self, monkeypatch, src, sec, spec,
-                                             L_km, N):
+    def test_results_match_the_exhaustive_walk(self, monkeypatch, src, sec, spec,
+                                               L_km, N):
         *pruned, pruned_points = searched(monkeypatch, src, sec, spec, L_km, N)
-        # no pruning: every row's key_lengths call with incumbent 0
-        monkeypatch.setattr(
-            optimizer, "key_lengths",
-            lambda src, obs, N, ppes, sec, grid_points, incumbent: keylength.key_lengths(
-                src, obs, N, ppes, sec, grid_points))
+        monkeypatch.setattr(optimizer, "_walk", exhaustive_walk)
         *full, full_points = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(pruned) == repr(full)  # every field, nan included
         if full[0].status == "ok":
@@ -428,18 +483,75 @@ class TestPruning:
             assert pruned_points == full_points
 
     @WALKS
-    def test_results_match_a_per_point_walk(self, monkeypatch, src, sec, spec,
-                                            L_km, N):
-        # a row's one key_lengths call gives what a call per point, against
-        # the same incumbent, gives
+    def test_results_match_a_per_point_search(self, monkeypatch, src, sec, spec,
+                                              L_km, N):
+        # a batch's key_lengths call on a row's points gives what a call per
+        # point gives
         *rows, _ = searched(monkeypatch, src, sec, spec, L_km, N)
         monkeypatch.setattr(
             optimizer, "key_lengths",
-            lambda src, obs, N, ppes, sec, grid_points, incumbent: tuple(
-                keylength.key_lengths(src, obs, N, [p], sec, grid_points, incumbent)[0]
+            lambda src, obs, N, ppes, sec, grid_points: tuple(
+                keylength.key_lengths(src, obs, N, [p], sec, grid_points)[0]
                 for p in ppes))
         *per_point, _ = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(rows) == repr(per_point)
+
+    # small grids, pinned p_pe, x grids of 2 points and eps_sec down to
+    # 1e-150; the walk is handed no key, or a multiple of one grid point's
+    # rate with that point's place and result
+    @given(points=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           refine=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           rounds=st.integers(0, 2), pinned=st.booleans(),
+           x_grid=st.sampled_from([2, 10, 60]), L_km=st.floats(0.0, 220.0),
+           log_N=st.floats(5.0, 16.0), eps_sec=st.sampled_from([1e-6, 1e-10, 1e-150]),
+           asymptotic=st.booleans(), pick=st.integers(0, 63),
+           scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.9, 1.1))
+    # the tie: the walk is handed a key at its own first point (mu_lo, p_pe_lo),
+    # as a refinement rectangle clipped at the bounds repeats the incumbent's
+    @example(points=(3, 3), refine=(3, 3), rounds=1, pinned=False, x_grid=10, L_km=50.0,
+             log_N=9.0, eps_sec=1e-10, asymptotic=False, pick=0, scale=1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_best_first_is_the_exhaustive_walk(self, src, points, refine, rounds,
+                                               pinned, x_grid, L_km, log_N, eps_sec,
+                                               asymptotic, pick, scale):
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        spec = OptimizationSpec(coarse_points=points, refine_rounds=rounds,
+                                refine_points=refine, x_grid_points=x_grid,
+                                p_pe_bounds=(0.7, 0.7) if pinned else (0.01, 0.99))
+        ch = make_channel(0.0)
+        mode = (optimizer._Asymptotic(L_km, src, ch, sec) if asymptotic
+                else optimizer._Finite(L_km, N, src, ch, sec, spec))
+        grid = spec.resolved_mu_bounds(src), spec.p_pe_bounds, spec.coarse_points
+        mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1).tolist()
+                     for (lo, hi), k in zip(grid[:2], points))
+        mu, p_pe = mus[pick % len(mus)], ppes[pick % len(ppes)]
+        held = exhaustive_walk(mode, (mu, mu), (p_pe, p_pe), (1, 1))
+        best = (scale * held[0], *held[1:]) if held[0] > 0.0 else optimizer._NO_KEY
+        assert repr(optimizer._walk(mode, *grid, best)) == repr(
+            exhaustive_walk(mode, *grid, best))
+        got = optimizer._grid_search(mode, grid[0], spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_walk", exhaustive_walk)
+            assert repr(got) == repr(optimizer._grid_search(mode, grid[0], spec))
+
+    # rates of a few values, so that distinct points tie, and bounds at or
+    # above them; the walk is handed no key or a rate with no point.  Small
+    # batches put a point in a later batch than a tie later in walk order
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           table=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                    st.sampled_from([0.0, 0.0, 0.5, 2.0])),
+                          min_size=36, max_size=36),
+           held=st.sampled_from([0.0, 1.0, 2.0, 3.0]), batch=st.sampled_from([1, 2, 8]))
+    @settings(max_examples=300, deadline=None)
+    def test_ties_keep_the_first_point_in_walk_order(self, shape, table, held, batch):
+        mode = TableMode(shape, table)
+        best = (held, math.nan, math.nan, "held") if held else optimizer._NO_KEY
+        grid = (0.1, 0.9), (0.2, 0.8), shape
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "BATCH", batch)
+            assert repr(optimizer._walk(mode, *grid, best)) == repr(
+                exhaustive_walk(mode, *grid, best))
 
     def test_nothing_pruned_before_the_first_key(self, monkeypatch, src, sec):
         calls = counting(monkeypatch, "key_length", "key_lengths")
@@ -463,13 +575,13 @@ class TestPruning:
             optimize_rate(L_km, 1e9, src, ch, sec, spec)
         assert calls == Counter()
 
-    def test_one_key_lengths_call_per_mu_row(self, monkeypatch, src, sec):
-        # the default grid at 50 km, N = 1e9: 24 coarse mu rows and 3 rounds
-        # of 7 refinement rows; points before the first key get a key_length
-        # call each, and from there every row makes one key_lengths call,
-        # which searches only the points its x_range ends do not drop
+    def test_calls_of_the_headline_op(self, monkeypatch, src, sec):
+        # the default grid at 50 km, N = 1e9: 24 x 24 coarse points and 3
+        # rounds of 7 x 7; the 3 points before the first key get a
+        # key_length call each, and from there the walks search, in batches
+        # of BATCH, only the points whose end bounds can still win: 22
+        # points in 5 key_lengths calls
         calls = counting(monkeypatch, "key_length", "key_lengths")
         optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
-        spec = OptimizationSpec()
-        assert spec.coarse_points[0] + spec.refine_rounds * spec.refine_points[0] == 45
-        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 45, 158)
+        assert optimizer.BATCH == 8
+        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 5, 22)
