@@ -186,7 +186,10 @@ def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:
     d0 = delta_n(src, 0)
     delta = overall_delta(obs)
     first = 2.0 * obs.E_t * delta / d0 if d0 > 0 else math.inf
-    return (0.0, np.minimum(first, 2.0 * obs.E_nt))
+    second = 2.0 * obs.E_nt
+    # floats stay floats: np.linspace is slower on numpy scalars
+    return (0.0, np.minimum(first, second) if isinstance(second, np.ndarray)
+            else min(first, second))
 
 
 def asymptotic_q1_nt(x: float, src: SourceModel, obs: Observables) -> float:

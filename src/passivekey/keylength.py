@@ -77,6 +77,7 @@ ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = np.array([[10.0, 6.0, 0.0, 2.0], [15.0, 12.0, 1.0, 4.0]])  # s, a, b, c; T, B
 # the nontriggered class's credit in each strategy's row: none in T's, all in B's
 _NT_CREDIT = np.array([0.0, 1.0])[:, None, None]
+_NT_CREDITED = _NT_CREDIT > 0.0
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
     vac = np.maximum(b.q0_t_lb + obs.Q_nt * x * _NT_CREDIT, 0.0)
     gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
     gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt) * _NT_CREDIT
-    leak_nt = np.where(_NT_CREDIT > 0.0, lam_nt, 0.0)  # not lam_nt * 0: inf * 0 is nan
+    leak_nt = np.where(_NT_CREDITED, lam_nt, 0.0)  # not lam_nt * 0: inf * 0 is nan
     with np.errstate(over="ignore"):  # lam_t + lam_nt past the double range: -inf, no key
         return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -135,22 +136,26 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
         found, best = next(keyed, (found, best))
         if found < 0 or first:
             return best
-    i = np.arange(found + 1, mus.size * J)  # the points left, in walk order
-    r, pps = i // J, ppes[i % J]
-    bound = mode.bounds(mus, r, pps)
+    start = found + 1  # the points left are the walk indices start + k
+    left = np.arange(start, mus.size * J)
+    bound = mode.bounds(mus, left // J, ppes[left % J]).tolist()
     while True:
-        live = np.flatnonzero((bound > best[0]) | ((bound == best[0]) & (i < found)))
-        if not live.size:
+        live = [k for k, b in enumerate(bound)
+                if b > best[0] or (b == best[0] and start + k < found)]
+        if not live:
             return best
-        batch = np.sort(live[np.argsort(-bound[live], kind="stable")[:BATCH]])
-        for row in np.unique(r[batch]).tolist():
-            at = batch[r[batch] == row]
+        # the BATCH highest bounds, ties in walk order (sorted is stable)
+        batch = sorted(sorted(live, key=bound.__getitem__, reverse=True)[:BATCH])
+        for row, ks in groupby(batch, key=lambda k: (start + k) // J):
+            ks = list(ks)
+            js = [(start + k) % J for k in ks]
             mu = float(mus[row])
-            for n, p_pe, (rate, payload) in zip(i[at].tolist(), pps[at].tolist(),
-                                                mode.search(mu, pps[at], bound[at])):
-                if rate > best[0] or (rate == best[0] and n < found):
-                    best, found = (rate, mu, p_pe, payload), n
-        bound[batch] = -math.inf
+            for k, j, (rate, payload) in zip(ks, js, mode.search(
+                    mu, ppes[js], [bound[k] for k in ks])):
+                if rate > best[0] or (rate == best[0] and start + k < found):
+                    best, found = (rate, mu, float(ppes[j]), payload), start + k
+        for k in batch:
+            bound[k] = -math.inf
 
 
 def _grid_search(mode, mu_bounds, spec: OptimizationSpec):
@@ -237,13 +242,11 @@ class _Asymptotic:
         yield 0, self._rate(mu), None
 
     def bounds(self, mus, r, _pps):
-        rows = np.unique(r)
-        rates = np.zeros(len(mus))
-        rates[rows] = [self._rate(mu) for mu in mus[rows].tolist()]
-        return rates[r]
+        rates = {row: self._rate(float(mus[row])) for row in dict.fromkeys(r.tolist())}
+        return np.array([rates[row] for row in r.tolist()])
 
     def search(self, _mu, _pps, bounds):
-        return [(rate, None) for rate in bounds.tolist()]
+        return [(rate, None) for rate in bounds]
 
 
 def optimize_rate(
