@@ -353,6 +353,6 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
     b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)  # one x row: chi = 0 for T and B alike
     h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
-    ell = _ell(xs, obs, b, h_t, h_nt, 1.0, _leakage(obs, 1.0, f_EC), 0.0)
+    ell = _ell(xs, obs, b, h_t, h_nt, 1.0, tuple(map(float, _leakage(obs, 1.0, f_EC))), 0.0)
     ell_t, ell_b = ell[:, 0].min(axis=1).tolist()
     return max(ell_t, ell_b, 0.0) / 2.0
