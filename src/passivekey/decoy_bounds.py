@@ -174,11 +174,15 @@ def evaluate_bounds(
     budget: SampleBudget,
     obs: Observables,
     chi: float | None = None,
+    chi01: tuple[float, float] | None = None,
 ) -> SinglePhotonBounds:
-    """All raw bound values at x (scalar or array); chi defaults to chi_total."""
+    """All raw bound values at x (scalar or array); chi defaults to chi_total
+    and chi01, the pair (chi0, chi1), to chi_term's at orders 0 and 1."""
     if chi is None:
         chi = chi_total(src, budget, obs)
-    return _bounds(x, src, obs, chi, chi_term(src, budget, 0), chi_term(src, budget, 1))
+    if chi01 is None:
+        chi01 = chi_term(src, budget, 0), chi_term(src, budget, 1)
+    return _bounds(x, src, obs, chi, *chi01)
 
 
 def x_range(src: SourceModel, obs: Observables) -> tuple[float, float]:

@@ -15,14 +15,14 @@ feeds them and the phase-error bound to it, and ``_minimize_over_x`` takes
 the worst case of every (strategy, p_pe) row, with the bound values there,
 each round for all rows at once; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
-``R = ell / (2 N)``.  ``key_lengths`` runs that search for every p_pe of a
-mu row at once, as one (strategy, p_pe, x) tensor a round, and
-``key_length`` is its one-p_pe case.  ``end_bounds`` bounds the rate at
-many (mu, p_pe) points at once from the two ends of x_range alone, as one
-(strategy, point, 2) tensor whose mu-dependent inputs are columns over the
-points; the optimizer's walk searches only the points it cannot rule out
-with it.  The asymptotic rate is the same expression with chi = 0, N = 1,
-no penalty and e_p the raw error bound.
+``R = ell / (2 N)``.  ``key_lengths`` runs that search for many points at
+once, one (strategy, point, x) tensor a round: the p_pe of one mu row, or
+(mu, p_pe) points whose mu-dependent inputs are (point, 1) columns, and
+``key_length`` is its one-point case.  ``end_bounds`` bounds the rate at
+such points from the two ends of x_range alone; the optimizer's walk
+searches, one ``key_lengths`` call a batch, only the points it cannot rule
+out with it.  The asymptotic rate is the same expression with chi = 0,
+N = 1, no penalty and e_p the raw error bound.
 
 Epsilon ledger (``_EPS_LEDGER``), after the uncertainty-principle analysis
 of Tomamichel, Lim, Gisin and Renner (Nat. Commun. 3, 634, 2012): a
@@ -33,8 +33,8 @@ strategy splits eps_sec into s shares and pays
     T         10    6   0   2   eps_sec/10 each      eps_sec, 1 class
     B         15   12   1   4   eps_sec/15 each      eps_sec, 2 classes
 
-chi goes through ``chi_low_orders`` and chi0, chi1 through ``chi_term`` in
-``evaluate_bounds``, all at eps_pe = eps_sec/s; e_p goes through
+chi goes through ``chi_low_orders`` and chi0, chi1 through ``chi_term``, all
+at eps_pe = eps_sec/s and once a call, in ``_ledger``; e_p goes through
 ``_phase_error_arrays`` at the full eps_sec (tail target eps_sec^2/16), not
 at a share; error verification fails with probability eps_cor.
 
@@ -62,6 +62,7 @@ from .decoy_bounds import (
     SampleBudget,
     _bounds,
     chi_low_orders,
+    chi_term,
     evaluate_bounds,
     x_range,
 )
@@ -72,7 +73,6 @@ from .photonics import SourceModel
 X_GRID_POINTS = 200
 X_REFINE_ROUNDS = 2
 X_REFINE_POINTS = 50
-_REFINE_T = np.arange(X_REFINE_POINTS, dtype=float)  # the steps of a refinement window
 ASYMPTOTIC_GRID_POINTS = 400
 _EPS_LEDGER = np.array([[10.0, 6.0, 0.0, 2.0], [15.0, 12.0, 1.0, 4.0]])  # s, a, b, c; T, B
 # the nontriggered class's credit in each strategy's row: none in T's, all in B's
@@ -168,17 +168,17 @@ def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
 
 
 def _ledger(src, obs, N, p_pe, sec):
-    """(sample budget, chi, epsilon penalty) of both strategies from ``_EPS_LEDGER``.
+    """(sample budget, chi, (chi0, chi1), penalty) of both strategies from ``_EPS_LEDGER``.
 
     The budget carries each strategy's share eps_sec/s as a (strategy, 1, 1)
-    column, at which chi (and chi0, chi1 in ``evaluate_bounds``) is taken;
-    none of them depends on x, and chi has shape (strategy, p_pe, 1) for a
-    (p_pe, 1) column p_pe (src.mu and obs' fields one row's, or columns of
-    the same shape).
+    column, at which chi, chi0 and chi1 are taken; none of them depends on x,
+    and each has shape (strategy, p_pe, 1) for a (p_pe, 1) column p_pe
+    (src.mu and obs' fields one row's, or columns of the same shape).
     """
     s, a, b, c = _EPS_LEDGER.T[:, :, None, None]  # (strategy, 1, 1) columns
     budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
     return (budget, chi_low_orders(src, budget, obs),
+            (chi_term(src, budget, 0), chi_term(src, budget, 1)),
             a * np.log2(s / sec.eps_sec) + b + np.log2(c / sec.eps_cor))
 
 
@@ -189,12 +189,11 @@ def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
 
     p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe;
     src.mu, obs' fields and lam are one mu row's, or (P, 1) columns of the
-    mu of each p_pe (``end_bounds``).  e_p comes from one phase-error solve
-    of T's triggered class and B's two classes; T's e_p_nt is nan, a class
-    it does not credit.
+    mu of each p_pe.  e_p comes from one phase-error solve of T's triggered
+    class and B's two classes; T's e_p_nt is nan, a class it does not credit.
     """
-    budget, chi, penalty = ledger
-    b = evaluate_bounds(x, src, budget, obs, chi=chi)
+    budget, chi, chi01, penalty = ledger
+    b = evaluate_bounds(x, src, budget, obs, chi=chi, chi01=chi01)
     q1 = np.stack([b.q1_t_lb, b.q1_nt_lb])
     q1[1, 0] = 0.0  # no solve for T's nontriggered class, which T does not credit
     e_p = _phase_error_for_class(q1, np.stack([b.w_t, b.w_nt]), N, p_pe, sec.eps_sec)
@@ -203,17 +202,18 @@ def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
     return [_ell(x, obs, b, h_t, h_nt, N, lam, penalty), b.zeta, b.w_t, b.w_nt, *e_p]
 
 
-def _windows(lo, hi):
-    """np.linspace(lo, hi, X_REFINE_POINTS) bit for bit, one row per entry of
-    (rows, 1) columns lo and hi: t * step + lo with the last point hi, and
-    t / div * delta + lo where the step underflows to zero, as np.linspace
-    has it."""
+def _windows(lo, hi, num=X_REFINE_POINTS):
+    """np.linspace(lo, hi, num) bit for bit, one row per entry of (rows, 1)
+    columns lo and hi, or one row of floats: t * step + lo with the last
+    point hi, and t / div * delta + lo where the step underflows to zero, as
+    np.linspace has it."""
+    t = np.arange(num, dtype=float)
     delta = hi - lo
-    step = delta / (X_REFINE_POINTS - 1)
-    x = _REFINE_T * step + lo
+    step = delta / (num - 1)
+    x = t * step + lo
     if np.count_nonzero(step) < np.size(step):
-        x = np.where(step == 0, _REFINE_T / (X_REFINE_POINTS - 1) * delta + lo, x)
-    x[:, -1:] = hi
+        x = np.where(step == 0, t / (num - 1) * delta + lo, x)
+    x[..., -1:] = hi
     return x
 
 
@@ -223,9 +223,10 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     nan for T.
 
     A round is one ``_ell_curves`` call on one (strategy, p_pe, x) tensor:
-    the grid_points linspace of x_range in every row, then X_REFINE_ROUNDS
-    rounds of X_REFINE_POINTS points, one window per row around that row's
-    own minimum.  The ledger terms are built once, before the first round.
+    the grid_points linspace of each p_pe's x_range (src.mu and obs' fields
+    may be (P, 1) columns), then X_REFINE_ROUNDS rounds of X_REFINE_POINTS
+    points, one window per row around that row's own minimum, each row by
+    ``_windows``.  The ledger terms are built once, before the first round.
     Each (strategy, p_pe) row keeps its own minimum, the first of equal
     values, as a single p_pe would: a round takes every row's argmin at
     once, and a row's running best moves only to a strictly lower value.
@@ -235,10 +236,10 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     """
     pp = ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
-    grid = np.linspace(*x_range(src, obs), grid_points)
     P = len(pp)
     rows = np.arange(2 * P)  # T's P rows, then B's
-    x = np.broadcast_to(grid, (rows.size, grid_points))
+    x = np.broadcast_to(_windows(*x_range(src, obs), grid_points),
+                        (2, P, grid_points)).reshape(rows.size, grid_points)
     best = np.full((7, rows.size), math.inf)  # ell, x, zeta, W_t, W_nt, e_p_t, e_p_nt
     for last in [False] * X_REFINE_ROUNDS + [True]:
         vals, *diag = _ell_curves(x.reshape(2, P, x.shape[1]), src, obs, N, pp, sec, lam,
@@ -311,16 +312,17 @@ def key_lengths(
     sec: SecurityBudget,
     grid_points: int = X_GRID_POINTS,
 ) -> tuple[KeyLengthResult, ...]:
-    """key_length at each p_pe of the 1-D array ppes, one result each, from
-    one ``_minimize_over_x`` pass over the (strategy, p_pe, x) tensor of a
-    mu row (the observables, and so x_range, are the row's).  Every result
-    is the one key_length gives at that p_pe, from a first x round of >= 2
-    points."""
+    """key_length at each point (mu, ppes[k]), one result each (its own
+    lambda_EC too), from one ``_minimize_over_x`` pass over one (strategy,
+    point, x) tensor; src.mu and obs' fields are one mu row's floats or, as
+    in ``end_bounds``, (P, 1) columns of each point's mu.  Every result is
+    the one key_length gives at that point, from a first x round of >= 2 points."""
     ppes = _p_pe_axis(ppes)
     grid_points = _count("grid_points", grid_points, 2)
-    lam = tuple(map(float, _leakage(obs, N, sec.f_EC)))
-    return tuple(_result(pair, lam, N) for pair in
-                 _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points))
+    lam = np.array(_leakage(obs, N, sec.f_EC))  # (2,), or (2, P, 1) on columns
+    per_point = np.broadcast_to(lam.reshape(2, -1), (2, len(ppes))).T.tolist()
+    return tuple(_result(pair, lam_k, N) for pair, lam_k in zip(
+        _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points), per_point))
 
 
 def key_length(

@@ -12,7 +12,8 @@ time in walk order (a finite point is one key_length call).  From its
 first key on, and from the start of a walk handed one, it bounds the rate
 of every point left with one call (keylength.end_bounds, one tensor over
 the points, for the finite key; the rate itself for the asymptotic one) and
-searches, BATCH points at a time, those with the highest bounds.  The
+searches, BATCH points at a time, those with the highest bounds (a finite
+batch is one key_lengths call, on the columns the bound was taken on).  The
 pruning rule: a point is not searched once its bound is below the best
 rate, or equal to it while the best point is the incumbent handed in or
 comes earlier in walk order; its rate is at most its bound, so it could
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -113,17 +113,17 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
 
     mode gives the rates (see _Finite): mode.row(mu, ppes) yields (j, rate,
     payload) of the points (mu, ppes[j]) one at a time, in walk order, and
-    may leave out points with no key; mode.bounds(mus, r, pps) bounds the
-    rate of each point (mus[r[k]], pps[k]) from above; mode.search(mu, pps,
-    bounds) gives (rate, payload) at each point (mu, pps[k]) of one mu row.
-    An axis with equal ends is one point.
+    may leave out points with no key; mode.bounds(mus, r, pps) returns
+    (bound, search) over the points (mus[r[k]], pps[k]): the list bound[k]
+    bounds the rate of point k from above, and search(ks) gives (rate,
+    payload) at each point of the list ks.  An axis with equal ends is one point.
 
     Until the walk holds a key it takes mode.row's points, and first=True
     returns at its first key; nothing past it is evaluated.  From there the
     walk bounds every point left at once and, while any point could still
     replace the best (the rule is in the module docstring), searches the
     BATCH such points with the highest bounds, ties in walk order, with one
-    mode.search call per mu row they touch.
+    search call.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
@@ -138,7 +138,7 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
             return best
     start = found + 1  # the points left are the walk indices start + k
     left = np.arange(start, mus.size * J)
-    bound = mode.bounds(mus, left // J, ppes[left % J]).tolist()
+    bound, search = mode.bounds(mus, left // J, ppes[left % J])
     while True:
         live = [k for k, b in enumerate(bound)
                 if b > best[0] or (b == best[0] and start + k < found)]
@@ -146,15 +146,10 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
             return best
         # the BATCH highest bounds, ties in walk order (sorted is stable)
         batch = sorted(sorted(live, key=bound.__getitem__, reverse=True)[:BATCH])
-        for row, ks in groupby(batch, key=lambda k: (start + k) // J):
-            ks = list(ks)
-            js = [(start + k) % J for k in ks]
-            mu = float(mus[row])
-            for k, j, (rate, payload) in zip(ks, js, mode.search(
-                    mu, ppes[js], [bound[k] for k in ks])):
-                if rate > best[0] or (rate == best[0] and start + k < found):
-                    best, found = (rate, mu, float(ppes[j]), payload), start + k
-        for k in batch:
+        for k, (rate, payload) in zip(batch, search(batch)):
+            if rate > best[0] or (rate == best[0] and start + k < found):
+                row, j = divmod(start + k, J)
+                best, found = (rate, float(mus[row]), float(ppes[j]), payload), start + k
             bound[k] = -math.inf
 
 
@@ -206,30 +201,30 @@ class _Finite:
             yield j, res.rate, res
 
     def bounds(self, mus, r, pps):
-        """end_bounds at every point, as one tensor: the observables of each
-        mu row and the x_range ends become columns over the points.  A point
-        of a row with no nontriggered gain has no key, and bound -inf."""
+        """end_bounds at every point as one tensor, and a search of any of
+        them as one key_lengths call: both on (point, 1) columns of mu and of
+        one simulate_observables call over mus.  A point of a row with no
+        nontriggered gain has no key, and bound -inf."""
         obs = simulate_observables(replace(self.src, mu=mus), self.L_ch)
-        gain = np.flatnonzero(obs.Q_nt[r] > 0)
-        rows = r[gain, None]
-        bound = np.full(len(r), -math.inf)
-        bound[gain] = end_bounds(
-            replace(self.src, mu=mus[rows]),
-            Observables(**{name: v[rows] for name, v in vars(obs).items()}),
-            self.N, pps[gain], self.sec)
-        return bound
 
-    def search(self, mu, pps, _bounds):
-        """One key_lengths call on the row's points."""
-        src = replace(self.src, mu=mu)
-        return [(res.rate, res) for res in key_lengths(
-            src, simulate_observables(src, self.L_ch), self.N, pps, self.sec,
-            self.grid_points)]
+        def columns(ks):  # the source and observables of the points ks
+            rows = r[ks, None]
+            return (replace(self.src, mu=mus[rows]),
+                    Observables(**{name: v[rows] for name, v in vars(obs).items()}))
+
+        def search(ks):
+            return [(res.rate, res) for res in key_lengths(
+                *columns(ks), self.N, pps[ks], self.sec, self.grid_points)]
+
+        gain = np.flatnonzero(obs.Q_nt[r] > 0)
+        bound = np.full(len(r), -math.inf)
+        bound[gain] = end_bounds(*columns(gain), self.N, pps[gain], self.sec)
+        return bound.tolist(), search
 
 
 class _Asymptotic:
     """The asymptotic rate at L_km km, as _walk reads it: a point's bound is
-    its rate, one asymptotic_rate call per mu."""
+    its rate, one asymptotic_rate call per mu, and its search reads it."""
 
     def __init__(self, L_km, src, ch, sec):
         self.L_ch = replace(ch, L_km=float(L_km))
@@ -243,10 +238,8 @@ class _Asymptotic:
 
     def bounds(self, mus, r, _pps):
         rates = {row: self._rate(float(mus[row])) for row in dict.fromkeys(r.tolist())}
-        return np.array([rates[row] for row in r.tolist()])
-
-    def search(self, _mu, _pps, bounds):
-        return [(rate, None) for rate in bounds]
+        bound = [rates[row] for row in r.tolist()]
+        return bound, lambda ks: [(bound[k], None) for k in ks]
 
 
 def optimize_rate(

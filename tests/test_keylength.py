@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from passivekey import (
     NoSolution,
+    Observables,
     PhaseErrorInputs,
     SampleBudget,
     SecurityBudget,
@@ -70,6 +71,17 @@ class TestBinaryEntropy:
     def test_array_input(self):
         out = binary_entropy(np.array([0.0, 0.5, 1.0]))
         assert out == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
+
+
+def beside_a_keyed_point(fn):
+    """fn(src, obs, N, ppes, sec) on (2, 1) columns of mu and the observables:
+    a point of the 50 km channel with its own gain, then the point handed in."""
+    def call(src, obs, N, p_pe, sec):
+        keyed = simulate_observables(src, make_channel(50.0))
+        columns = [np.array([[a], [b]]) for a, b in zip(astuple(keyed), astuple(obs))]
+        return fn(replace(src, mu=np.full((2, 1), src.mu)), Observables(*columns), N,
+                  [p_pe, p_pe], sec)
+    return call
 
 
 # the leading axis of _ell_curves' tensors, and the index into a p_pe's
@@ -274,11 +286,14 @@ class TestKeyLength:
     @pytest.mark.parametrize("fn", [
         key_length,
         lambda src, obs, N, p_pe, sec: end_bounds(src, obs, N, [p_pe], sec),
-    ], ids=["key_length", "end_bounds"])
+        beside_a_keyed_point(key_lengths),
+        beside_a_keyed_point(end_bounds),
+    ], ids=["key_length", "end_bounds", "key_lengths_columns", "end_bounds_columns"])
     def test_no_nontriggered_gain_raises_zero_gain(self, src, obs, sec, fn):
         # no gain ratio to bound; the optimizer reads Q_nt = 0 as a row with
         # no key (bound -inf) before it makes any call. The end solve of the
-        # bound refuses it as the full search does
+        # bound refuses it as the full search does, and so do both on
+        # columns where one point of two has no gain
         with pytest.raises(ZeroGain):
             fn(src, replace(obs, Q_nt=0.0), 1e9, 0.5, sec)
 
@@ -467,8 +482,9 @@ class TestKeyLengths:
         (0.0, 5e-324), (0.0, 2e-322), (1e-3, 1e-3 + 4 * math.ulp(1e-3)),
     ])
     def test_windows_are_linspace(self, lo, hi):
-        # a refinement window is np.linspace bit for bit, one row per p_pe;
-        # at (0, 5e-324) the step underflows to zero and np.linspace scales
+        # a refinement window is np.linspace bit for bit, one row per p_pe,
+        # and so is the first x round, of floats or of columns; at
+        # (0, 5e-324) the step underflows to zero and np.linspace scales
         # t / div by the width instead
         want = np.linspace(lo, hi, keylength.X_REFINE_POINTS)
         row = keylength._windows(np.array([[lo]]), np.array([[hi]]))
@@ -476,6 +492,9 @@ class TestKeyLengths:
         column = keylength._windows(np.array([[lo], [0.0]]), np.array([[hi], [1.0]]))
         assert column[0].tobytes() == want.tobytes()
         assert column[1].tobytes() == np.linspace(0.0, 1.0, 50).tobytes()
+        for num in (2, 10, X_GRID_POINTS):  # the first x round, of floats
+            want = np.linspace(lo, hi, num)
+            assert keylength._windows(lo, hi, num).tobytes() == want.tobytes()
 
 
 def logged_curves(mp):
@@ -546,8 +565,9 @@ class TestEndBounds:
                                                eps_sec, p_d, grid_points):
         # the optimizer's walk takes every (mu, p_pe) point at once, the
         # observables of each mu row as columns over the points: each point
-        # gets the bits of its row's own observables and end solve, and of
-        # the ends of its key_lengths search's first x round
+        # gets the bits of its row's own observables and end solve, of the
+        # ends of its key_lengths search's first x round, and of its own
+        # key_length, from a key_lengths search on the columns
         ch = replace(make_channel(L_km), p_d=p_d)
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
@@ -574,6 +594,11 @@ class TestEndBounds:
         for k, (_, curves) in enumerate(first_rounds):
             for at_ends, first in zip(ends, curves):
                 assert at_ends[:, k * P:(k + 1) * P].tobytes() == first[..., [0, -1]].tobytes()
+        searched = key_lengths(src_col, obs_col, N, np.tile(p_pe, len(mus)), sec,
+                               grid_points)
+        assert repr(searched) == repr(tuple(
+            key_length(row, obs, N, p, sec, grid_points)
+            for row, obs in zip(rows, obs_rows) for p in p_pe))
 
     @pytest.mark.parametrize("ppes", [[], [0.5], [0.3, 0.5, 0.7]],
                              ids=["none", "one", "three"])

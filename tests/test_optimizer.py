@@ -3,7 +3,7 @@
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -396,25 +396,29 @@ def counting(monkeypatch, *names):
 
 def exhaustive_walk(mode, mu_ends, pp_ends, points, best=optimizer._NO_KEY,
                     first=False):
-    """_walk with nothing skipped: every point of the grid searched, one
-    mode.search call per mu row (a row with no nontriggered gain, which has
-    no key, left out), and the first point in walk order whose rate is
-    strictly above the best so far replaces it.  The reference the
-    best-first walk must equal by repr."""
+    """_walk with nothing skipped: every point of the grid searched, and the
+    first point in walk order whose rate is strictly above the best so far
+    replaces it.  A finite mu row is one key_lengths call on the row's own
+    observables (a row with no nontriggered gain, which has no key, left
+    out); another mode's row is one search of its mode.bounds.  The
+    reference the best-first walk must equal by repr."""
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
     if isinstance(mode, optimizer._Asymptotic):
         ppes = ppes[:1]
-    for mu in mus.tolist():
+    for r, mu in enumerate(mus.tolist()):
         if isinstance(mode, optimizer._Finite):
             s = replace(mode.src, mu=mu)
-            if optimizer.simulate_observables(s, mode.L_ch).Q_nt == 0:
+            obs = optimizer.simulate_observables(s, mode.L_ch)
+            if obs.Q_nt == 0:
                 continue
-            found = mode.search(mu, ppes, None)
+            found = [(res.rate, res) for res in optimizer.key_lengths(
+                s, obs, mode.N, ppes, mode.sec, mode.grid_points)]
         elif isinstance(mode, optimizer._Asymptotic):
             found = [(mode._rate(mu), None)]
         else:
-            found = mode.search(mu, ppes, None)
+            _, search = mode.bounds(mus, np.full(len(ppes), r), ppes)
+            found = search(list(range(len(ppes))))
         for p_pe, (rate, payload) in zip(ppes.tolist(), found):
             if rate > best[0]:
                 best = rate, mu, p_pe, payload
@@ -438,11 +442,9 @@ class TableMode:
             yield j, self.table[mu, p][0], (mu, p)
 
     def bounds(self, mus, r, pps):
-        return np.array([sum(self.table[mu, p]) for mu, p in
-                         zip(mus[r].tolist(), pps.tolist())])
-
-    def search(self, mu, pps, _bounds):
-        return [(self.table[mu, p][0], (mu, p)) for p in pps.tolist()]
+        points = list(zip(mus[r].tolist(), pps.tolist()))
+        return ([sum(self.table[point]) for point in points],
+                lambda ks: [(self.table[points[k]][0], points[k]) for k in ks])
 
 
 # (spec, L_km, N) of the pruning tests: keyed and vacuous rows, near reach
@@ -485,14 +487,18 @@ class TestPruning:
     @WALKS
     def test_results_match_a_per_point_search(self, monkeypatch, src, sec, spec,
                                               L_km, N):
-        # a batch's key_lengths call on a row's points gives what a call per
-        # point gives
+        # a batch's key_lengths call on its points' (mu, observables)
+        # columns gives what a call per point, on its row of the columns, gives
         *rows, _ = searched(monkeypatch, src, sec, spec, L_km, N)
-        monkeypatch.setattr(
-            optimizer, "key_lengths",
-            lambda src, obs, N, ppes, sec, grid_points: tuple(
-                keylength.key_lengths(src, obs, N, [p], sec, grid_points)[0]
-                for p in ppes))
+
+        def one_call_a_point(src, obs, N, ppes, sec, grid_points):
+            columns = (src.mu, *astuple(obs))
+            return tuple(
+                keylength.key_lengths(replace(src, mu=mu), Observables(*fields), N, [p],
+                                      sec, grid_points)[0]
+                for (mu, *fields), p in zip(np.hstack(columns).tolist(), ppes.tolist()))
+
+        monkeypatch.setattr(optimizer, "key_lengths", one_call_a_point)
         *per_point, _ = searched(monkeypatch, src, sec, spec, L_km, N)
         assert repr(rows) == repr(per_point)
 
@@ -580,8 +586,25 @@ class TestPruning:
         # rounds of 7 x 7; the 3 points before the first key get a
         # key_length call each, and from there the walks search, in batches
         # of BATCH, only the points whose end bounds can still win: 22
-        # points in 5 key_lengths calls
+        # points in 4 key_lengths calls, one a batch
         calls = counting(monkeypatch, "key_length", "key_lengths")
         optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
         assert optimizer.BATCH == 8
-        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 5, 22)
+        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 4, 22)
+
+    def test_one_key_lengths_call_per_batch(self, monkeypatch, src, sec):
+        # at 170 km, N = 1e15 the end bounds are loose and a batch often
+        # spans several mu rows: 168 points searched in 23 batches, each one
+        # key_lengths call on its points' columns, which a call per mu row
+        # would have made 48
+        batches = []
+
+        def key_lengths(src, obs, N, ppes, *args):
+            batches.append((len(ppes), len(np.unique(src.mu))))
+            return keylength.key_lengths(src, obs, N, ppes, *args)
+
+        monkeypatch.setattr(optimizer, "key_lengths", key_lengths)
+        optimize_rate(170.0, 1e15, src, make_channel(0.0), sec)
+        points, rows = (sum(column) for column in zip(*batches))
+        assert (len(batches), points, rows) == (23, 168, 48)
+        assert max(n for n, _ in batches) == optimizer.BATCH
