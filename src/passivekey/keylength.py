@@ -19,7 +19,8 @@ each round for all rows at once; the final key is
 once, one (strategy, point, x) tensor a round: the p_pe of one mu row, or
 (mu, p_pe) points whose mu-dependent inputs are (point, 1) columns, and
 ``key_length`` is its one-point case.  ``end_bounds`` bounds the rate at
-such points from the two ends of x_range alone; the optimizer's walk
+such points from three x values of that search's first round, its two
+ends and its middle; the optimizer's walk
 searches, one ``key_lengths`` call a batch, only the points it cannot rule
 out with it.  The asymptotic rate is the same expression with chi = 0,
 N = 1, no penalty and e_p the raw error bound.
@@ -202,12 +203,13 @@ def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
     return [_ell(x, obs, b, h_t, h_nt, N, lam, penalty), b.zeta, b.w_t, b.w_nt, *e_p]
 
 
-def _windows(lo, hi, num=X_REFINE_POINTS):
+def _windows(lo, hi, num=X_REFINE_POINTS, at=None):
     """np.linspace(lo, hi, num) bit for bit, one row per entry of (rows, 1)
     columns lo and hi, or one row of floats: t * step + lo with the last
     point hi, and t / div * delta + lo where the step underflows to zero, as
-    np.linspace has it."""
-    t = np.arange(num, dtype=float)
+    np.linspace has it.  at, ascending indices ending at num - 1, keeps
+    those points alone, with the same bits."""
+    t = np.arange(num, dtype=float) if at is None else np.array(at, dtype=float)
     delta = hi - lo
     step = delta / (num - 1)
     x = t * step + lo
@@ -231,8 +233,8 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     values, as a single p_pe would: a round takes every row's argmin at
     once, and a row's running best moves only to a strictly lower value.
     No value depends on what shares its array, so each p_pe keeps the result
-    it has alone.  The first round holds both ends of x_range and the later
-    rounds only lower a row's minimum, which ``end_bounds`` relies on.
+    it has alone.  The first round holds the three x values ``end_bounds``
+    reads and the later rounds only lower a row's minimum, which it relies on.
     """
     pp = ppes[:, None]
     ledger = _ledger(src, obs, N, pp, sec)
@@ -257,25 +259,29 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
 
 
 def end_bounds(src: SourceModel, obs: Observables, N: float, ppes,
-               sec: SecurityBudget) -> np.ndarray:
-    """An upper bound on key_length's rate at each point (mu, ppes[k]), from
-    the two ends of x_range alone: 0.5 floor(max(min-ends ell_T, min-ends
-    ell_B, 0)) / N, as a 1-D array.
+               sec: SecurityBudget, grid_points: int = X_GRID_POINTS) -> np.ndarray:
+    """An upper bound on key_length's rate at each point (mu, ppes[k]) with
+    a first x round of grid_points points, from three of that round's x
+    values: 0.5 floor(max(min-three ell_T, min-three ell_B, 0)) / N, as a
+    1-D array.  The three are the two ends of x_range and the middle index
+    (grid_points - 1) // 2 (with two points, the ends alone), taken as
+    ``_windows`` takes them.
 
     src.mu and obs' fields are one mu row's floats, or (P, 1) columns with
-    the mu of each of the P points; either way the ends are one
-    ``_ell_curves`` call on a (strategy, point, 2) tensor.  A point's
-    minimum over x is at most its smaller end, as the first x round of
-    ``_minimize_over_x`` holds both ends and the later rounds only lower
-    it; no value depends on what shares its array, so these are the bits of
-    that round's ends, and the bound holds in floats too, with no slack.
+    the mu of each of the P points; either way the three are one
+    ``_ell_curves`` call on a (strategy, point, 3) tensor.  A point's
+    minimum over x is at most the least of the three, as the first x round
+    of ``_minimize_over_x`` holds them and the later rounds only lower it;
+    no value depends on what shares its array, so these are the bits of
+    that round's values there, and the bound holds in floats too, with no
+    slack.
     """
     pp = _p_pe_axis(ppes)[:, None]
-    lo, hi = x_range(src, obs)
-    ends = np.empty((2, len(pp), 2))
-    ends[..., :1], ends[..., 1:] = lo, hi
-    ell = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
-                      _ledger(src, obs, N, pp, sec))[0]
+    grid_points = _count("grid_points", grid_points, 2)
+    x = _windows(*x_range(src, obs), grid_points,
+                 at=[0, (grid_points - 1) // 2, grid_points - 1])
+    ell = _ell_curves(np.broadcast_to(x, (2, len(pp), 3)), src, obs, N, pp, sec,
+                      _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, pp, sec))[0]
     return 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
 
 

@@ -11,9 +11,11 @@ A walk is best-first.  Until it holds a key it takes its points one at a
 time in walk order (a finite point is one key_length call).  From its
 first key on, and from the start of a walk handed one, it bounds the rate
 of every point left with one call (keylength.end_bounds, one tensor over
-the points, for the finite key; the rate itself for the asymptotic one) and
-searches, BATCH points at a time, those with the highest bounds (a finite
-batch is one key_lengths call, on the columns the bound was taken on).  The
+the points at three x values of their first x round, for the finite key;
+the rate itself for the asymptotic one) and searches those with the highest
+bounds: the top one alone first, as it is often the best and then rules out
+the rest, and BATCH points at a time after it (a finite batch is one
+key_lengths call, on the columns the bound was taken on).  The
 pruning rule: a point is not searched once its bound is below the best
 rate, or equal to it while the best point is the incumbent handed in or
 comes earlier in walk order; its rate is at most its bound, so it could
@@ -40,7 +42,8 @@ from .keylength import (X_GRID_POINTS, KeyLengthResult, SecurityBudget,
 from .photonics import SourceModel
 
 MU_SAFETY = 0.99
-BATCH = 8  # the points one best-first step searches
+BATCH = 8  # the points one best-first step searches, after the first
+MAX_DISTANCES = 10**6  # the points a distance grid may hold
 _NO_KEY = (0.0, math.nan, math.nan, None)  # (rate, mu, p_pe, payload) before a key
 
 
@@ -88,14 +91,25 @@ class OptimizationSpec:
 
 
 def distance_grid(l0: float, l1: float, step: float) -> list[float]:
-    """l0 + i * step up to l1 + 1e-9 (so 0:0.3:0.1 ends at 0.3), rounded to 9 digits."""
+    """l0 + i * step up to l1 + 1e-9 (so 0:0.3:0.1 ends at 0.3), rounded to 9 digits.
+
+    The point count is taken in closed form first, and a grid of more than
+    MAX_DISTANCES points is refused before any list is built."""
     if not (all(map(math.isfinite, (l0, l1, step))) and step > 0):
         raise ValueError(f"distance grid needs finite ends and step > 0, got "
                          f"{l0}:{l1}:{step}")
-    out = []
-    while l0 + len(out) * step <= l1 + 1e-9:
-        out.append(round(l0 + len(out) * step, 9))
-    return out
+    top = l1 + 1e-9
+    count = max((top - l0) // step + 1, 0.0)  # up to the division's rounding
+    if count <= MAX_DISTANCES + 1:  # mended to the test l0 + i * step <= top
+        count = int(count)
+        while count and l0 + (count - 1) * step > top:
+            count -= 1
+        while count <= MAX_DISTANCES and l0 + count * step <= top:
+            count += 1
+    if count > MAX_DISTANCES:
+        raise ValueError(f"distance grid {l0}:{l1}:{step} has at least {count:.7g} "
+                         f"points, more than {MAX_DISTANCES}")
+    return [round(l0 + i * step, 9) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,11 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
     Until the walk holds a key it takes mode.row's points, and first=True
     returns at its first key; nothing past it is evaluated.  From there the
     walk bounds every point left at once and, while any point could still
-    replace the best (the rule is in the module docstring), searches the
-    BATCH such points with the highest bounds, ties in walk order, with one
-    search call.
+    replace the best (the rule is in the module docstring), searches such
+    points with one search call each step, highest bounds first and ties in
+    walk order: one point in the first step, BATCH in each later one.  The
+    batch sizes change only the work: the result is the exhaustive walk's
+    for any sizes.
     """
     mus, ppes = (np.linspace(lo, hi, k if hi > lo else 1)
                  for (lo, hi), k in zip((mu_ends, pp_ends), points))
@@ -139,18 +155,20 @@ def _walk(mode, mu_ends, pp_ends, points, best=_NO_KEY, first=False):
     start = found + 1  # the points left are the walk indices start + k
     left = np.arange(start, mus.size * J)
     bound, search = mode.bounds(mus, left // J, ppes[left % J])
+    size = 1  # the top-bounded point alone first: often it is the best
     while True:
         live = [k for k, b in enumerate(bound)
                 if b > best[0] or (b == best[0] and start + k < found)]
         if not live:
             return best
-        # the BATCH highest bounds, ties in walk order (sorted is stable)
-        batch = sorted(sorted(live, key=bound.__getitem__, reverse=True)[:BATCH])
+        # the size highest bounds, ties in walk order (sorted is stable)
+        batch = sorted(sorted(live, key=bound.__getitem__, reverse=True)[:size])
         for k, (rate, payload) in zip(batch, search(batch)):
             if rate > best[0] or (rate == best[0] and start + k < found):
                 row, j = divmod(start + k, J)
                 best, found = (rate, float(mus[row]), float(ppes[j]), payload), start + k
             bound[k] = -math.inf
+        size = BATCH
 
 
 def _grid_search(mode, mu_bounds, spec: OptimizationSpec):
@@ -218,7 +236,8 @@ class _Finite:
 
         gain = np.flatnonzero(obs.Q_nt[r] > 0)
         bound = np.full(len(r), -math.inf)
-        bound[gain] = end_bounds(*columns(gain), self.N, pps[gain], self.sec)
+        bound[gain] = end_bounds(*columns(gain), self.N, pps[gain], self.sec,
+                                 self.grid_points)
         return bound.tolist(), search
 
 

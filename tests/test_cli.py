@@ -220,11 +220,16 @@ class TestRunCommand:
          "[output] path = '' is not valid: empty path"),
         ("verify", "[verify]\npath =\n", ["--out", "", "--trials", "10"],
          "[verify] path = '' is not valid: empty path"),
+        # the point count is taken before the grid is built, which would
+        # fill the memory
+        ("run", "", ["--sweep", "0:10:1e-300"],
+         "[sweep] distances = '0:10:1e-300' is not valid: distance grid "
+         "0.0:10.0:1e-300 has at least 1e+301 points, more than 1000000"),
     ], ids=["N", "N_second", "sweep_range", "sweep_list", "sweep_two_parts",
             "x_grid_points", "eta_B", "p_d_subnormal", "d_A", "eps_sec",
             "sweep_descending_range", "sweep_descending_list", "sweep_negative",
             "N_below_1", "N_inf", "N_empty", "mode", "coarse_p_pe", "mu_min",
-            "output_path_empty", "verify_path_empty"])
+            "output_path_empty", "verify_path_empty", "sweep_too_many_points"])
     def test_error_names_its_key(self, tmp_path, capsys, command, config, args, named):
         # a refused value names its section and key, or the model field the
         # key sets, and the value; the sweep's list keys give their raw value

@@ -44,6 +44,11 @@ from passivekey.phase_error import _phase_error_arrays, solve_omega
 from conftest import make_channel
 
 
+# the calls that take an x grid's size: a search, and the bound of one
+X_SEARCHES = pytest.mark.parametrize("fn, p_pe", [(key_length, 0.5), (end_bounds, [0.5])],
+                                     ids=["key_length", "end_bounds"])
+
+
 @pytest.fixture(scope="module")
 def obs(src, channel_50km):
     return simulate_observables(src, channel_50km)
@@ -370,16 +375,20 @@ class TestKeyLength:
         with pytest.raises(ValueError, match="p_pe"):
             key_length(src, obs, 1e9, np.array([0.3, 0.5]), sec)
 
+    @X_SEARCHES
     @pytest.mark.parametrize("grid_points", [0, -1, 2.5, True])
-    def test_grid_points_must_be_a_positive_integer(self, src, obs, sec, grid_points):
+    def test_grid_points_must_be_a_positive_integer(self, src, obs, sec, fn, p_pe,
+                                                    grid_points):
         with pytest.raises(ValueError, match="grid_points"):
-            key_length(src, obs, 1e9, 0.5, sec, grid_points=grid_points)
+            fn(src, obs, 1e9, p_pe, sec, grid_points=grid_points)
 
-    def test_one_point_x_grid_is_refused(self, src, obs, sec):
+    @X_SEARCHES
+    def test_one_point_x_grid_is_refused(self, src, obs, sec, fn, p_pe):
         # x is the adversary's unknown: one point would read ell at x = 0
         # alone instead of minimising it, a key longer than the worst case
+        # (and a bound with it)
         with pytest.raises(ValueError, match="grid_points must be >= 2"):
-            key_length(src, obs, 1e9, 0.5, sec, grid_points=1)
+            fn(src, obs, 1e9, p_pe, sec, grid_points=1)
 
     def test_calls_per_layer(self, monkeypatch, src, obs, sec):
         # the names the benchmark's tracer wraps on keylength: one bounds call
@@ -492,9 +501,15 @@ class TestKeyLengths:
         column = keylength._windows(np.array([[lo], [0.0]]), np.array([[hi], [1.0]]))
         assert column[0].tobytes() == want.tobytes()
         assert column[1].tobytes() == np.linspace(0.0, 1.0, 50).tobytes()
-        for num in (2, 10, X_GRID_POINTS):  # the first x round, of floats
+        for num in (2, 3, 10, X_GRID_POINTS):  # the first x round, of floats
             want = np.linspace(lo, hi, num)
             assert keylength._windows(lo, hi, num).tobytes() == want.tobytes()
+            # the three points end_bounds reads, alone, of floats and columns
+            at = [0, (num - 1) // 2, num - 1]
+            three = keylength._windows(lo, hi, num, at=at)
+            assert three.tobytes() == want[at].tobytes()
+            three = keylength._windows(np.array([[lo]]), np.array([[hi]]), num, at=at)
+            assert three[0].tobytes() == want[at].tobytes()
 
 
 def logged_curves(mp):
@@ -511,63 +526,76 @@ def logged_curves(mp):
 
 
 class TestEndBounds:
-    """end_bounds bounds key_length's rate from the two ends of x_range, as
-    one tensor over many (mu, p_pe) points."""
+    """end_bounds bounds key_length's rate from three x values of its search's
+    first round (the ends of x_range and the middle), as one tensor over many
+    (mu, p_pe) points."""
 
     # vacuous points included: at 250 km or N = 1e3 most points have no key
     @given(mu=st.floats(0.01, 0.98), L_km=st.floats(0.0, 250.0),
            log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=24),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-30, 1e-150]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 200]))
+           p_d=st.sampled_from([0.0, 6e-7]),
+           grid_points=st.sampled_from([2, 3, 10, 199, 200]))
     @settings(max_examples=150, deadline=None)
     def test_bound_is_at_least_the_rate(self, src, mu, L_km, log_N, p_pe, eps_sec,
                                         p_d, grid_points):
         # so a point whose bound is below a rate held, or equal to it, cannot
-        # beat that rate
+        # beat that rate; odd and even grids put the middle on either side
         src = replace(src, mu=mu)
         obs = simulate_observables(src, replace(make_channel(L_km), p_d=p_d))
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
-        bound = end_bounds(src, obs, N, np.array(p_pe), sec)
+        bound = end_bounds(src, obs, N, np.array(p_pe), sec, grid_points)
         assert bound.shape == (len(p_pe),)
         for b, p in zip(bound.tolist(), p_pe):
             assert key_length(src, obs, N, p, sec, grid_points).rate <= b
 
-    @pytest.mark.parametrize("L_km, N, p_pe, at_an_end", [
-        (50.0, 1e9, 0.5, True), (120.0, 1e13, 0.9, False), (250.0, 1e9, 0.5, True)])
-    def test_the_bound_is_the_floor_of_the_ends(self, src, sec, L_km, N, p_pe,
-                                                at_an_end):
-        # the bound is each strategy's ell at the two ends of x_range, the
-        # larger of the two strategies' smaller end, floored, as a rate: no
-        # slack, so a point whose minimum over x lies at an end has its
-        # rate as its bound (the walk's equality edge); 250 km has no key
+    @pytest.mark.parametrize("mu, L_km, N, p_pe, tight, middle_lowers", [
+        (0.5, 50.0, 1e9, 0.5, True, False), (0.5, 120.0, 1e13, 0.9, False, False),
+        (0.5, 250.0, 1e9, 0.5, True, False), (0.2, 170.0, 1e15, 0.5, False, True),
+        (0.2, 180.0, 1e15, 0.5, True, True)])
+    def test_the_bound_is_the_floor_of_the_ends(self, src, sec, mu, L_km, N, p_pe,
+                                                tight, middle_lowers):
+        # the bound is each strategy's ell at the ends of x_range and at the
+        # middle of the first round's linspace, the larger of the two
+        # strategies' smallest value, floored, as a rate: no slack, so a
+        # point whose minimum over x lies at one of the three has its rate as
+        # its bound (the walk's equality edge); 250 km has no key.  At mu =
+        # 0.2 the middle is B's smallest value, below both its ends; at
+        # 180 km that makes the bound T's end, the rate
+        src = replace(src, mu=mu)
         obs = simulate_observables(src, make_channel(L_km))
-        ends = np.broadcast_to(x_range(src, obs), (2, 1, 2))  # (strategy, p_pe, x)
+        x = np.linspace(*x_range(src, obs), X_GRID_POINTS)[[0, (X_GRID_POINTS - 1) // 2, -1]]
+        three = np.broadcast_to(x, (2, 1, 3))  # (strategy, p_pe, x)
         pp = np.array([[p_pe]])
-        ell, *_ = _ell_curves(ends, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
+        ell, *_ = _ell_curves(three, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
                               _ledger(src, obs, N, pp, sec))
         ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
         bound = 0.5 * math.floor(max(ell_t.min(), ell_b.min(), 0.0)) / N
         assert end_bounds(src, obs, N, [p_pe], sec).tolist() == [bound]
+        ends = 0.5 * math.floor(max(ell_t[:, ::2].min(), ell_b[:, ::2].min(), 0.0)) / N
+        assert (bound < ends) == middle_lowers
         res = key_length(src, obs, N, p_pe, sec)
         assert res.rate <= bound
-        assert (res.rate == bound) == at_an_end
+        assert (res.rate == bound) == tight
 
     # p_d = 0 included; a subnormal-free channel keeps Q_nt > 0 to 250 km
     @given(mus=st.lists(st.floats(0.01, 0.98), min_size=1, max_size=6),
            L_km=st.floats(0.0, 250.0), log_N=st.floats(3.0, 18.0),
            p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8),
            eps_sec=st.sampled_from([1e-6, 1e-10, 1e-30, 1e-150]),
-           p_d=st.sampled_from([0.0, 6e-7]), grid_points=st.sampled_from([2, 10, 200]))
+           p_d=st.sampled_from([0.0, 6e-7]),
+           grid_points=st.sampled_from([2, 3, 10, 199, 200]))
     @settings(max_examples=60, deadline=None)
     def test_the_walk_tensor_is_each_rows_bits(self, src, mus, L_km, log_N, p_pe,
                                                eps_sec, p_d, grid_points):
         # the optimizer's walk takes every (mu, p_pe) point at once, the
         # observables of each mu row as columns over the points: each point
-        # gets the bits of its row's own observables and end solve, of the
-        # ends of its key_lengths search's first x round, and of its own
-        # key_length, from a key_lengths search on the columns
+        # gets the bits of its row's own observables and bound solve, of the
+        # x values and curves of its key_lengths search's first x round at
+        # the ends and the middle, and of its own key_length, from a
+        # key_lengths search on the columns
         ch = replace(make_channel(L_km), p_d=p_d)
         sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
         N = 10.0 ** log_N
@@ -581,19 +609,24 @@ class TestEndBounds:
             assert getattr(obs_col, name).ravel().tobytes() == want.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             calls = logged_curves(mp)
-            tensor = end_bounds(src_col, obs_col, N, np.tile(p_pe, len(mus)), sec)
-            (_, ends), = calls
+            tensor = end_bounds(src_col, obs_col, N, np.tile(p_pe, len(mus)), sec,
+                                grid_points)
+            (bound_x, bound_curves), = calls
             calls.clear()
-            per_row = [end_bounds(row, obs, N, p_pe, sec) for row, obs in zip(rows, obs_rows)]
+            per_row = [end_bounds(row, obs, N, p_pe, sec, grid_points)
+                       for row, obs in zip(rows, obs_rows)]
             assert tensor.tobytes() == np.concatenate(per_row).tobytes()
             calls.clear()
             for row, obs in zip(rows, obs_rows):
                 key_lengths(row, obs, N, p_pe, sec, grid_points)
             first_rounds = calls[::X_REFINE_ROUNDS + 1]
         P = len(p_pe)
-        for k, (_, curves) in enumerate(first_rounds):
-            for at_ends, first in zip(ends, curves):
-                assert at_ends[:, k * P:(k + 1) * P].tobytes() == first[..., [0, -1]].tobytes()
+        at = [0, (grid_points - 1) // 2, -1]  # the ends and the middle
+        for k, (x, curves) in enumerate(first_rounds):
+            rows_k = slice(k * P, (k + 1) * P)
+            assert bound_x[:, rows_k].tobytes() == x[..., at].tobytes()
+            for at_three, first in zip(bound_curves, curves):
+                assert at_three[:, rows_k].tobytes() == first[..., at].tobytes()
         searched = key_lengths(src_col, obs_col, N, np.tile(p_pe, len(mus)), sec,
                                grid_points)
         assert repr(searched) == repr(tuple(
@@ -603,15 +636,15 @@ class TestEndBounds:
     @pytest.mark.parametrize("ppes", [[], [0.5], [0.3, 0.5, 0.7]],
                              ids=["none", "one", "three"])
     def test_one_solve_of_the_ends(self, monkeypatch, src, obs, sec, ppes):
-        # x tensors handed to _ell_curves: end_bounds solves the two ends of
-        # every point once; a key_lengths search runs the whole first round
-        # and the refinement rounds, with no solve of the ends of its own
+        # x tensors handed to _ell_curves: end_bounds solves the two ends and
+        # the middle of every point once; a key_lengths search runs the whole
+        # first round and the refinement rounds, with no solve of them of its own
         calls = logged_curves(monkeypatch)
         end_bounds(src, obs, 1e9, ppes, sec)
         key_lengths(src, obs, 1e9, ppes, sec)
         P = len(ppes)
         refine = [(2, P, keylength.X_REFINE_POINTS)] * X_REFINE_ROUNDS
-        assert [x.shape for x, _ in calls] == [(2, P, 2), (2, P, X_GRID_POINTS)] + refine
+        assert [x.shape for x, _ in calls] == [(2, P, 3), (2, P, X_GRID_POINTS)] + refine
 
 
 class TestEpsilonLedger:

@@ -192,6 +192,11 @@ class TestMaxDistance:
         with pytest.raises(ValueError):
             max_distance(1e9, src, make_channel(0.0), sec, FAST, step_km=0.0)
 
+    def test_too_fine_a_step_is_refused(self, src, sec):
+        # 2.5e302 probes: refused from the point count, before any grid is built
+        with pytest.raises(ValueError, match=re.escape("has at least 2.5e+302 points")):
+            max_distance(1e9, src, make_channel(0.0), sec, FAST, step_km=1e-300)
+
     @pytest.mark.parametrize("L_max_km", [-10.0, math.inf, math.nan])
     def test_L_max_validation(self, src, sec, L_max_km):
         # a negative end gives an empty grid, which would read as no key at 0 km
@@ -247,6 +252,37 @@ class TestMaxDistance:
         assert max(per_probe.values()) <= grid
         last_keyed = [c for c in calls if c[0] < 1.0][k - 1]
         assert last_keyed[1:] == (mus[2], ppes[3])
+
+
+class TestDistanceGrid:
+    @pytest.mark.parametrize("ends, want", [
+        ((0.0, 0.3, 0.1), [0.0, 0.1, 0.2, 0.3]),
+        ((0.0, 240.0, 40.0), [0.0, 40.0, 80.0, 120.0, 160.0, 200.0, 240.0]),
+        ((5.0, 5.0, 1.0), [5.0]), ((50.0, 10.0, 10.0), []),
+        ((0.1, 0.7, 0.2), [0.1, 0.3, 0.5, 0.7]),
+        ((5.0, 5.0 + 1e-9, 1e-9), [5.0, 5.000000001, 5.000000002])],
+        ids=["tenths", "sweep", "one", "descending", "inexact_step", "nano_step"])
+    def test_points(self, ends, want):
+        # every point up to 1e-9 past l1 is kept, each rounded to 9 digits
+        assert optimizer.distance_grid(*ends) == want
+
+    @pytest.mark.parametrize("ends, count", [
+        ((0.0, 999_999.0, 1.0), None), ((0.0, 1e6, 1.0), "1000001"),
+        ((0.0, 10.0, 1e-5), "1000001"), ((0.0, 10.0, 1e-300), "1e+301"),
+        ((0.0, 1e308, 5e-324), "inf"), ((1e10, 1e10, 1e-300), "1000001")],
+        ids=["a_million", "one_more", "fine_step", "tiny_step", "infinite",
+             "step_below_an_ulp"])
+    def test_at_most_a_million_points(self, ends, count):
+        # the count is taken in closed form and named; the refused grids are
+        # never built (0:10:1e-300 would fill the memory).  A step below half
+        # an ulp of l0 never moves l0 + i * step, which a loop over the
+        # points would test for ever; the count stops one past the most
+        if count is None:
+            assert len(optimizer.distance_grid(*ends)) == optimizer.MAX_DISTANCES
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"has at least {count} points, more than 1000000")):
+                optimizer.distance_grid(*ends)
 
 
 class TestSweep:
@@ -392,6 +428,25 @@ def counting(monkeypatch, *names):
 
         monkeypatch.setattr(optimizer, name, wrapper)
     return calls
+
+
+def batches_by_walk(monkeypatch):
+    """Patch optimizer._walk and optimizer.key_lengths to record, per walk in
+    order, (points, distinct mu) of each key_lengths call it makes; the
+    key_lengths in place (counting's wrapper, say) still makes the call."""
+    walks, walk, search = [], optimizer._walk, optimizer.key_lengths
+
+    def logged_walk(*args, **kwargs):
+        walks.append([])
+        return walk(*args, **kwargs)
+
+    def key_lengths(src, obs, N, ppes, *args):
+        walks[-1].append((len(ppes), len(np.unique(src.mu))))
+        return search(src, obs, N, ppes, *args)
+
+    monkeypatch.setattr(optimizer, "_walk", logged_walk)
+    monkeypatch.setattr(optimizer, "key_lengths", key_lengths)
+    return walks
 
 
 def exhaustive_walk(mode, mu_ends, pp_ends, points, best=optimizer._NO_KEY,
@@ -584,27 +639,26 @@ class TestPruning:
     def test_calls_of_the_headline_op(self, monkeypatch, src, sec):
         # the default grid at 50 km, N = 1e9: 24 x 24 coarse points and 3
         # rounds of 7 x 7; the 3 points before the first key get a
-        # key_length call each, and from there the walks search, in batches
-        # of BATCH, only the points whose end bounds can still win: 22
-        # points in 4 key_lengths calls, one a batch
+        # key_length call each, and from there each walk searches its
+        # top-bounded point alone, which is already its best: the end bounds
+        # rule out every other point, so 4 points in 4 key_lengths calls
         calls = counting(monkeypatch, "key_length", "key_lengths")
+        walks = batches_by_walk(monkeypatch)
         optimize_rate(50.0, 1e9, src, make_channel(0.0), sec)
         assert optimizer.BATCH == 8
-        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 4, 22)
+        assert (calls["key_length"], calls["key_lengths"], calls["points"]) == (3, 4, 7)
+        assert [[n for n, _ in walk] for walk in walks] == [[1]] * 4
 
     def test_one_key_lengths_call_per_batch(self, monkeypatch, src, sec):
-        # at 170 km, N = 1e15 the end bounds are loose and a batch often
-        # spans several mu rows: 168 points searched in 23 batches, each one
+        # at 170 km, N = 1e15 the end bounds are loose and a batch may span
+        # several mu rows: 29 points searched in 9 batches, each one
         # key_lengths call on its points' columns, which a call per mu row
-        # would have made 48
-        batches = []
-
-        def key_lengths(src, obs, N, ppes, *args):
-            batches.append((len(ppes), len(np.unique(src.mu))))
-            return keylength.key_lengths(src, obs, N, ppes, *args)
-
-        monkeypatch.setattr(optimizer, "key_lengths", key_lengths)
+        # would have made 11; each walk's first batch is its top-bounded
+        # point alone, and no batch holds more than BATCH
+        walks = batches_by_walk(monkeypatch)
         optimize_rate(170.0, 1e15, src, make_channel(0.0), sec)
+        batches = [batch for walk in walks for batch in walk]
         points, rows = (sum(column) for column in zip(*batches))
-        assert (len(batches), points, rows) == (23, 168, 48)
+        assert (len(batches), points, rows) == (9, 29, 11)
+        assert [walk[0][0] for walk in walks] == [1] * 4
         assert max(n for n, _ in batches) == optimizer.BATCH
