@@ -237,14 +237,22 @@ def _row_task(args) -> SweepRow:
     return sweep_point(L, N, mode, cfg.source, cfg.channel, cfg.security, cfg.spec)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (a container's cpuset
+    included) where the platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(cfg: RunConfig, workers: int = 1) -> int:
-    """Write the sweep CSV; rows go to min(workers, rows, CPUs) processes."""
+    """Write the sweep CSV; rows go to min(workers, rows, usable CPUs) processes."""
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     _check_writable("[output] path", cfg.out_path)
     modes = ["finite", "asymptotic"] if cfg.mode == "both" else [cfg.mode]
     tasks = [(L, N, m, cfg) for L in cfg.distances for N in cfg.Ns for m in modes]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_task, tasks))

@@ -8,12 +8,16 @@ phase-error bound:
   correction separate, privacy amplification joint).
 
 ``_ell`` is the one key-length expression ell(x), on a tensor whose leading
-axis is the strategy (T, then B).  ``_ledger`` builds the x-independent
-finite-size terms (one sample budget with a share per strategy, chi, the
-epsilon penalty column) once for the p_pe a call searches, ``_ell_curves``
-feeds them and the phase-error bound to it, and ``_minimize_over_x`` takes
-the worst case of every (strategy, p_pe) row, with the bound values there,
-each round for all rows at once; the final key is
+axis is the strategy (T, then B).  ``_ledger`` builds every x-independent
+term once a call, for the p_pe it searches: one sample budget with a share
+per strategy, the sqrt(delta_k p_k) terms and the one chi scale that give
+chi, chi0 and chi1, the decoy bounds' terms at them (delta2 - delta,
+2 delta E_t, chi0 / Q_nt and the like), the code/sample split N (1 - p_pe)
+and N p_pe, the leakage each strategy pays and the epsilon penalty column.
+``_ell_curves`` is one x round and builds only what depends on x: zeta, the
+gain bounds and W at x, one phase-error solve, h(e_p) and ell(x).
+``_minimize_over_x`` takes the worst case of every (strategy, p_pe) row,
+with the bound values there, each round for all rows at once; the final key is
 ``ell = max(ell_T, ell_B)`` (floored, clamped at zero) and the rate is
 ``R = ell / (2 N)``.  ``key_lengths`` runs that search for many points at
 once, one (strategy, point, x) tensor a round: the p_pe of one mu row, or
@@ -34,8 +38,9 @@ strategy splits eps_sec into s shares and pays
     T         10    6   0   2   eps_sec/10 each      eps_sec, 1 class
     B         15   12   1   4   eps_sec/15 each      eps_sec, 2 classes
 
-chi goes through ``chi_low_orders`` and chi0, chi1 through ``chi_term``, all
-at eps_pe = eps_sec/s and once a call, in ``_ledger``; e_p goes through
+chi goes through ``chi_low_orders`` and chi0, chi1 are ``chi_term``'s
+product on the same sqrt(delta_k p_k) terms, all at eps_pe = eps_sec/s and
+once a call, in ``_ledger``; e_p goes through
 ``_phase_error_arrays`` at the full eps_sec (tail target eps_sec^2/16), not
 at a share; error verification fails with probability eps_cor.
 
@@ -55,15 +60,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelModel, Observables, simulate_observables
 from .decoy_bounds import (
     SampleBudget,
+    _BoundTerms,
+    _bound_terms,
     _bounds,
+    _low_roots,
     chi_low_orders,
-    chi_term,
     evaluate_bounds,
     x_range,
 )
@@ -131,15 +139,17 @@ def binary_entropy(x):
     return np.where((x > 0) & (x < 1), h, 0.0)[()]
 
 
-def _phase_error_for_class(q1_lb, w, N, p_pe, eps_sec):
+def _phase_error_for_class(q1_lb, w, code, sample, eps_sec):
     """e_p per class on arrays of lower-bound single-photon gains; 0.5 where
-    vacuous.  p_pe is a scalar or an array that broadcasts to their shape."""
+    vacuous.  code and sample are N (1 - p_pe) and N p_pe, the code and
+    sample bits per unit gain: scalars or arrays that broadcast to their
+    shape."""
     ep = np.full(np.shape(q1_lb), 0.5)
     ok = (q1_lb > 0) & np.isfinite(w)
-    if np.any(ok):
-        n = (N * (1.0 - p_pe) * q1_lb)[ok]
-        l = (N * p_pe * q1_lb)[ok]
-        ep[ok] = _phase_error_arrays(n, l, np.clip(w[ok], 0.0, 0.5), eps_sec)
+    if ok.any():
+        n = (code * q1_lb)[ok]
+        l = (sample * q1_lb)[ok]
+        ep[ok] = _phase_error_arrays(n, l, w[ok].clip(0.0, 0.5), eps_sec)
     return ep
 
 
@@ -150,57 +160,80 @@ def _leakage(obs, N, f_EC):
     return N * obs.Q_t * f_EC * h_t, N * obs.Q_nt * f_EC * h_nt
 
 
-def _ell(x, obs, b, h_t, h_nt, N, lam, penalty):
+def _leaks(lam):
+    """(lambda_EC_t, lambda_EC_nt as each strategy leaks it) from the pair
+    ``_leakage`` gives: T's row leaks no lambda_EC_nt."""
+    lam_t, lam_nt = lam
+    return lam_t, np.where(_NT_CREDITED, lam_nt, 0.0)  # not lam_nt * 0: inf * 0 is nan
+
+
+def _ell(x, obs, b, h_t, h_nt, N, leaks, penalty):
     """ell_T(x) and ell_B(x), along the leading strategy axis, from the gain
     bounds in b and h(e_p) of each class.
 
     The one key-length expression: the finite key passes its chi terms in b,
-    its pulse count, its leakage and its epsilon penalty column; the
+    its pulse count, its ``_leaks`` and its epsilon penalty column; the
     asymptotic rate passes chi = 0, N = 1 and no penalty.  T's row credits
     no nontriggered vacuum or single-photon gain and leaks no lambda_EC_nt.
     """
-    lam_t, lam_nt = lam
+    lam_t, leak_nt = leaks
     vac = np.maximum(b.q0_t_lb + obs.Q_nt * x * _NT_CREDIT, 0.0)
     gain = np.maximum(b.q1_t_lb, 0.0) * (1.0 - h_t)
     gain_nt = np.maximum(b.q1_nt_lb, 0.0) * (1.0 - h_nt) * _NT_CREDIT
-    leak_nt = np.where(_NT_CREDITED, lam_nt, 0.0)  # not lam_nt * 0: inf * 0 is nan
     with np.errstate(over="ignore"):  # lam_t + lam_nt past the double range: -inf, no key
         return N * (vac + gain + gain_nt) - lam_t - leak_nt - penalty
 
 
-def _ledger(src, obs, N, p_pe, sec):
-    """(sample budget, chi, (chi0, chi1), penalty) of both strategies from ``_EPS_LEDGER``.
+class _Ledger(NamedTuple):
+    """The x-independent terms of a search's x rounds, from ``_ledger``."""
+
+    budget: SampleBudget
+    terms: _BoundTerms  # the decoy bounds' terms at chi, chi0 and chi1
+    code: object       # N (1 - p_pe), code bits per unit single-photon gain
+    sample: object     # N p_pe, sample bits per unit single-photon gain
+    leaks: tuple       # ``_leaks`` of lambda_EC
+    penalty: object
+
+
+def _ledger(src, obs, N, p_pe, sec, lam):
+    """Every x-independent term of ell(x) for both strategies, built once a
+    call: the sample budget from ``_EPS_LEDGER``, chi, chi0 and chi1 and the
+    bound terms at them, the code/sample split, the leakage lam and the
+    epsilon penalty column.
 
     The budget carries each strategy's share eps_sec/s as a (strategy, 1, 1)
-    column, at which chi, chi0 and chi1 are taken; none of them depends on x,
-    and each has shape (strategy, p_pe, 1) for a (p_pe, 1) column p_pe
-    (src.mu and obs' fields one row's, or columns of the same shape).
+    column, at which chi, chi0 and chi1 are taken; each has shape (strategy,
+    p_pe, 1) for a (p_pe, 1) column p_pe (src.mu, obs' fields and lam one
+    row's, or columns of the same shape).
     """
     s, a, b, c = _EPS_LEDGER.T[:, :, None, None]  # (strategy, 1, 1) columns
     budget = SampleBudget(N=N, p_pe=p_pe, eps_pe=sec.eps_sec / s)
-    return (budget, chi_low_orders(src, budget, obs),
-            (chi_term(src, budget, 0), chi_term(src, budget, 1)),
-            a * np.log2(s / sec.eps_sec) + b + np.log2(c / sec.eps_cor))
+    roots = _low_roots(src)  # chi_term's sqrt(delta_i p_i) at i = 0, 1 among them
+    terms = _bound_terms(src, obs, chi_low_orders(src, budget, obs, roots),
+                         roots[0] * budget._chi_scale, roots[1] * budget._chi_scale)
+    return _Ledger(budget, terms, N * (1.0 - p_pe), N * p_pe, _leaks(lam),
+                   a * np.log2(s / sec.eps_sec) + b + np.log2(c / sec.eps_cor))
 
 
-def _ell_curves(x, src, obs, N, p_pe, sec, lam, ledger):
+def _ell_curves(x, src, obs, N, sec, ledger):
     """[ell, zeta, W_t, W_nt, e_p_t, e_p_nt] on a (strategy, p_pe, x) tensor
     x, T's row first: ell and the bound values the x search reads at each
-    minimum.
+    minimum, from the x-dependent arithmetic alone.
 
-    p_pe is a (P, 1) column and ledger ``_ledger``'s terms at the same p_pe;
-    src.mu, obs' fields and lam are one mu row's, or (P, 1) columns of the
-    mu of each p_pe.  e_p comes from one phase-error solve of T's triggered
-    class and B's two classes; T's e_p_nt is nan, a class it does not credit.
+    ledger is ``_ledger``'s terms at the (P, 1) column of p_pe; src.mu and
+    obs' fields are one mu row's, or (P, 1) columns of the mu of each p_pe.
+    e_p comes from one phase-error solve of T's triggered class and B's two
+    classes; T's e_p_nt is nan, a class it does not credit.
     """
-    budget, chi, chi01, penalty = ledger
-    b = evaluate_bounds(x, src, budget, obs, chi=chi, chi01=chi01)
-    q1 = np.stack([b.q1_t_lb, b.q1_nt_lb])
+    b = evaluate_bounds(x, src, ledger.budget, obs, terms=ledger.terms)
+    q1 = np.array([b.q1_t_lb, b.q1_nt_lb])
     q1[1, 0] = 0.0  # no solve for T's nontriggered class, which T does not credit
-    e_p = _phase_error_for_class(q1, np.stack([b.w_t, b.w_nt]), N, p_pe, sec.eps_sec)
+    e_p = _phase_error_for_class(q1, np.array([b.w_t, b.w_nt]), ledger.code,
+                                 ledger.sample, sec.eps_sec)
     h_t, h_nt = binary_entropy(e_p)
     e_p[1, 0] = math.nan  # its diagnostic: no estimate, not the 0.5 cap
-    return [_ell(x, obs, b, h_t, h_nt, N, lam, penalty), b.zeta, b.w_t, b.w_nt, *e_p]
+    return [_ell(x, obs, b, h_t, h_nt, N, ledger.leaks, ledger.penalty), b.zeta,
+            b.w_t, b.w_nt, *e_p]
 
 
 def _windows(lo, hi, num=X_REFINE_POINTS, at=None):
@@ -237,15 +270,14 @@ def _minimize_over_x(src, obs, N, ppes, sec, lam, grid_points):
     reads and the later rounds only lower a row's minimum, which it relies on.
     """
     pp = ppes[:, None]
-    ledger = _ledger(src, obs, N, pp, sec)
+    ledger = _ledger(src, obs, N, pp, sec, lam)
     P = len(pp)
     rows = np.arange(2 * P)  # T's P rows, then B's
     x = np.broadcast_to(_windows(*x_range(src, obs), grid_points),
                         (2, P, grid_points)).reshape(rows.size, grid_points)
     best = np.full((7, rows.size), math.inf)  # ell, x, zeta, W_t, W_nt, e_p_t, e_p_nt
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, *diag = _ell_curves(x.reshape(2, P, x.shape[1]), src, obs, N, pp, sec, lam,
-                                  ledger)
+        vals, *diag = _ell_curves(x.reshape(2, P, x.shape[1]), src, obs, N, sec, ledger)
         i = vals.reshape(x.shape).argmin(axis=1)
         f = rows * x.shape[1] + i  # each row's minimum, as a flat index
         at = np.array([a.take(f) for a in [vals, x, *diag]])
@@ -280,8 +312,8 @@ def end_bounds(src: SourceModel, obs: Observables, N: float, ppes,
     grid_points = _count("grid_points", grid_points, 2)
     x = _windows(*x_range(src, obs), grid_points,
                  at=[0, (grid_points - 1) // 2, grid_points - 1])
-    ell = _ell_curves(np.broadcast_to(x, (2, len(pp), 3)), src, obs, N, pp, sec,
-                      _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, pp, sec))[0]
+    ell = _ell_curves(np.broadcast_to(x, (2, len(pp), 3)), src, obs, N, sec,
+                      _ledger(src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC)))[0]
     return 0.5 * np.floor(np.maximum(ell.min(axis=2).max(axis=0), 0.0)) / N
 
 
@@ -359,8 +391,9 @@ def asymptotic_rate(src: SourceModel, ch: ChannelModel, f_EC: float = 1.16) -> f
     if obs.Q_nt == 0:  # no gain ratio to bound: no key
         return 0.0
     xs = np.linspace(*x_range(src, obs), ASYMPTOTIC_GRID_POINTS)
-    b = _bounds(xs, src, obs, 0.0, 0.0, 0.0)  # one x row: chi = 0 for T and B alike
-    h_t, h_nt = binary_entropy(np.clip([b.w_t, b.w_nt], 0.0, 0.5))
-    ell = _ell(xs, obs, b, h_t, h_nt, 1.0, tuple(map(float, _leakage(obs, 1.0, f_EC))), 0.0)
+    b = _bounds(xs, _bound_terms(src, obs, 0.0, 0.0, 0.0))  # one x row: chi = 0 for T and B
+    h_t, h_nt = binary_entropy(np.array([b.w_t, b.w_nt]).clip(0.0, 0.5))
+    leaks = _leaks(tuple(map(float, _leakage(obs, 1.0, f_EC))))
+    ell = _ell(xs, obs, b, h_t, h_nt, 1.0, leaks, 0.0)
     ell_t, ell_b = ell[:, 0].min(axis=1).tolist()
     return max(ell_t, ell_b, 0.0) / 2.0

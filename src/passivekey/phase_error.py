@@ -52,6 +52,11 @@ _C_FLOOR = float(0.5 * math.log(0.5 * ((OMEGA_MAX + 1.0) ** 2 + _TWO_PI))
 _ROOT_G_MAX = math.sqrt((OMEGA_MAX**2 + 2.0 * math.pi) / 2.0)
 # a guard only: from its large-omega start, Newton takes two steps
 _NEWTON_STEPS = 64
+# the omega grid's spacing, the first power-of-two fraction of OMEGA_MAX
+# below OMEGA_TOL, and the Newton step after which an element stops
+_STEP = OMEGA_MAX / 2.0 ** math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))
+_DONE = math.sqrt(_STEP / 4.0)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -80,15 +85,21 @@ def gaussian_tail(omega):
     return 0.5 * erfc(np.asarray(omega, dtype=float) / _SQRT2)
 
 
-def _tail_factors(n, l):
-    """sqrt((n+l)/n) and e^nu, the factors of the tail LHS that omega leaves out."""
-    nu = 1.0 / (6.0 * np.asarray(n, dtype=float)) + 1.0 / 12.0
+def _nu(n):
+    """nu = 1/(6n) + 1/12 of the tail LHS."""
+    return 1.0 / (6.0 * np.asarray(n, dtype=float)) + 1.0 / 12.0
+
+
+def _tail_factors(n, l, nu):
+    """sqrt((n+l)/n) and e^nu, the factors of the tail LHS that omega leaves
+    out, for nu = _nu(n)."""
     return np.sqrt((n + l) / n), np.exp(nu)
 
 
 def _tail_condition_lhs(omega, n, l, factors=None):
-    """The tail LHS at omega; factors is _tail_factors(n, l), if already at hand."""
-    root, e_nu = _tail_factors(n, l) if factors is None else factors
+    """The tail LHS at omega; factors is _tail_factors(n, l, _nu(n)), if
+    already at hand."""
+    root, e_nu = _tail_factors(n, l, _nu(n)) if factors is None else factors
     return root * np.sqrt((omega**2 + 2.0 * math.pi) / 2.0) * e_nu * gaussian_tail(omega)
 
 
@@ -140,11 +151,10 @@ def _solve_omega_arrays(n, l, eps_sec):
     target = _tail_target(eps_sec)
     if target is None:
         raise NoSolution(f"tail target eps_sec^2/16 underflows for eps_sec={eps_sec}")
-    step = OMEGA_MAX / 2.0 ** math.ceil(math.log2(OMEGA_MAX / OMEGA_TOL))
-    done = math.sqrt(step / 4.0)
     # e^nu overflows for n below about 2.4e-4, and then inf * Phi = nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = math.log(target) - 0.5 * np.log1p(l / n) - (1.0 / (6.0 * n) + 1.0 / 12.0)
+        nu = _nu(n)
+        c = math.log(target) - 0.5 * np.log1p(l / n) - nu
         # a c below _C_FLOOR (or not finite) puts the crossing past
         # OMEGA_MAX, where omega is inf whatever w is, and a far crossing
         # would send Newton out of the float range: solve at _C_FLOOR there.
@@ -159,20 +169,20 @@ def _solve_omega_arrays(n, l, eps_sec):
             slope = w / s - np.exp(_LOG_PHI_SHIFT - 0.5 * s - log_tail)
             dw = np.where(moving, (0.5 * np.log(s) + log_tail - c) / slope, 0.0)
             w = w - dw
-            moving = np.abs(dw) > done  # an element stops after its first small step
+            moving = np.abs(dw) > _DONE  # an element stops after its first small step
             if not moving.any():
                 break
-        snapped = np.ceil(w / step) * step
-        points = np.array([snapped - step, snapped])
-        root, e_nu = factors = _tail_factors(n, l)
+        snapped = np.ceil(w / _STEP) * _STEP
+        points = np.array([snapped - _STEP, snapped])
+        root, e_nu = factors = _tail_factors(n, l, nu)
         meets = _tail_condition_lhs(points, n, l, factors) <= target
         judged = points <= _OMEGA_JUDGED
         # Phi(OMEGA_MAX) is 0.0 in doubles, so the LHS there is 0, which
         # meets the condition, unless its other factors (multiplied in
         # _tail_condition_lhs' order) are not finite and make it nan
         met = np.isfinite(root * _ROOT_G_MAX * e_nu)
-    omega = np.where(judged[0] & meets[0], snapped - step,
-                     np.where(judged[1] & meets[1], snapped, snapped + step))
+    omega = np.where(judged[0] & meets[0], snapped - _STEP,
+                     np.where(judged[1] & meets[1], snapped, snapped + _STEP))
     # past OMEGA_MAX: the float LHS there read 0, but the crossing is beyond
     return np.where(met & (omega <= OMEGA_MAX), omega, math.inf)
 
@@ -201,7 +211,7 @@ def _phase_error_arrays(n, l, e_ob, eps_sec):
     with np.errstate(over="ignore", invalid="ignore"):
         total = n + l
         tau = omega**2 * n / (
-            4.0 * l * np.maximum(total - 1.0, np.finfo(float).tiny)
+            4.0 * l * np.maximum(total - 1.0, _TINY)
         )
         # +2 error-count shift: the bound is stated for the count c+2.
         e_shift = np.minimum((e_ob * l + 2.0) / l, 1.0)
@@ -209,8 +219,7 @@ def _phase_error_arrays(n, l, e_ob, eps_sec):
     # fewer than two bits in total carries no information, and an infinite
     # omega (no solution) or overflow of tau (vanishing sample side) means
     # the same: the bound is vacuous
-    ep = np.where((total > 1.0) & np.isfinite(ep), ep, 0.5)
-    return np.clip(ep, 0.0, 0.5)
+    return np.where((total > 1.0) & np.isfinite(ep), ep, 0.5).clip(0.0, 0.5)
 
 
 def phase_error_bound(inputs: PhaseErrorInputs) -> float:

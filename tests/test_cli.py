@@ -300,6 +300,22 @@ class TestRunCommand:
         assert len(outs[0].read_text().splitlines()) == 3
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_workers_capped_at_the_affinity_mask(self, tmp_path, monkeypatch):
+        # one CPU this process may use, whatever the host has: two workers
+        # run the rows serially, with no process pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool for one usable CPU")
+
+        path = write_config(tmp_path, FAST_OPTIMIZER)
+        outs = [tmp_path / "serial.csv", tmp_path / "capped.csv"]
+        assert main(["run", "--config", path, "--sweep", "50,60", "--N", "1e9",
+                     "--out", str(outs[0])]) == 0
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert main(["run", "--config", path, "--sweep", "50,60", "--N", "1e9",
+                     "--workers", "2", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_percent_in_path_is_literal(self, tmp_path):
         from_file = tmp_path / "file%d%%.csv"
         from_flag = tmp_path / "flag%s.csv"

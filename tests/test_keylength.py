@@ -100,8 +100,8 @@ P_PE = np.array([[0.5]])  # one p_pe as the (P, 1) column of the x search
 # tensor, and both minima over x_range
 def curves_at(xs, src, obs, N, sec):
     xs = np.asarray(xs, dtype=float)
-    return _ell_curves(np.broadcast_to(xs, (2, 1, xs.size)), src, obs, N, P_PE, sec,
-                       _leakage(obs, N, sec.f_EC), _ledger(src, obs, N, P_PE, sec))
+    return _ell_curves(np.broadcast_to(xs, (2, 1, xs.size)), src, obs, N, sec,
+                       _ledger(src, obs, N, P_PE, sec, _leakage(obs, N, sec.f_EC)))
 
 
 def minimize(src, obs, N, sec):
@@ -124,14 +124,14 @@ def ell_min(which, src, obs, sec):
 # array search must equal by repr
 def loop_minimize(src, obs, N, ppes, sec, lam, grid_points):
     pp = ppes[:, None]
-    ledger = _ledger(src, obs, N, pp, sec)
+    ledger = _ledger(src, obs, N, pp, sec, lam)
     lo, hi = x_range(src, obs)
     grid = np.linspace(lo, hi, grid_points)
     P = len(pp)
     x = np.broadcast_to(grid, (2, P, grid_points))
     best = [(math.inf, lo, None)] * (2 * P)  # T's P rows, then B's
     for last in [False] * X_REFINE_ROUNDS + [True]:
-        vals, *diag = _ell_curves(x, src, obs, N, pp, sec, lam, ledger)
+        vals, *diag = _ell_curves(x, src, obs, N, sec, ledger)
         points = x.shape[-1]
         lows, highs = [], []
         for r, i in enumerate(vals.reshape(-1, points).argmin(axis=1).tolist()):
@@ -174,6 +174,43 @@ class TestEllCurves:
         at_lo, at_hi = ell_at(x_range(src, obs), "T", src, obs, sec)
         assert val <= float(at_lo) + 1e-6
         assert val <= float(at_hi) + 1e-6
+
+    # the ledger's terms are built once for a whole tensor, and the round
+    # runs on all of it at once; end_bounds and the walk read a point's
+    # values off such a tensor as the ones it has alone
+    @given(mus=st.lists(st.floats(0.01, 0.98), min_size=1, max_size=3),
+           L_km=st.floats(0.0, 250.0), log_N=st.floats(3.0, 18.0),
+           p_pe=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+           eps_sec=st.sampled_from([1e-6, 1e-10, 1e-30, 1e-150]),
+           zero=st.sampled_from(["", "p_d", "e_d"]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_element_is_its_own_call(self, src, mus, L_km, log_N, p_pe, eps_sec,
+                                          zero, data):
+        ch = make_channel(L_km)
+        ch = replace(ch, **{zero: 0.0}) if zero else ch
+        sec = SecurityBudget(eps_sec=eps_sec, eps_cor=1e-12, f_EC=1.16)
+        N = 10.0 ** log_N
+        src = replace(src, mu=np.repeat(mus, len(p_pe))[:, None])
+        obs = simulate_observables(src, ch)
+        pp = np.tile(p_pe, len(mus))[:, None]
+        P, X = len(pp), data.draw(st.integers(1, 4))
+        # x of each (strategy, point) row across its x_range, the ends included
+        t = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                        min_size=2 * P * X, max_size=2 * P * X)))
+        x = t.reshape(2, P, X) * x_range(src, obs)[1]
+        curves = _ell_curves(x, src, obs, N, sec,
+                             _ledger(src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC)))
+        for p in range(P):
+            one_src = replace(src, mu=src.mu[p:p + 1])
+            one_obs = Observables(*(f[p:p + 1] for f in astuple(obs)))
+            ledger = _ledger(one_src, one_obs, N, pp[p:p + 1], sec,
+                             _leakage(one_obs, N, sec.f_EC))
+            for s in range(2):
+                for j in range(X):
+                    one = _ell_curves(np.full((2, 1, 1), x[s, p, j]), one_src, one_obs, N,
+                                      sec, ledger)
+                    assert (repr([c[s, p, j] for c in curves])
+                            == repr([c[s, 0, 0] for c in one]))
 
 
 # every field of the result, Diagnostics included, bit for bit; e_p_nt is
@@ -349,7 +386,7 @@ class TestKeyLength:
         b = evaluate_bounds(np.array([0.0]), src, budget, obs,
                             chi=chi_low_orders(src, budget, obs))
         for q1, w in ((b.q1_t_lb, b.w_t), (b.q1_nt_lb, b.w_nt)):
-            got = _phase_error_for_class(q1, w, 1e9, 0.5, sec.eps_sec)
+            got = _phase_error_for_class(q1, w, 1e9 * (1.0 - 0.5), 1e9 * 0.5, sec.eps_sec)
             count = 1e9 * 0.5 * float(q1[0])
             want = phase_error_bound(PhaseErrorInputs(
                 n=count, l=count, e_ob=min(max(float(w[0]), 0.0), 0.5),
@@ -569,8 +606,8 @@ class TestEndBounds:
         x = np.linspace(*x_range(src, obs), X_GRID_POINTS)[[0, (X_GRID_POINTS - 1) // 2, -1]]
         three = np.broadcast_to(x, (2, 1, 3))  # (strategy, p_pe, x)
         pp = np.array([[p_pe]])
-        ell, *_ = _ell_curves(three, src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC),
-                              _ledger(src, obs, N, pp, sec))
+        ell, *_ = _ell_curves(three, src, obs, N, sec,
+                              _ledger(src, obs, N, pp, sec, _leakage(obs, N, sec.f_EC)))
         ell_t, ell_b = ell[STRATEGY["T"]], ell[STRATEGY["B"]]
         bound = 0.5 * math.floor(max(ell_t.min(), ell_b.min(), 0.0)) / N
         assert end_bounds(src, obs, N, [p_pe], sec).tolist() == [bound]

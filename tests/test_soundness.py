@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from passivekey import ChannelModel, SourceModel, simulate_observables
 from passivekey.channel import transmittance
-from passivekey.decoy_bounds import _bounds, x_range
+from passivekey.decoy_bounds import _bound_terms, _bounds, x_range
 from passivekey.optimizer import MU_SAFETY
 from passivekey.photonics import nontrigger_prob, photon_prob, series_sum
 
@@ -43,7 +43,7 @@ def check_sound(src, ch):
     x_true = q0_nt / obs.Q_nt
     lo, hi = x_range(src, obs)
     assert lo <= x_true <= hi
-    b = _bounds(x_true, src, obs, 0.0, 0.0, 0.0)
+    b = _bounds(x_true, _bound_terms(src, obs, 0.0, 0.0, 0.0))
     assert float(b.zeta) <= q1_nt / obs.Q_nt
     assert min(float(b.w_t), float(b.w_nt)) >= e1
 
